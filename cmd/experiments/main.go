@@ -11,6 +11,7 @@
 //	experiments -metrics-out metrics.json -trace-out spans.jsonl
 //	experiments -flight-recorder 16 -obs-addr localhost:6060
 //	experiments -run scaling -scaling-out BENCH_scaling.json
+//	experiments -run table5 -checkpoint-dir ckpt -resume   # render a journal
 //
 // Campaign experiments (table3/4/5/6, fig12, trials, remediation) are
 // scheduled across the internal/fleet worker pool: each campaign runs on
@@ -22,7 +23,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -98,29 +98,19 @@ func run(args []string) error {
 	chaosProfiles := fs.String("chaos-profiles", "", "comma-separated impairment profiles for -run chaos (empty = burst,noise,jitter)")
 	chaosSeed := fs.Int64("chaos-seed", 1, "deterministic seed for the chaos campaign's fault injectors")
 	obsAddr := fs.String("obs-addr", "", "serve the observability endpoints (/debug/pprof, /metrics, /healthz, /timeline) on this address, e.g. localhost:6060")
-	pprofAddr := fs.String("pprof", "", "deprecated alias for -obs-addr")
 	profileDir := fs.String("profile-dir", "", "enable mutex/block contention profiling and write pprof-format snapshots into this directory at run end")
 	scalingOut := fs.String("scaling-out", "", "scaling: also write the report to this file as JSON (BENCH_scaling.json)")
 	scalingWorkers := fs.String("scaling-workers", "1,2,4,8", "scaling: comma-separated worker counts to sweep")
 	scalingBaseline := fs.String("scaling-baseline", "", "scaling: compare against this committed report and fail if parallel efficiency at the top worker count regressed >10%")
 	gitSHA := fs.String("git-sha", "", "stamp bench reports with this commit (scripts pass it; empty omits)")
 	ckptDir := fs.String("checkpoint-dir", "", "journal completed campaign jobs into this directory (crash-safe; resume with -resume)")
-	resume := fs.Bool("resume", false, "continue existing journals in -checkpoint-dir instead of refusing to overwrite them")
-	shardSpec := fs.String("shard", "", "run only shard i/n of each campaign's job list (e.g. 2/3); requires -checkpoint-dir")
-	merge := fs.Bool("merge", false, "render tables purely from the journals in -checkpoint-dir; nothing executes")
+	resume := fs.Bool("resume", false, "continue existing journals in -checkpoint-dir instead of refusing to overwrite them; a complete journal (a coordinator's included) renders with nothing executed")
 	buglogOut := fs.String("buglog-out", "", "write every completed campaign's findings to this file as bug-log JSON lines")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	shard, err := fleet.ParseShard(*shardSpec)
-	if err != nil {
-		return err
-	}
-	if (*resume || *merge || shard.Enabled()) && *ckptDir == "" {
-		return fmt.Errorf("-resume, -shard, and -merge need -checkpoint-dir")
-	}
-	if *merge && shard.Enabled() {
-		return fmt.Errorf("-merge renders every shard's journal; drop -shard")
+	if *resume && *ckptDir == "" {
+		return fmt.Errorf("-resume needs -checkpoint-dir")
 	}
 	// Fleet counters publish into the process registry; the drivers run one
 	// fleet at a time, so per-fleet Progress deltas stay exact while the
@@ -129,10 +119,10 @@ func run(args []string) error {
 	timeline := obs.NewTimeline()
 	fleetCfg := fleet.Config{Workers: *workers, MaxAttempts: *attempts,
 		Telemetry: telemetry.Default(), Timeline: timeline}
-	if addr := firstNonEmpty(*obsAddr, *pprofAddr); addr != "" {
+	if *obsAddr != "" {
 		// Binds synchronously: a bad address fails here, before any
 		// campaign work, instead of being printed and swallowed mid-run.
-		srv, err := obs.NewServer(addr, telemetry.Default(), timeline)
+		srv, err := obs.NewServer(*obsAddr, telemetry.Default(), timeline)
 		if err != nil {
 			return err
 		}
@@ -147,10 +137,7 @@ func run(args []string) error {
 	}
 	harness.SetFleetRecorderDepth(*flightDepth)
 	if *ckptDir != "" {
-		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			return err
-		}
-		fleetCfg.Checkpoint = &fleet.CheckpointSpec{Dir: *ckptDir, Resume: *resume, Shard: shard, Merge: *merge}
+		fleetCfg.Checkpoint = &fleet.CheckpointSpec{Dir: *ckptDir, Resume: *resume}
 	}
 	if *buglogOut != "" {
 		bf, err := os.Create(*buglogOut)
@@ -205,21 +192,6 @@ func run(args []string) error {
 	want := func(name string) bool { return *which == "all" || *which == name }
 	ran := false
 
-	// render prints a campaign experiment's output — unless this invocation
-	// ran as a shard, in which case the journal is complete but the table
-	// cannot exist yet; the ShardDone note replaces it and the run goes on.
-	render := func(err error, print func() error) error {
-		var sd *harness.ShardDone
-		if errors.As(err, &sd) {
-			fmt.Println(sd.Error())
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		return print()
-	}
-
 	if want("fig1") {
 		ran = true
 		fmt.Println(zcover.Fig1().String())
@@ -245,56 +217,46 @@ func run(args []string) error {
 		ran = true
 		tbl, _, err := harness.Table3Fleet(*fuzzBudget, fleetCfg)
 		tick.clear()
-		if err := render(err, func() error {
-			fmt.Println(tbl.String())
-			return nil
-		}); err != nil {
+		if err != nil {
 			return err
 		}
+		fmt.Println(tbl.String())
 	}
 	if want("table4") {
 		ran = true
 		tbl, _, err := harness.Table4Fleet(fleetCfg)
 		tick.clear()
-		if err := render(err, func() error {
-			fmt.Println(tbl.String())
-			return nil
-		}); err != nil {
+		if err != nil {
 			return err
 		}
+		fmt.Println(tbl.String())
 	}
 	if want("table5") {
 		ran = true
 		tbl, _, err := harness.Table5Fleet(*fuzzBudget, fleetCfg)
 		tick.clear()
-		if err := render(err, func() error {
-			fmt.Println(tbl.String())
-			return nil
-		}); err != nil {
+		if err != nil {
 			return err
 		}
+		fmt.Println(tbl.String())
 	}
 	if want("covfuzz") {
 		ran = true
 		tbl, _, err := harness.CovFuzzTable(*fuzzBudget, fleetCfg)
 		tick.clear()
-		if err := render(err, func() error {
-			fmt.Println(tbl.String())
-			return nil
-		}); err != nil {
+		if err != nil {
 			return err
 		}
+		fmt.Println(tbl.String())
 	}
 	if want("table6") {
 		ran = true
 		tbl, _, err := harness.Table6Fleet(*ablation, fleetCfg)
 		tick.clear()
-		if err := render(err, func() error {
-			fmt.Println(tbl.String())
-			return nil
-		}); err != nil {
+		if err != nil {
 			return err
 		}
+		fmt.Println(tbl.String())
 	}
 	if want("figs8-11") {
 		ran = true
@@ -310,12 +272,10 @@ func run(args []string) error {
 		ran = true
 		tbl, _, err := harness.RemediationFleet(nil, *fuzzBudget, fleetCfg)
 		tick.clear()
-		if err := render(err, func() error {
-			fmt.Println(tbl.String())
-			return nil
-		}); err != nil {
+		if err != nil {
 			return err
 		}
+		fmt.Println(tbl.String())
 	}
 	if want("trials") {
 		ran = true
@@ -323,13 +283,11 @@ func run(args []string) error {
 		for _, idx := range []string{"D1", "D2", "D3", "D4", "D5", "D6", "D7"} {
 			sum, err := harness.RunTrialsFleet(idx, 5, *fuzzBudget, 300, fleetCfg)
 			tick.clear()
-			if err := render(err, func() error {
-				fmt.Printf("%s: per-trial %v, union %d, stable %v\n",
-					sum.Device, sum.PerTrial, sum.Union, sum.Stable)
-				return nil
-			}); err != nil {
+			if err != nil {
 				return err
 			}
+			fmt.Printf("%s: per-trial %v, union %d, stable %v\n",
+				sum.Device, sum.PerTrial, sum.Union, sum.Stable)
 		}
 		fmt.Println()
 	}
@@ -337,32 +295,30 @@ func run(args []string) error {
 		ran = true
 		csvs, series, err := harness.Fig12Fleet(*fuzzBudget, *window, fleetCfg)
 		tick.clear()
-		if err := render(err, func() error {
-			for i, s := range series {
-				fmt.Printf("Figure 12(%c): %s — %d unique vulnerabilities, first within %s\n",
-					'a'+i, s.Index, len(s.Discoveries), s.Discoveries[0].Elapsed.Round(time.Second))
-				chart := report.Chart{
-					Title:  fmt.Sprintf("packets over time, %s (first %s)", s.Index, *window),
-					XLabel: "time", YLabel: "test packets",
-				}
-				for _, sample := range s.Samples {
-					chart.Points = append(chart.Points, report.Point{X: sample.Elapsed, Y: sample.Packets})
-				}
-				for _, f := range s.Discoveries {
-					if f.Elapsed <= *window {
-						chart.Points = append(chart.Points, report.Point{X: f.Elapsed, Y: f.Packets, Mark: true})
-					}
-				}
-				fmt.Println(chart.String())
-				name := fmt.Sprintf("fig12_%s.csv", strings.ToLower(s.Index))
-				fmt.Printf("%s:\n%s\n", name, csvs[i].String())
-				if err := writeCSV(name, csvs[i].String()); err != nil {
-					return err
+		if err != nil {
+			return err
+		}
+		for i, s := range series {
+			fmt.Printf("Figure 12(%c): %s — %d unique vulnerabilities, first within %s\n",
+				'a'+i, s.Index, len(s.Discoveries), s.Discoveries[0].Elapsed.Round(time.Second))
+			chart := report.Chart{
+				Title:  fmt.Sprintf("packets over time, %s (first %s)", s.Index, *window),
+				XLabel: "time", YLabel: "test packets",
+			}
+			for _, sample := range s.Samples {
+				chart.Points = append(chart.Points, report.Point{X: sample.Elapsed, Y: sample.Packets})
+			}
+			for _, f := range s.Discoveries {
+				if f.Elapsed <= *window {
+					chart.Points = append(chart.Points, report.Point{X: f.Elapsed, Y: f.Packets, Mark: true})
 				}
 			}
-			return nil
-		}); err != nil {
-			return err
+			fmt.Println(chart.String())
+			name := fmt.Sprintf("fig12_%s.csv", strings.ToLower(s.Index))
+			fmt.Printf("%s:\n%s\n", name, csvs[i].String())
+			if err := writeCSV(name, csvs[i].String()); err != nil {
+				return err
+			}
 		}
 	}
 	// The chaos robustness sweep runs only on request: it is not a paper
@@ -375,12 +331,10 @@ func run(args []string) error {
 		}
 		tbl, _, err := harness.ChaosTable5(*fuzzBudget, profiles, *chaosSeed, fleetCfg)
 		tick.clear()
-		if err := render(err, func() error {
-			fmt.Println(tbl.String())
-			return nil
-		}); err != nil {
+		if err != nil {
 			return err
 		}
+		fmt.Println(tbl.String())
 	}
 	// The scaling sweep also runs only on request: it is a bench, not a
 	// paper table. It measures the fleet across worker counts, prints the
@@ -401,6 +355,7 @@ func run(args []string) error {
 		// old-versus-new instead of new-vs-new.
 		var base *obs.ScalingReport
 		if *scalingBaseline != "" {
+			var err error
 			if base, err = obs.LoadScalingReport(*scalingBaseline); err != nil {
 				return err
 			}
@@ -429,14 +384,4 @@ func run(args []string) error {
 		return fmt.Errorf("unknown experiment %q", *which)
 	}
 	return nil
-}
-
-// firstNonEmpty returns the first non-empty string.
-func firstNonEmpty(vals ...string) string {
-	for _, v := range vals {
-		if v != "" {
-			return v
-		}
-	}
-	return ""
 }

@@ -1,11 +1,19 @@
 package main
 
 import (
+	"context"
 	"io"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"zcover/internal/coord"
+	"zcover/internal/fleet"
+	"zcover/internal/harness"
+	"zcover/internal/telemetry"
 )
 
 func TestRunCheapExperiments(t *testing.T) {
@@ -40,41 +48,73 @@ func captureStdout(t *testing.T, f func() error) string {
 	return string(out)
 }
 
-// TestShardMergeCLI drives the -checkpoint-dir/-shard/-merge flags end to
-// end on the cheap table4 experiment: two shards journaled separately and
-// merged must print the same table as the plain run.
-func TestShardMergeCLI(t *testing.T) {
-	want := captureStdout(t, func() error { return run([]string{"-run", "table4"}) })
+// TestResumeRendersCoordinatorJournalCLI: a Table V journal written by
+// the coordinator and its lease workers, rendered with -resume, prints
+// the table and bug log of the plain run and executes nothing.
+func TestResumeRendersCoordinatorJournalCLI(t *testing.T) {
 	dir := t.TempDir()
-	for _, shard := range []string{"1/2", "2/2"} {
-		out := captureStdout(t, func() error {
-			return run([]string{"-run", "table4", "-checkpoint-dir", dir, "-shard", shard})
-		})
-		if !strings.Contains(out, "shard "+shard+" complete") {
-			t.Fatalf("shard %s: no completion note in output:\n%s", shard, out)
-		}
-		if strings.Contains(out, "Table IV") {
-			t.Fatalf("shard %s rendered a partial table", shard)
-		}
+	plainLog, resumedLog := filepath.Join(dir, "plain.jsonl"), filepath.Join(dir, "resumed.jsonl")
+	want := captureStdout(t, func() error {
+		return run([]string{"-run", "table5", "-fuzz", "5m", "-buglog-out", plainLog})
+	})
+
+	ckpt := filepath.Join(dir, "coord-ckpt")
+	jobs, err := harness.CampaignJobs("table5", 5*time.Minute)
+	if err != nil {
+		t.Fatal(err)
 	}
+	hash, err := harness.CampaignSpecHash("table5", jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := coord.New(coord.Config{Campaign: "table5", Jobs: jobs, SpecHash: hash, Dir: ckpt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c.Handler())
+	_, err = coord.RunWorker(context.Background(), coord.WorkerConfig{
+		Coordinator: srv.URL, ID: "w1", Runner: harness.LeaseRunner(fleet.Config{}),
+	})
+	srv.Close()
+	c.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	resumed := telemetry.Default().Counter("checkpoint_jobs_resumed_total")
+	before := resumed.Load()
 	got := captureStdout(t, func() error {
-		return run([]string{"-run", "table4", "-checkpoint-dir", dir, "-merge"})
+		return run([]string{"-run", "table5", "-fuzz", "5m", "-checkpoint-dir", ckpt, "-resume", "-buglog-out", resumedLog})
 	})
 	if got != want {
-		t.Errorf("merged table differs from plain run:\n--- plain ---\n%s--- merged ---\n%s", want, got)
+		t.Errorf("journal render differs from the plain run:\n--- plain ---\n%s--- resumed ---\n%s", want, got)
+	}
+	if n := resumed.Load() - before; n != int64(len(jobs)) {
+		t.Errorf("resumed %d jobs from the journal, want all %d", n, len(jobs))
+	}
+	a, err := os.ReadFile(plainLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(resumedLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(a) != string(b) {
+		t.Error("journal bug log differs from the plain run")
 	}
 }
 
 func TestCheckpointFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
 		{"-run", "table4", "-resume"},
-		{"-run", "table4", "-shard", "1/2"},
-		{"-run", "table4", "-merge"},
-		{"-run", "table4", "-checkpoint-dir", t.TempDir(), "-merge", "-shard", "1/2"},
-		{"-run", "table4", "-checkpoint-dir", t.TempDir(), "-shard", "3/2"},
+		// The retired shard/merge flags and the -pprof alias are gone.
+		{"-run", "table4", "-checkpoint-dir", t.TempDir(), "-shard", "1/2"},
+		{"-run", "table4", "-checkpoint-dir", t.TempDir(), "-merge"},
+		{"-run", "fig1", "-pprof", "127.0.0.1:0"},
 	} {
 		if err := run(args); err == nil {
-			t.Errorf("%v: inconsistent checkpoint flags accepted", args)
+			t.Errorf("%v: accepted", args)
 		}
 	}
 }
@@ -133,18 +173,14 @@ func TestScalingFlagValidation(t *testing.T) {
 	}
 }
 
-// TestObsAddrFlag pins the fixed -pprof pattern: the server binds before
-// any experiment work, serves the unified endpoints, and a bad address is
-// an immediate error instead of a swallowed goroutine print.
+// TestObsAddrFlag: the observability server binds before any experiment
+// work, serves the unified endpoints, and a bad address is an immediate
+// error instead of a swallowed goroutine print.
 func TestObsAddrFlag(t *testing.T) {
 	if err := run([]string{"-run", "fig1", "-obs-addr", "256.0.0.1:bad"}); err == nil {
 		t.Fatal("bad -obs-addr accepted")
 	}
 	if err := run([]string{"-run", "fig1", "-obs-addr", "127.0.0.1:0"}); err != nil {
 		t.Fatalf("-obs-addr with ephemeral port: %v", err)
-	}
-	// The deprecated alias must keep working.
-	if err := run([]string{"-run", "fig1", "-pprof", "127.0.0.1:0"}); err != nil {
-		t.Fatalf("-pprof alias: %v", err)
 	}
 }

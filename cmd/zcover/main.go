@@ -54,7 +54,6 @@ func run(args []string) error {
 	chaosProfile := fs.String("chaos-profile", "", "impair the channel with this fault profile, e.g. burst, noise, jitter, lossy:corrupt=0.1 (empty = clean)")
 	chaosSeed := fs.Int64("chaos-seed", 1, "deterministic seed for the fault injector's impairment streams")
 	obsAddr := fs.String("obs-addr", "", "serve the observability endpoints (/debug/pprof, /metrics, /healthz, /timeline) on this address, e.g. localhost:6060")
-	pprofAddr := fs.String("pprof", "", "deprecated alias for -obs-addr")
 	profileDir := fs.String("profile-dir", "", "enable mutex/block contention profiling and write pprof-format snapshots into this directory at campaign end")
 	ckptDir := fs.String("checkpoint-dir", "", "journal the campaign outcome into this directory (crash-safe; replay with -resume)")
 	resume := fs.Bool("resume", false, "continue an existing journal in -checkpoint-dir or -corpus-dir instead of refusing to overwrite it")
@@ -82,10 +81,10 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown fuzz mode %q (want zcover or coverage)", *fuzzMode)
 	}
-	if addr := firstNonEmpty(*obsAddr, *pprofAddr); addr != "" {
+	if *obsAddr != "" {
 		// Binds synchronously: a bad address fails here, before any
 		// campaign work, instead of being printed and swallowed mid-run.
-		srv, err := obs.NewServer(addr, telemetry.Default(), nil)
+		srv, err := obs.NewServer(*obsAddr, telemetry.Default(), nil)
 		if err != nil {
 			return err
 		}
@@ -193,9 +192,6 @@ func run(args []string) error {
 	var c *zcover.Campaign
 	resumed := false
 	if *ckptDir != "" {
-		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			return err
-		}
 		key := zcover.CampaignKey{
 			Target: *target, Strategy: strat, Duration: *duration, Seed: *seed,
 			ChaosProfile: *chaosProfile, ChaosSeed: *chaosSeed,
@@ -247,16 +243,6 @@ func run(args []string) error {
 
 	printFindings(c.Fuzz.Findings)
 	return nil
-}
-
-// firstNonEmpty returns the first non-empty string.
-func firstNonEmpty(vals ...string) string {
-	for _, v := range vals {
-		if v != "" {
-			return v
-		}
-	}
-	return ""
 }
 
 // printFindings renders the unique-vulnerability table shared by both

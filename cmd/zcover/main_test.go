@@ -39,9 +39,9 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	}
 }
 
-// TestObservabilityFlags drives -obs-addr (and its deprecated -pprof
-// alias) plus -profile-dir through a short campaign: the run must succeed
-// and leave pprof-format contention snapshots behind.
+// TestObservabilityFlags drives -obs-addr plus -profile-dir through a
+// short campaign: the run must succeed and leave pprof-format contention
+// snapshots behind.
 func TestObservabilityFlags(t *testing.T) {
 	dir := t.TempDir()
 	if err := run([]string{"-target", "D1", "-duration", "5m",
@@ -52,9 +52,6 @@ func TestObservabilityFlags(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Errorf("missing profile snapshot %s: %v", name, err)
 		}
-	}
-	if err := run([]string{"-target", "D1", "-duration", "5m", "-pprof", "127.0.0.1:0"}); err != nil {
-		t.Fatalf("-pprof alias: %v", err)
 	}
 }
 

@@ -1,8 +1,10 @@
 // Package checkpoint implements the crash-safe campaign journal: an
 // append-only, fsync'd JSONL file that records a campaign's completed
-// jobs so a fleet killed at any point can resume without losing work,
-// and so a campaign split across machines (shards) can be merged back
-// into one result set.
+// jobs so a fleet killed at any point can resume without losing work.
+// Open is the only way to obtain a journal: it creates one, or recovers
+// an existing one and checks it belongs to the campaign being run. The
+// coordinator (internal/coord) owns every campaign journal through it,
+// whether the campaign runs in-process or across leased workers.
 //
 // # Format
 //
@@ -13,7 +15,7 @@
 //	...
 //
 // The first record is always the Manifest — the campaign's identity
-// (name, a hash of the full job list, the shard assignment). Every
+// (name, a hash of the full job list, the job count). Every
 // following record is one completed job's serialised outcome. The crc
 // field is the CRC-32 (IEEE) of "type:seq:" + the body's exact bytes,
 // so any bit flip, splice, or truncation inside a record is detected on
@@ -23,7 +25,7 @@
 //
 // Append writes the record and fsyncs the file before returning, so a
 // record that Append reported durable survives a process kill or power
-// loss. A crash mid-write leaves a partial final line; Recover detects
+// loss. A crash mid-write leaves a partial final line; Open detects
 // it (parse or CRC failure on the last record only), reports it, and
 // truncates the file back to the last durable record before reopening
 // for append. A damaged record that is *not* the tail is real
@@ -34,9 +36,8 @@
 // The journal stores outcomes byte-for-byte as the caller serialised
 // them. Because every campaign job is deterministic in its seed, a
 // killed-and-resumed run re-executes only the jobs missing from the
-// journal and reproduces the uninterrupted run exactly; N merged shards
-// reproduce the 1-shard run exactly. internal/harness pins both
-// invariants against the golden tables.
+// journal and reproduces the uninterrupted run exactly. internal/harness
+// pins the invariant against the golden tables.
 package checkpoint
 
 import (
@@ -48,8 +49,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
 	"zcover/internal/telemetry"
@@ -72,10 +73,11 @@ var (
 // metric). Callers invoke it once per cache hit.
 func NoteResumed() { mResumed.Inc() }
 
-// Manifest identifies the campaign a journal belongs to. Resume and
-// merge refuse journals whose manifest does not match the job list
-// being executed — a checkpoint must never replay into a different
-// campaign.
+// Manifest identifies the campaign a journal belongs to. Open refuses a
+// journal whose manifest does not match the job list being executed — a
+// checkpoint must never replay into a different campaign. Manifests
+// written by older builds also carry shard_index/shard_count; decoding
+// ignores them.
 type Manifest struct {
 	// Version is the journal format version (see Version).
 	Version int `json:"version"`
@@ -85,18 +87,14 @@ type Manifest struct {
 	// budgets and seeds included, so a resumed run provably executes
 	// the same campaign the journal was written for.
 	SpecHash string `json:"spec_hash"`
-	// TotalJobs is the unsharded campaign's job count.
+	// TotalJobs is the campaign's job count; zero means open-ended (a
+	// corpus journal), which disables Open's record index range check.
 	TotalJobs int `json:"total_jobs"`
-	// ShardIndex/ShardCount is the 1-based shard assignment this
-	// journal covers (1/1 for unsharded runs).
-	ShardIndex int `json:"shard_index"`
-	// ShardCount is the total number of shards.
-	ShardCount int `json:"shard_count"`
 }
 
 // JobRecord is one completed job's durable outcome.
 type JobRecord struct {
-	// Index is the job's position in the full (unsharded) job list.
+	// Index is the job's position in the full job list.
 	Index int `json:"index"`
 	// Label echoes Job.Label for human inspection of journals.
 	Label string `json:"label"`
@@ -142,27 +140,13 @@ func SpecHash(spec any) (string, error) {
 	return fmt.Sprintf("%016x", crc64.Checksum(raw, specTable)), nil
 }
 
-// JournalPath names the journal file for one campaign shard inside a
-// checkpoint directory. Campaign names may contain '/' (trials/D3);
-// path separators are flattened so every journal lives directly in dir.
-func JournalPath(dir, campaign string, shardIndex, shardCount int) string {
-	if shardIndex <= 0 || shardCount <= 0 {
-		shardIndex, shardCount = 1, 1
-	}
-	return filepath.Join(dir, fmt.Sprintf("journal-%s-%dof%d.jsonl",
-		sanitize(campaign), shardIndex, shardCount))
-}
-
-// ListJournals returns every shard journal for a campaign in dir,
-// sorted by filename (and therefore by shard index for a fixed count).
-func ListJournals(dir, campaign string) ([]string, error) {
-	pattern := filepath.Join(dir, "journal-"+sanitize(campaign)+"-*of*.jsonl")
-	paths, err := filepath.Glob(pattern)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: listing journals: %w", err)
-	}
-	sort.Strings(paths)
-	return paths, nil
+// JournalPath names a campaign's journal file inside a checkpoint
+// directory. Campaign names may contain '/' (trials/D3); path separators
+// are flattened so every journal lives directly in dir. The "-1of1"
+// suffix is a leftover of the retired shard scheme, kept so journals
+// written by older builds are still found on resume.
+func JournalPath(dir, campaign string) string {
+	return filepath.Join(dir, "journal-"+sanitize(campaign)+"-1of1.jsonl")
 }
 
 // sanitize flattens a campaign name into a filename component.
@@ -190,15 +174,69 @@ type Journal struct {
 	nextSeq int
 }
 
-// Create starts a new journal at path, writing (and fsyncing) the
-// manifest record. It fails if the file already exists — an existing
-// journal must be resumed with Recover or removed deliberately, never
-// silently overwritten.
-func Create(path string, m Manifest) (*Journal, error) {
-	m.Version = Version
-	if m.ShardIndex <= 0 || m.ShardCount <= 0 {
-		m.ShardIndex, m.ShardCount = 1, 1
+// Open creates the journal at path with manifest want, or — when the
+// file exists and resume is set — recovers it: a torn tail is truncated,
+// the manifest is checked against want, and the completed records come
+// back keyed by job index. An existing journal without resume is refused
+// rather than silently overwritten, and so is a record whose index lies
+// outside [0, want.TotalJobs) when the job count is known.
+func Open(path string, want Manifest, resume bool) (*Journal, map[int]JobRecord, error) {
+	if _, err := os.Stat(path); err != nil {
+		j, err := create(path, want)
+		if err != nil {
+			return nil, nil, err
+		}
+		return j, map[int]JobRecord{}, nil
 	}
+	if !resume {
+		return nil, nil, fmt.Errorf("checkpoint: journal %s already exists; pass -resume to continue it or remove it to start over", path)
+	}
+	j, rep, err := recoverJournal(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	recs, err := rep.ByIndex()
+	if err == nil {
+		err = checkReplay(path, rep.Manifest, want, recs)
+	}
+	if err != nil {
+		j.Close()
+		return nil, nil, err
+	}
+	return j, recs, nil
+}
+
+// checkReplay names every way a recovered journal disagrees with the run
+// that wants to resume it.
+func checkReplay(path string, got, want Manifest, recs map[int]JobRecord) error {
+	var diffs []string
+	if got.Campaign != want.Campaign {
+		diffs = append(diffs, fmt.Sprintf("campaign %q, this run %q", got.Campaign, want.Campaign))
+	}
+	if got.SpecHash != want.SpecHash {
+		diffs = append(diffs, fmt.Sprintf("spec %s, this run %s — a different job list: seeds, budgets, or profiles changed",
+			got.SpecHash, want.SpecHash))
+	}
+	if got.TotalJobs != want.TotalJobs {
+		diffs = append(diffs, fmt.Sprintf("%d jobs, this run %d", got.TotalJobs, want.TotalJobs))
+	}
+	if len(diffs) > 0 {
+		return fmt.Errorf("checkpoint: %s was written for another campaign: %s", path, strings.Join(diffs, "; "))
+	}
+	if want.TotalJobs > 0 {
+		for idx, rec := range recs {
+			if idx < 0 || idx >= want.TotalJobs {
+				return fmt.Errorf("checkpoint: %s: job %q has index %d outside [0,%d)", path, rec.Label, idx, want.TotalJobs)
+			}
+		}
+	}
+	return nil
+}
+
+// create starts a new journal at path, writing (and fsyncing) the
+// manifest record. It fails if the file already exists.
+func create(path string, m Manifest) (*Journal, error) {
+	m.Version = Version
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
@@ -390,10 +428,10 @@ func Load(path string) (*Replay, error) {
 	return rep, nil
 }
 
-// Recover loads a journal and reopens it for appending: the
+// recoverJournal loads a journal and reopens it for appending: the
 // kill-anywhere resume path. A damaged tail record is truncated away
 // first so subsequent appends extend a clean journal.
-func Recover(path string) (*Journal, *Replay, error) {
+func recoverJournal(path string) (*Journal, *Replay, error) {
 	rep, err := Load(path)
 	if err != nil {
 		return nil, nil, err

@@ -12,7 +12,7 @@ import (
 func testManifest() Manifest {
 	return Manifest{
 		Campaign: "table6", SpecHash: "0123456789abcdef",
-		TotalJobs: 3, ShardIndex: 1, ShardCount: 1,
+		TotalJobs: 3,
 	}
 }
 
@@ -26,7 +26,7 @@ func record(i int, payload string) JobRecord {
 // writeJournal creates a journal with n job records and closes it.
 func writeJournal(t *testing.T, path string, n int) {
 	t.Helper()
-	j, err := Create(path, testManifest())
+	j, err := create(path, testManifest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestJournalRoundTrip(t *testing.T) {
 func TestCreateRefusesExistingJournal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	writeJournal(t, path, 1)
-	if _, err := Create(path, testManifest()); err == nil {
+	if _, err := create(path, testManifest()); err == nil {
 		t.Fatal("Create silently overwrote an existing journal")
 	}
 }
@@ -109,7 +109,7 @@ func TestRecoverTruncatedTail(t *testing.T) {
 			t.Fatalf("tail %q: replayed %d jobs, want 2", cut[:20], len(rep.Jobs))
 		}
 
-		j, rep2, err := Recover(path)
+		j, rep2, err := recoverJournal(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,8 +159,8 @@ func TestMidJournalCorruptionFails(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "corrupted mid-journal") {
 		t.Fatalf("unexpected error: %v", err)
 	}
-	if _, _, err := Recover(path); err == nil {
-		t.Fatal("Recover accepted a mid-journal corruption")
+	if _, _, err := recoverJournal(path); err == nil {
+		t.Fatal("recoverJournal accepted a mid-journal corruption")
 	}
 }
 
@@ -220,30 +220,115 @@ func TestSpecHashStability(t *testing.T) {
 	}
 }
 
-func TestJournalPathAndList(t *testing.T) {
+func TestJournalPath(t *testing.T) {
 	dir := t.TempDir()
-	p1 := JournalPath(dir, "trials/D3", 2, 4)
-	if filepath.Base(p1) != "journal-trials_D3-2of4.jsonl" {
-		t.Errorf("path = %s", p1)
+	if p := JournalPath(dir, "trials/D3"); filepath.Base(p) != "journal-trials_D3-1of1.jsonl" {
+		t.Errorf("path = %s", p)
 	}
-	if p := JournalPath(dir, "table5", 0, 0); filepath.Base(p) != "journal-table5-1of1.jsonl" {
-		t.Errorf("unsharded path = %s", p)
+	if p := JournalPath(dir, "table5"); filepath.Dir(p) != dir {
+		t.Errorf("journal %s not directly in %s", p, dir)
 	}
-	for i := 1; i <= 3; i++ {
-		writeJournal(t, JournalPath(dir, "table5", i, 3), 1)
-	}
-	writeJournal(t, JournalPath(dir, "table6", 1, 1), 1)
-	paths, err := ListJournals(dir, "table5")
+}
+
+// TestOpen covers the one create-or-recover routine: a fresh path is
+// created, an existing journal needs resume, every manifest mismatch is
+// named, out-of-range records are refused, and a torn tail is truncated.
+func TestOpen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	j, recs, err := Open(path, testManifest(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(paths) != 3 {
-		t.Fatalf("listed %d table5 journals, want 3: %v", len(paths), paths)
+	if len(recs) != 0 {
+		t.Fatalf("fresh journal replayed %d records", len(recs))
 	}
-	for i, p := range paths {
-		if want := fmt.Sprintf("journal-table5-%dof3.jsonl", i+1); filepath.Base(p) != want {
-			t.Errorf("paths[%d] = %s, want %s", i, filepath.Base(p), want)
+	for i := 0; i < 2; i++ {
+		if err := j.Append(record(i, fmt.Sprintf(`{"value":%d}`, i))); err != nil {
+			t.Fatal(err)
 		}
+	}
+	j.Close()
+
+	if _, _, err := Open(path, testManifest(), false); err == nil || !strings.Contains(err.Error(), "-resume") {
+		t.Fatalf("existing journal without resume: %v", err)
+	}
+
+	for _, c := range []struct {
+		name string
+		edit func(*Manifest)
+		want string
+	}{
+		{"campaign", func(m *Manifest) { m.Campaign = "table5" }, `campaign "table6", this run "table5"`},
+		{"spec hash", func(m *Manifest) { m.SpecHash = "fedcba9876543210" }, "different job list"},
+		{"job count", func(m *Manifest) { m.TotalJobs = 4 }, "3 jobs, this run 4"},
+	} {
+		want := testManifest()
+		c.edit(&want)
+		if _, _, err := Open(path, want, true); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s mismatch: %v, want it to name %q", c.name, err, c.want)
+		}
+	}
+	want := testManifest()
+	want.Campaign, want.TotalJobs = "table5", 4
+	if _, _, err := Open(path, want, true); err == nil ||
+		!strings.Contains(err.Error(), `this run "table5"`) || !strings.Contains(err.Error(), "this run 4") {
+		t.Errorf("two mismatches not both named: %v", err)
+	}
+
+	// A torn tail is truncated and the durable records come back.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(raw, `{"v":1,"type":"job","seq":3,"bo`...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, recs, err = Open(path, testManifest(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if len(recs) != 2 || string(recs[1].Body) != `{"value":1}` {
+		t.Fatalf("recovered records = %v", recs)
+	}
+	if after, _ := os.ReadFile(path); string(after) != string(raw) {
+		t.Error("torn tail not truncated")
+	}
+}
+
+// TestOpenRejectsOutOfRangeIndex: a record whose index the job list
+// cannot hold is refused; an open-ended journal (TotalJobs 0) skips the
+// check.
+func TestOpenRejectsOutOfRangeIndex(t *testing.T) {
+	for _, idx := range []int{-1, 3} {
+		path := filepath.Join(t.TempDir(), "journal.jsonl")
+		j, err := create(path, testManifest())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Append(record(idx, `{}`)); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		if _, _, err := Open(path, testManifest(), true); err == nil || !strings.Contains(err.Error(), "outside [0,3)") {
+			t.Errorf("index %d: %v", idx, err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	open := Manifest{Campaign: "corpus-x", SpecHash: "0123456789abcdef"}
+	j, _, err := Open(path, open, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Append(record(9, `{}`))
+	j.Close()
+	j, recs, err := Open(path, open, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if _, ok := recs[9]; !ok {
+		t.Error("open-ended journal lost its record")
 	}
 }
 

@@ -34,13 +34,20 @@
 // correctness state: a result upload is valid whenever its spec hash
 // matches the manifest, even from a lease it no longer remembers. A
 // duplicate upload (a late straggler finishing after its job was
-// re-issued and completed elsewhere) is deduplicated by byte comparison
-// exactly like a shard merge; bytes that differ are corruption and are
-// refused. Leases live only in memory — after a coordinator restart the
+// re-issued and completed elsewhere) is deduplicated by byte
+// comparison; bytes that differ are corruption and are refused. Leases live only in memory — after a coordinator restart the
 // journal restores every completed job and the open ones are simply
 // re-leased. internal/harness pins the invariant: coordinator + N
 // workers == the single-machine run, byte-for-byte, tables and bug log
 // included, under worker kills and coordinator restarts.
+//
+// # Local runs
+//
+// The Coordinator is also the whole of a local checkpointed run: the
+// campaign layer builds one over the job list, runs only the jobs
+// Journaled does not hold, and hands each outcome to Submit — no HTTP,
+// no leases, no extra goroutines. Resume and distribution therefore share
+// one journal path.
 //
 // DESIGN.md §16 documents the lease protocol and the failure matrix.
 package coord

@@ -531,6 +531,44 @@ func TestWorkerRunnerFailureFailsCampaign(t *testing.T) {
 	}
 }
 
+// TestSubmitInProcess: a local run drives the coordinator without HTTP —
+// Submit carries every /result rule, and Journaled reports what a
+// resumed journal already holds.
+func TestSubmitInProcess(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Campaign: "prot", Jobs: testJobs(3), SpecHash: "cafe0123", Dir: dir}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Journaled(); len(got) != 0 {
+		t.Fatalf("fresh journal holds %v", got)
+	}
+	bad := uploadBody(1, `{"v":1}`)
+	bad.SpecHash = "deadbeef"
+	if _, err := c.Submit(bad); err == nil {
+		t.Fatal("spec mismatch accepted")
+	}
+	if reply, err := c.Submit(uploadBody(1, `{"v":1}`)); err != nil || reply.Status != "accepted" {
+		t.Fatalf("submit = %+v, %v", reply, err)
+	}
+	if reply, err := c.Submit(uploadBody(1, `{"v":1}`)); err != nil || reply.Status != "duplicate" {
+		t.Fatalf("resubmit = %+v, %v", reply, err)
+	}
+	c.Close()
+
+	cfg.Resume = true
+	c2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	got := c2.Journaled()
+	if len(got) != 1 || got[0].Index != 1 || got[0].Label != "t/1" || string(got[0].Body) != `{"v":1}` {
+		t.Fatalf("journaled after restart = %+v", got)
+	}
+}
+
 func TestNewValidatesConfig(t *testing.T) {
 	if _, err := New(Config{Jobs: testJobs(1), SpecHash: "x", Dir: "d"}); err == nil {
 		t.Fatal("accepted empty campaign")

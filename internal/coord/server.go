@@ -3,9 +3,9 @@ package coord
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -26,8 +26,8 @@ type Config struct {
 	// Dir is the checkpoint directory holding the coordinator's journal.
 	// The journal is the coordinator's only durable state: a restarted
 	// coordinator recovers every completed job from it and re-leases the
-	// rest. The file is the same format (and path) a single-machine
-	// checkpointed run writes, so `experiments -merge` can render it.
+	// rest. A local checkpointed run is this same coordinator used
+	// in-process, so `experiments -resume` can render the journal.
 	Dir string
 	// Resume permits recovering an existing journal; without it an
 	// existing journal is an error, exactly like the CLI -resume rule.
@@ -109,66 +109,24 @@ func New(cfg Config) (*Coordinator, error) {
 	for i, job := range cfg.Jobs {
 		c.jobs[i].label = job.Label()
 	}
-	manifest := checkpoint.Manifest{
-		Campaign: cfg.Campaign, SpecHash: cfg.SpecHash,
-		TotalJobs: len(cfg.Jobs), ShardIndex: 1, ShardCount: 1,
-	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("coord: %w", err)
-	}
-	path := checkpoint.JournalPath(cfg.Dir, cfg.Campaign, 1, 1)
-	journal, replay, err := openJournal(path, manifest, cfg.Resume)
+	journal, recs, err := checkpoint.Open(checkpoint.JournalPath(cfg.Dir, cfg.Campaign), checkpoint.Manifest{
+		Campaign: cfg.Campaign, SpecHash: cfg.SpecHash, TotalJobs: len(cfg.Jobs),
+	}, cfg.Resume)
 	if err != nil {
 		return nil, err
 	}
 	c.journal = journal
-	if replay != nil {
-		recs, err := replay.ByIndex()
-		if err != nil {
-			journal.Close()
-			return nil, err
-		}
-		for idx, rec := range recs {
-			if idx < 0 || idx >= len(c.jobs) {
-				journal.Close()
-				return nil, fmt.Errorf("coord: %s: job index %d out of range [0,%d)", path, idx, len(c.jobs))
-			}
-			c.jobs[idx].done = true
-			c.jobs[idx].body = rec.Body
-			c.jobs[idx].attempts = rec.Attempts
-			c.done++
-			checkpoint.NoteResumed()
-		}
+	for idx, rec := range recs {
+		c.jobs[idx].done = true
+		c.jobs[idx].body = rec.Body
+		c.jobs[idx].attempts = rec.Attempts
+		c.done++
+		checkpoint.NoteResumed()
 	}
 	if c.done == len(c.jobs) {
 		close(c.finished)
 	}
 	return c, nil
-}
-
-// openJournal creates path, or recovers it when resume permits.
-func openJournal(path string, manifest checkpoint.Manifest, resume bool) (*checkpoint.Journal, *checkpoint.Replay, error) {
-	if _, err := os.Stat(path); err != nil {
-		journal, cerr := checkpoint.Create(path, manifest)
-		if cerr != nil {
-			return nil, nil, cerr
-		}
-		return journal, nil, nil
-	}
-	if !resume {
-		return nil, nil, fmt.Errorf("coord: journal %s already exists; pass -resume to continue it or remove it to start over", path)
-	}
-	journal, replay, err := checkpoint.Recover(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	m := replay.Manifest
-	if m.Campaign != manifest.Campaign || m.SpecHash != manifest.SpecHash || m.TotalJobs != manifest.TotalJobs {
-		journal.Close()
-		return nil, nil, fmt.Errorf("coord: %s was written for campaign %q spec %s (%d jobs), this run is %q spec %s (%d jobs)",
-			path, m.Campaign, m.SpecHash, m.TotalJobs, manifest.Campaign, manifest.SpecHash, manifest.TotalJobs)
-	}
-	return journal, replay, nil
 }
 
 // Handler returns the coordinator's HTTP mux.
@@ -225,12 +183,29 @@ func (c *Coordinator) Records() ([]checkpoint.JobRecord, error) {
 	}
 	out := make([]checkpoint.JobRecord, len(c.jobs))
 	for i := range c.jobs {
-		out[i] = checkpoint.JobRecord{
-			Index: i, Label: c.jobs[i].label,
-			Attempts: c.jobs[i].attempts, Body: c.jobs[i].body,
-		}
+		out[i] = c.record(i)
 	}
 	return out, nil
+}
+
+// Journaled returns the outcomes the journal already holds, in job order:
+// what a local run replays instead of executing.
+func (c *Coordinator) Journaled() []checkpoint.JobRecord {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []checkpoint.JobRecord
+	for i := range c.jobs {
+		if c.jobs[i].done {
+			out = append(out, c.record(i))
+		}
+	}
+	return out
+}
+
+// record is job i's journal record. Callers hold mu.
+func (c *Coordinator) record(i int) checkpoint.JobRecord {
+	js := &c.jobs[i]
+	return checkpoint.JobRecord{Index: i, Label: js.label, Attempts: js.attempts, Body: js.body}
 }
 
 // Close releases the journal. Completed records are already durable.
@@ -367,30 +342,55 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	http.Error(w, "lease expired or unknown", http.StatusGone)
 }
 
-// handleResult answers POST /result. The upload is validated against the
-// manifest, journaled durably, and deduplicated: leases play no part, so
-// stragglers, resumed workers, and restarted coordinators all converge
-// on the same byte stream.
+// handleResult answers POST /result: the JSON face of Submit.
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	var req ResultRequest
 	if !readJSON(w, r, &req) {
 		return
 	}
+	reply, err := c.Submit(req)
+	if err != nil {
+		code := http.StatusInternalServerError
+		var re *rejection
+		if errors.As(err, &re) {
+			code = re.code
+		}
+		http.Error(w, err.Error(), code)
+		return
+	}
+	writeJSON(w, http.StatusOK, reply)
+}
+
+// rejection is a result Submit refused; code is the HTTP status it maps
+// to. Any other Submit error is a journal failure (500, retryable).
+type rejection struct {
+	code int
+	msg  string
+}
+
+func (e *rejection) Error() string { return e.msg }
+
+// Submit validates one job outcome against the manifest, journals it
+// durably, and deduplicates it: leases play no part, so stragglers,
+// resumed workers, restarted coordinators, and an in-process local run
+// all converge on the same byte stream. The record is fsync'd before
+// Submit returns, so a nil error is an acknowledgement that survives a
+// crash. A worker's failure report (req.Error) fails the campaign.
+func (c *Coordinator) Submit(req ResultRequest) (ResultReply, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.touchWorker(req.Worker)
-	if req.SpecHash != c.cfg.SpecHash {
+	reject := func(code int, format string, args ...any) (ResultReply, error) {
 		c.rejected++
 		mRejected.Inc()
-		http.Error(w, fmt.Sprintf("spec hash %s does not match manifest %s — the worker ran a different job list",
-			req.SpecHash, c.cfg.SpecHash), http.StatusUnprocessableEntity)
-		return
+		return ResultReply{}, &rejection{code: code, msg: fmt.Sprintf(format, args...)}
+	}
+	if req.SpecHash != c.cfg.SpecHash {
+		return reject(http.StatusUnprocessableEntity, "spec hash %s does not match manifest %s — the worker ran a different job list",
+			req.SpecHash, c.cfg.SpecHash)
 	}
 	if req.JobIndex < 0 || req.JobIndex >= len(c.jobs) {
-		c.rejected++
-		mRejected.Inc()
-		http.Error(w, fmt.Sprintf("job index %d out of range [0,%d)", req.JobIndex, len(c.jobs)), http.StatusUnprocessableEntity)
-		return
+		return reject(http.StatusUnprocessableEntity, "job index %d out of range [0,%d)", req.JobIndex, len(c.jobs))
 	}
 	js := &c.jobs[req.JobIndex]
 	if req.Error != "" {
@@ -400,34 +400,24 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 			c.failure = fmt.Errorf("coord: job %s failed on worker %s: %s", js.label, req.Worker, req.Error)
 			close(c.finished)
 		}
-		writeJSON(w, http.StatusOK, ResultReply{Status: "accepted"})
-		return
+		return ResultReply{Status: "accepted"}, nil
 	}
 	if len(req.Body) == 0 {
-		c.rejected++
-		mRejected.Inc()
-		http.Error(w, "empty result body", http.StatusUnprocessableEntity)
-		return
+		return reject(http.StatusUnprocessableEntity, "empty result body")
 	}
 	if js.done {
 		if string(js.body) != string(req.Body) {
-			c.rejected++
-			mRejected.Inc()
-			http.Error(w, fmt.Sprintf("job %s already journaled with different bytes — non-deterministic worker or corrupted upload", js.label),
-				http.StatusConflict)
-			return
+			return reject(http.StatusConflict, "job %s already journaled with different bytes — non-deterministic worker or corrupted upload", js.label)
 		}
 		c.dupes++
 		mDuplicates.Inc()
-		writeJSON(w, http.StatusOK, ResultReply{Status: "duplicate"})
-		return
+		return ResultReply{Status: "duplicate"}, nil
 	}
 	if err := c.journal.Append(checkpoint.JobRecord{
 		Index: req.JobIndex, Label: js.label, Attempts: req.Attempts, Body: req.Body,
 	}); err != nil {
 		// A result that cannot be made durable must not be acknowledged.
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+		return ResultReply{}, err
 	}
 	js.done = true
 	js.body = req.Body
@@ -439,7 +429,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	if c.done == len(c.jobs) {
 		close(c.finished)
 	}
-	writeJSON(w, http.StatusOK, ResultReply{Status: "accepted"})
+	return ResultReply{Status: "accepted"}, nil
 }
 
 // readJSON decodes a request body, answering 400 on malformed input.

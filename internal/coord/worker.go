@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"time"
 
 	"zcover/internal/checkpoint"
@@ -141,28 +140,14 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 // stamped with the coordinator's manifest. The filename carries the
 // worker ID so several workers can share one directory.
 func (w *worker) openCache() error {
-	manifest := checkpoint.Manifest{
-		Campaign: w.manifest.Campaign, SpecHash: w.manifest.SpecHash,
-		TotalJobs: w.manifest.TotalJobs, ShardIndex: 1, ShardCount: 1,
-	}
-	if err := os.MkdirAll(w.cfg.Dir, 0o755); err != nil {
-		return fmt.Errorf("coord: %w", err)
-	}
-	path := checkpoint.JournalPath(w.cfg.Dir, w.manifest.Campaign+"-worker-"+w.cfg.ID, 1, 1)
-	journal, replay, err := openJournal(path, manifest, w.cfg.Resume)
+	journal, recs, err := checkpoint.Open(
+		checkpoint.JournalPath(w.cfg.Dir, w.manifest.Campaign+"-worker-"+w.cfg.ID),
+		checkpoint.Manifest{Campaign: w.manifest.Campaign, SpecHash: w.manifest.SpecHash, TotalJobs: w.manifest.TotalJobs},
+		w.cfg.Resume)
 	if err != nil {
 		return err
 	}
-	w.journal = journal
-	w.cache = make(map[int]checkpoint.JobRecord)
-	if replay != nil {
-		recs, err := replay.ByIndex()
-		if err != nil {
-			journal.Close()
-			return err
-		}
-		w.cache = recs
-	}
+	w.journal, w.cache = journal, recs
 	return nil
 }
 

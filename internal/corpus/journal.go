@@ -3,7 +3,6 @@ package corpus
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 
 	"zcover/internal/checkpoint"
 )
@@ -33,51 +32,25 @@ func OpenJournal(dir, name string, spec any, resume bool) (*Journal, error) {
 		return nil, err
 	}
 	campaign := "corpus-" + name
-	path := checkpoint.JournalPath(dir, campaign, 1, 1)
-
-	if _, statErr := os.Stat(path); statErr == nil {
-		if !resume {
-			return nil, fmt.Errorf("corpus: journal %s already exists; pass resume to continue it or remove it to start over", path)
-		}
-		j, rep, err := checkpoint.Recover(path)
-		if err != nil {
-			return nil, err
-		}
-		m := rep.Manifest
-		if m.Campaign != campaign || m.SpecHash != hash {
-			j.Close()
-			return nil, fmt.Errorf("corpus: %s was written for campaign %q spec %s, this run is %q spec %s — seeds or budgets changed",
-				path, m.Campaign, m.SpecHash, campaign, hash)
-		}
-		recs, err := rep.ByIndex()
-		if err != nil {
-			j.Close()
-			return nil, err
-		}
-		replay := make([]*Seed, len(recs))
-		for idx, rec := range recs {
-			if idx < 0 || idx >= len(recs) {
-				j.Close()
-				return nil, fmt.Errorf("corpus: %s has non-dense seed index %d over %d records", path, idx, len(recs))
-			}
-			var s Seed
-			if err := json.Unmarshal(rec.Body, &s); err != nil {
-				j.Close()
-				return nil, fmt.Errorf("corpus: %s seed %d: %w", path, idx, err)
-			}
-			replay[idx] = &s
-		}
-		return &Journal{j: j, replay: replay}, nil
-	}
-
-	manifest := checkpoint.Manifest{
-		Campaign: campaign, SpecHash: hash, ShardIndex: 1, ShardCount: 1,
-	}
-	j, err := checkpoint.Create(path, manifest)
+	path := checkpoint.JournalPath(dir, campaign)
+	j, recs, err := checkpoint.Open(path, checkpoint.Manifest{Campaign: campaign, SpecHash: hash}, resume)
 	if err != nil {
 		return nil, err
 	}
-	return &Journal{j: j}, nil
+	replay := make([]*Seed, len(recs))
+	for idx, rec := range recs {
+		if idx < 0 || idx >= len(recs) {
+			j.Close()
+			return nil, fmt.Errorf("corpus: %s has non-dense seed index %d over %d records", path, idx, len(recs))
+		}
+		var s Seed
+		if err := json.Unmarshal(rec.Body, &s); err != nil {
+			j.Close()
+			return nil, fmt.Errorf("corpus: %s seed %d: %w", path, idx, err)
+		}
+		replay[idx] = &s
+	}
+	return &Journal{j: j, replay: replay}, nil
 }
 
 // Replayed reports how many seeds the journal already held when opened.

@@ -180,15 +180,30 @@ type Config struct {
 	// stream the pipeline phases also write to.
 	Tracer *telemetry.Tracer
 	// Checkpoint, if set, asks the campaign layer to journal completed
-	// jobs crash-safely and to resume/shard/merge across runs. The fleet
-	// carries the spec but does not interpret it (see CheckpointSpec);
-	// callers install the journal through WithResume.
+	// jobs crash-safely and to resume across runs. The fleet carries the
+	// spec but does not interpret it (see CheckpointSpec); callers install
+	// the journal through WithResume.
 	Checkpoint *CheckpointSpec
 	// Timeline, if set, records per-worker phase intervals (build, the
 	// pipeline phases, persist, idle) for the scaling report and the
 	// /timeline endpoint. Nil disables recording at zero cost; attaching
 	// one never changes campaign results.
 	Timeline *obs.Timeline
+}
+
+// CheckpointSpec asks the campaign layer to journal completed jobs
+// crash-safely and to resume from an existing journal. The fleet itself
+// treats the spec as data — internal/harness interprets it around the
+// fleet (the fleet cannot, because only the caller knows how to
+// serialise its result type T).
+type CheckpointSpec struct {
+	// Dir is the checkpoint directory holding one journal per campaign.
+	// Empty disables checkpointing.
+	Dir string
+	// Resume permits continuing an existing journal; without it an
+	// existing journal is an error (refusing to double-run a campaign
+	// by accident).
+	Resume bool
 }
 
 func (c Config) withDefaults() Config {
@@ -212,9 +227,6 @@ type Result[T any] struct {
 	Err error
 	// Attempts is how many times the job ran (1 = first try succeeded).
 	Attempts int
-	// Cached marks a job whose Value was served from a checkpoint
-	// journal instead of being executed (Attempts is 0 for such jobs).
-	Cached bool
 	// AttemptErrors records each failed attempt's error text, in order.
 	AttemptErrors []string
 	// Wall is the real time the job spent executing (all attempts).
@@ -248,11 +260,9 @@ type Fleet[T any] struct {
 	// progressMu serializes OnProgress callbacks.
 	progressMu sync.Mutex
 
-	// cached/persist are the checkpoint-resume hooks (WithResume):
-	// cached short-circuits a job whose outcome is already journaled;
-	// persist makes a freshly completed outcome durable. persistMu
-	// serializes persist so journal appends never interleave.
-	cached    func(i int, job Job) (T, bool)
+	// persist is the checkpoint hook (WithResume): it makes a freshly
+	// completed outcome durable. persistMu serializes it so journal
+	// appends never interleave.
 	persist   func(i int, job Job, res Result[T]) error
 	persistMu sync.Mutex
 }
@@ -274,14 +284,13 @@ func Run[T any](jobs []Job, runner Runner[T], cfg Config) []Result[T] {
 	return New(jobs, runner, cfg).Run()
 }
 
-// WithResume installs checkpoint-resume hooks and returns f. cached is
-// consulted before a job executes: a hit yields a Result with Cached set
-// and zero attempts, without building a testbed. persist is invoked once
-// per successfully executed (non-cached) job, serialized across workers;
-// a persist error fails the job — a checkpointed campaign whose journal
-// cannot be written must not pretend its work is durable.
-func (f *Fleet[T]) WithResume(cached func(i int, job Job) (T, bool), persist func(i int, job Job, res Result[T]) error) *Fleet[T] {
-	f.cached = cached
+// WithResume installs the persist hook of a resumable run and returns f.
+// persist is invoked once per successfully executed job, serialized
+// across workers; a persist error fails the job — a checkpointed
+// campaign whose journal cannot be written must not pretend its work is
+// durable. Jobs already journaled are the caller's to leave out of the
+// job list.
+func (f *Fleet[T]) WithResume(persist func(i int, job Job, res Result[T]) error) *Fleet[T] {
 	f.persist = persist
 	return f
 }
@@ -358,18 +367,8 @@ func (f *Fleet[T]) notify() {
 
 // execute runs one job to completion: up to MaxAttempts attempts, each on
 // a fresh testbed, with panics recovered and live metrics rolled back for
-// attempts that fail. A job whose outcome is already journaled (the
-// WithResume cached hook) is served from the checkpoint without running.
-// w is the worker lane for timeline attribution.
+// attempts that fail. w is the worker lane for timeline attribution.
 func (f *Fleet[T]) execute(w, i int, job Job) Result[T] {
-	if f.cached != nil {
-		if val, ok := f.cached(i, job); ok {
-			f.c.queued.Add(-1)
-			f.c.done.Add(1)
-			f.notify()
-			return Result[T]{Job: job, Value: val, Cached: true}
-		}
-	}
 	f.c.queued.Add(-1)
 	f.c.running.Add(1)
 	f.notify()

@@ -48,9 +48,7 @@ func TestFleetRecordsTimeline(t *testing.T) {
 	tl := obs.NewTimeline()
 	var persisted int
 	f := fleet.New(jobs, runner, fleet.Config{Workers: 1, Timeline: tl}).
-		WithResume(
-			func(i int, job fleet.Job) (string, bool) { return "", false },
-			func(i int, job fleet.Job, res fleet.Result[string]) error { persisted++; return nil })
+		WithResume(func(i int, job fleet.Job, res fleet.Result[string]) error { persisted++; return nil })
 	if err := fleet.FirstError(f.Run()); err != nil {
 		t.Fatal(err)
 	}

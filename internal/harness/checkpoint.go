@@ -4,13 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"sort"
 	"sync"
 	"time"
 
 	"zcover/internal/checkpoint"
 	"zcover/internal/cmdclass"
+	"zcover/internal/coord"
 	"zcover/internal/fleet"
 	"zcover/internal/testbed"
 	"zcover/internal/zcover/discover"
@@ -19,17 +18,16 @@ import (
 )
 
 // This file is the checkpoint half of the campaign layer: it serialises
-// FleetOutcome values into internal/checkpoint journals, resumes and
-// shards campaign execution around the fleet, and merges shard journals
-// back into complete result sets.
+// FleetOutcome values into journal records and runs checkpointed
+// campaigns through the coordinator core (internal/coord) in-process, so
+// local resume and distributed sweeps share one journal path.
 //
 // The determinism contract: every job is fully determined by its spec
 // (device, strategy, seed, budget, chaos profile/seed), so an outcome
 // replayed from a journal is byte-identical to re-executing the job.
-// Tables and bug logs rendered from any mix of cached and fresh
+// Tables and bug logs rendered from any mix of journaled and fresh
 // outcomes therefore match an uninterrupted run exactly — the
-// kill-anywhere/resume and split-anywhere/merge invariants pinned in
-// checkpoint_test.go.
+// kill-anywhere/resume invariant pinned in checkpoint_test.go.
 
 // discoveryRecord is the serialised form of discover.Result. Classes are
 // stored as IDs and resolved back against the embedded specification on
@@ -122,14 +120,29 @@ func EncodeOutcome(o FleetOutcome) (json.RawMessage, error) {
 	return raw, nil
 }
 
-// DecodeOutcome is the EncodeOutcome inverse.
+// DecodeOutcome is the EncodeOutcome inverse. The body must set exactly
+// one outcome kind, and a ZCover campaign must carry its fuzz result:
+// anything else is garbage (a CRC-valid "{}" included) and errors here
+// rather than surfacing as a nil dereference in a renderer.
 func DecodeOutcome(raw json.RawMessage) (FleetOutcome, error) {
 	var rec outcomeRecord
 	if err := json.Unmarshal(raw, &rec); err != nil {
 		return FleetOutcome{}, fmt.Errorf("harness: decoding outcome: %w", err)
 	}
+	kinds := 0
+	for _, set := range []bool{rec.Campaign != nil, rec.Baseline != nil, rec.CovFuzz != nil} {
+		if set {
+			kinds++
+		}
+	}
+	if kinds != 1 {
+		return FleetOutcome{}, fmt.Errorf("harness: outcome sets %d of campaign, baseline, covfuzz; want exactly one", kinds)
+	}
 	out := FleetOutcome{Baseline: rec.Baseline, CovFuzz: rec.CovFuzz}
 	if rec.Campaign != nil {
+		if rec.Campaign.Fuzz == nil {
+			return FleetOutcome{}, fmt.Errorf("harness: campaign outcome has no fuzz result")
+		}
 		reg, err := cmdclass.Load()
 		if err != nil {
 			return FleetOutcome{}, fmt.Errorf("harness: %w", err)
@@ -148,28 +161,6 @@ func DecodeOutcome(raw json.RawMessage) (FleetOutcome, error) {
 		}
 	}
 	return out, nil
-}
-
-// ShardDone reports a sharded campaign invocation that completed its
-// subset and journaled it: there is no table to render until the other
-// shards' journals are merged. Drivers return it through the error path;
-// cmd/experiments recognises it and prints the note instead of failing.
-type ShardDone struct {
-	// Campaign names the experiment.
-	Campaign string
-	// Shard is the subset this invocation ran.
-	Shard fleet.Shard
-	// JobsRun and JobsCached split the shard's jobs by how they were
-	// satisfied; JobsTotal is the full unsharded campaign size.
-	JobsRun, JobsCached, JobsTotal int
-	// Dir is the checkpoint directory holding the journal.
-	Dir string
-}
-
-// Error implements error.
-func (e *ShardDone) Error() string {
-	return fmt.Sprintf("harness: %s shard %s complete: %d jobs run, %d resumed from journal (%d of %d campaign jobs); merge all shards with -merge to render",
-		e.Campaign, e.Shard, e.JobsRun, e.JobsCached, e.JobsRun+e.JobsCached, e.JobsTotal)
 }
 
 // campaignSpec is what SpecHash fingerprints: the experiment name plus
@@ -214,114 +205,65 @@ func writeBugLog(outs []FleetOutcome) error {
 	return nil
 }
 
-// runCheckpointed is runCampaigns with a checkpoint spec: it resumes
-// completed jobs from the shard's journal, executes (and journals) the
-// rest, and — when sharding — stops after its subset with a ShardDone.
+// runCheckpointed is runCampaigns with a checkpoint spec. The campaign's
+// coordinator, used in-process, owns the journal: the fleet runs only the
+// jobs the journal lacks, each outcome is journaled through Submit, and
+// the table is rendered from the journal's records. Journaled records
+// are decoded before any job runs, so codec drift fails before any work
+// is spent; a complete journal renders with nothing executed.
 func runCheckpointed(name string, jobs []fleet.Job, cfg fleet.Config) ([]FleetOutcome, error) {
-	spec := *cfg.Checkpoint
-	hash, err := checkpoint.SpecHash(campaignSpec{Campaign: name, Jobs: jobs})
+	hash, err := CampaignSpecHash(name, jobs)
 	if err != nil {
 		return nil, err
 	}
-	if spec.Merge {
-		return mergeCampaign(name, jobs, spec.Dir, hash)
-	}
-
-	shard := spec.Shard
-	shardIdx, shardCnt := 1, 1
-	if shard.Enabled() {
-		shardIdx, shardCnt = shard.Index, shard.Count
-	}
-	path := checkpoint.JournalPath(spec.Dir, name, shardIdx, shardCnt)
-	manifest := checkpoint.Manifest{
-		Campaign: name, SpecHash: hash, TotalJobs: len(jobs),
-		ShardIndex: shardIdx, ShardCount: shardCnt,
-	}
-
-	var journal *checkpoint.Journal
-	cached := make(map[int]FleetOutcome)
-	if _, statErr := os.Stat(path); statErr == nil {
-		if !spec.Resume {
-			return nil, fmt.Errorf("harness: checkpoint journal %s already exists; pass -resume to continue it or remove it to start over", path)
-		}
-		j, rep, err := checkpoint.Recover(path)
-		if err != nil {
-			return nil, err
-		}
-		if err := validateManifest(rep.Manifest, manifest, path); err != nil {
-			j.Close()
-			return nil, err
-		}
-		recs, err := rep.ByIndex()
-		if err != nil {
-			j.Close()
-			return nil, err
-		}
-		// Decode up front: a record that passed its CRC but does not
-		// decode is a codec mismatch and must fail the resume, not
-		// silently re-run the job.
-		for idx, rec := range recs {
-			out, err := DecodeOutcome(rec.Body)
-			if err != nil {
-				j.Close()
-				return nil, fmt.Errorf("harness: %s job %d (%s): %w", path, idx, rec.Label, err)
-			}
-			cached[idx] = out
-		}
-		journal = j
-	} else {
-		j, err := checkpoint.Create(path, manifest)
-		if err != nil {
-			return nil, err
-		}
-		journal = j
-	}
-	defer journal.Close()
-
-	owned := shard.Indices(len(jobs))
-	subJobs := make([]fleet.Job, len(owned))
-	for k, i := range owned {
-		subJobs[k] = jobs[i]
-	}
-
-	f := fleet.New(subJobs, RunFleetJob, cfg).WithResume(
-		func(k int, job fleet.Job) (FleetOutcome, bool) {
-			out, ok := cached[owned[k]]
-			if ok {
-				checkpoint.NoteResumed()
-			}
-			return out, ok
-		},
-		func(k int, job fleet.Job, res fleet.Result[FleetOutcome]) error {
-			raw, err := EncodeOutcome(res.Value)
-			if err != nil {
-				return err
-			}
-			return journal.Append(checkpoint.JobRecord{
-				Index: owned[k], Label: job.Label(), Attempts: res.Attempts, Body: raw,
-			})
-		})
-	results := f.Run()
-	if err := fleet.FirstError(results); err != nil {
+	c, err := coord.New(coord.Config{
+		Campaign: name, Jobs: jobs, SpecHash: hash,
+		Dir: cfg.Checkpoint.Dir, Resume: cfg.Checkpoint.Resume,
+	})
+	if err != nil {
 		return nil, err
 	}
-	if shard.Enabled() {
-		ran := 0
-		for _, r := range results {
-			if !r.Cached {
-				ran++
-			}
+	defer c.Close()
+
+	journaled := make([]bool, len(jobs))
+	for _, rec := range c.Journaled() {
+		if _, err := DecodeOutcome(rec.Body); err != nil {
+			return nil, fmt.Errorf("harness: %s job %d (%s): %w", name, rec.Index, rec.Label, err)
 		}
-		return nil, &ShardDone{
-			Campaign: name, Shard: shard, Dir: spec.Dir,
-			JobsRun: ran, JobsCached: len(results) - ran, JobsTotal: len(jobs),
+		journaled[rec.Index] = true
+	}
+	var pending []int
+	for i := range jobs {
+		if !journaled[i] {
+			pending = append(pending, i)
 		}
 	}
-	outs := make([]FleetOutcome, len(results))
-	for i := range results {
-		outs[i] = results[i].Value
+	if len(pending) > 0 {
+		subJobs := make([]fleet.Job, len(pending))
+		for k, i := range pending {
+			subJobs[k] = jobs[i]
+		}
+		results := fleet.New(subJobs, RunFleetJob, cfg).WithResume(
+			func(k int, job fleet.Job, res fleet.Result[FleetOutcome]) error {
+				raw, err := EncodeOutcome(res.Value)
+				if err != nil {
+					return err
+				}
+				_, err = c.Submit(coord.ResultRequest{
+					Worker: "local", JobIndex: pending[k], SpecHash: hash,
+					Attempts: res.Attempts, Body: raw,
+				})
+				return err
+			}).Run()
+		if err := fleet.FirstError(results); err != nil {
+			return nil, err
+		}
 	}
-	return outs, nil
+	recs, err := c.Records()
+	if err != nil {
+		return nil, err
+	}
+	return DecodeRecords(recs, len(jobs))
 }
 
 // CampaignKey identifies a single-campaign checkpoint: every input that
@@ -337,144 +279,53 @@ type CampaignKey struct {
 	ChaosSeed    int64         `json:"chaos_seed,omitempty"`
 }
 
-// RunZCoverResumable wraps RunZCoverWith in a single-job checkpoint
-// journal under dir. A completed campaign already journaled for the same
-// key is decoded and returned (resumed=true) without executing anything;
-// a journal that exists but holds no completed outcome — the process
-// died mid-campaign — re-runs the campaign from its seed and appends the
-// outcome. An existing journal is refused unless resume is set.
+// RunZCoverResumable wraps RunZCoverWith in a one-job checkpointed
+// campaign under dir, on the same coordinator path as runCheckpointed. A
+// completed campaign already journaled for the same key is decoded and
+// returned (resumed=true) without executing anything; a journal that
+// exists but holds no completed outcome — the process died mid-campaign —
+// re-runs the campaign from its seed and journals the outcome. An
+// existing journal is refused unless resume is set.
 func RunZCoverResumable(dir string, resume bool, key CampaignKey, tb *testbed.Testbed, opts Options) (*Campaign, bool, error) {
 	hash, err := checkpoint.SpecHash(key)
 	if err != nil {
 		return nil, false, err
 	}
 	name := "zcover-" + key.Target
-	path := checkpoint.JournalPath(dir, name, 1, 1)
-	manifest := checkpoint.Manifest{
-		Campaign: name, SpecHash: hash, TotalJobs: 1, ShardIndex: 1, ShardCount: 1,
-	}
-	var journal *checkpoint.Journal
-	if _, statErr := os.Stat(path); statErr == nil {
-		if !resume {
-			return nil, false, fmt.Errorf("harness: checkpoint journal %s already exists; pass -resume to continue it or remove it to start over", path)
-		}
-		j, rep, err := checkpoint.Recover(path)
-		if err != nil {
-			return nil, false, err
-		}
-		if err := validateManifest(rep.Manifest, manifest, path); err != nil {
-			j.Close()
-			return nil, false, err
-		}
-		recs, err := rep.ByIndex()
-		if err != nil {
-			j.Close()
-			return nil, false, err
-		}
-		if rec, ok := recs[0]; ok {
-			j.Close()
-			out, err := DecodeOutcome(rec.Body)
-			if err != nil {
-				return nil, false, fmt.Errorf("harness: %s: %w", path, err)
-			}
-			checkpoint.NoteResumed()
-			return out.Campaign, true, nil
-		}
-		journal = j
-	} else {
-		j, err := checkpoint.Create(path, manifest)
-		if err != nil {
-			return nil, false, err
-		}
-		journal = j
-	}
-	defer journal.Close()
-
-	c, err := RunZCoverWith(tb, key.Strategy, key.Duration, key.Seed, opts)
+	c, err := coord.New(coord.Config{
+		Campaign: name, SpecHash: hash, Dir: dir, Resume: resume,
+		Jobs: []fleet.Job{{
+			Name: name, Device: key.Target, Strategy: key.Strategy, Seed: key.Seed,
+			Budget: key.Duration, ChaosProfile: key.ChaosProfile, ChaosSeed: key.ChaosSeed,
+		}},
+	})
 	if err != nil {
 		return nil, false, err
 	}
-	raw, err := EncodeOutcome(FleetOutcome{Campaign: c})
+	defer c.Close()
+	if recs := c.Journaled(); len(recs) == 1 {
+		out, err := DecodeOutcome(recs[0].Body)
+		if err == nil && out.Campaign == nil {
+			err = fmt.Errorf("journaled outcome is not a ZCover campaign")
+		}
+		if err != nil {
+			return nil, false, fmt.Errorf("harness: %s: %w", name, err)
+		}
+		return out.Campaign, true, nil
+	}
+
+	camp, err := RunZCoverWith(tb, key.Strategy, key.Duration, key.Seed, opts)
 	if err != nil {
 		return nil, false, err
 	}
-	if err := journal.Append(checkpoint.JobRecord{Index: 0, Label: name, Attempts: 1, Body: raw}); err != nil {
+	raw, err := EncodeOutcome(FleetOutcome{Campaign: camp})
+	if err != nil {
 		return nil, false, err
 	}
-	return c, false, nil
-}
-
-// validateManifest refuses journals written for a different campaign,
-// job list, or shard assignment.
-func validateManifest(got, want checkpoint.Manifest, path string) error {
-	switch {
-	case got.Campaign != want.Campaign:
-		return fmt.Errorf("harness: %s was written for campaign %q, this run is %q", path, got.Campaign, want.Campaign)
-	case got.SpecHash != want.SpecHash:
-		return fmt.Errorf("harness: %s was written for a different job list (spec %s, this run %s) — seeds, budgets, or profiles changed", path, got.SpecHash, want.SpecHash)
-	case got.TotalJobs != want.TotalJobs:
-		return fmt.Errorf("harness: %s covers %d jobs, this run has %d", path, got.TotalJobs, want.TotalJobs)
-	case got.ShardIndex != want.ShardIndex || got.ShardCount != want.ShardCount:
-		return fmt.Errorf("harness: %s is shard %d/%d, this run is %d/%d", path, got.ShardIndex, got.ShardCount, want.ShardIndex, want.ShardCount)
+	if _, err := c.Submit(coord.ResultRequest{
+		Worker: "local", JobIndex: 0, SpecHash: hash, Attempts: 1, Body: raw,
+	}); err != nil {
+		return nil, false, err
 	}
-	return nil
-}
-
-// mergeCampaign renders a campaign purely from the shard journals in
-// dir: every job of the full list must be present in exactly one (or
-// byte-identically in several) journal, nothing executes.
-func mergeCampaign(name string, jobs []fleet.Job, dir, hash string) ([]FleetOutcome, error) {
-	paths, err := checkpoint.ListJournals(dir, name)
-	if err != nil {
-		return nil, err
-	}
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("harness: no %s journals in %s to merge", name, dir)
-	}
-	merged := make(map[int]checkpoint.JobRecord)
-	for _, path := range paths {
-		rep, err := checkpoint.Load(path)
-		if err != nil {
-			return nil, err
-		}
-		m := rep.Manifest
-		if m.Campaign != name || m.SpecHash != hash || m.TotalJobs != len(jobs) {
-			return nil, fmt.Errorf("harness: %s does not belong to this %s campaign (spec %s, want %s)",
-				path, name, m.SpecHash, hash)
-		}
-		recs, err := rep.ByIndex()
-		if err != nil {
-			return nil, err
-		}
-		for idx, rec := range recs {
-			if prev, ok := merged[idx]; ok {
-				if string(prev.Body) != string(rec.Body) {
-					return nil, fmt.Errorf("harness: job %d (%s) has conflicting outcomes across shard journals", idx, rec.Label)
-				}
-				continue
-			}
-			merged[idx] = rec
-		}
-	}
-	var missing []string
-	for i, job := range jobs {
-		if _, ok := merged[i]; !ok {
-			missing = append(missing, job.Label())
-		}
-	}
-	if len(missing) > 0 {
-		sort.Strings(missing)
-		return nil, fmt.Errorf("harness: merge incomplete: %d of %d jobs missing from journals in %s (first missing: %s) — run the remaining shards first",
-			len(missing), len(jobs), dir, missing[0])
-	}
-	outs := make([]FleetOutcome, len(jobs))
-	for i := range jobs {
-		out, err := DecodeOutcome(merged[i].Body)
-		if err != nil {
-			return nil, fmt.Errorf("harness: job %d (%s): %w", i, merged[i].Label, err)
-		}
-		checkpoint.NoteResumed()
-		outs[i] = out
-	}
-	return outs, nil
+	return camp, false, nil
 }

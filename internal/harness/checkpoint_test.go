@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"zcover/internal/checkpoint"
 	"zcover/internal/fleet"
+	"zcover/internal/telemetry"
 	"zcover/internal/testbed"
 	"zcover/internal/zcover/fuzz"
 )
@@ -81,7 +83,7 @@ func TestCheckpointResumeAtEveryJobBoundary(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(checkpoint.JournalPath(full, "ckpt", 1, 1))
+	raw, err := os.ReadFile(checkpoint.JournalPath(full, "ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +100,7 @@ func TestCheckpointResumeAtEveryJobBoundary(t *testing.T) {
 			prefix += `{"v":1,"type":"job","seq":` + fmt.Sprint(k+1) + `,"bo`
 		}
 		dir := t.TempDir()
-		path := checkpoint.JournalPath(dir, "ckpt", 1, 1)
+		path := checkpoint.JournalPath(dir, "ckpt")
 		if err := os.WriteFile(path, []byte(prefix), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -114,53 +116,6 @@ func TestCheckpointResumeAtEveryJobBoundary(t *testing.T) {
 		if log != wantLog {
 			t.Errorf("resume after %d jobs: bug log differs from uninterrupted run", k)
 		}
-	}
-}
-
-// TestShardMergeEqualsSingleRun: N shards journaled independently and
-// merged must equal the 1-shard run byte-for-byte.
-func TestShardMergeEqualsSingleRun(t *testing.T) {
-	jobs := ckptJobs()
-	wantOuts, wantLog, err := runWithBugLog(t, "ckpt", jobs, fleet.Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderOutcomes(t, wantOuts)
-
-	const n = 3
-	dir := t.TempDir()
-	for i := 1; i <= n; i++ {
-		_, _, err := runWithBugLog(t, "ckpt", jobs, fleet.Config{
-			Workers: 1,
-			Checkpoint: &fleet.CheckpointSpec{
-				Dir: dir, Shard: fleet.Shard{Index: i, Count: n},
-			},
-		})
-		sd, ok := err.(*ShardDone)
-		if !ok {
-			t.Fatalf("shard %d/%d: got %v, want *ShardDone", i, n, err)
-		}
-		if sd.JobsTotal != len(jobs) || sd.JobsRun != len(fleet.Shard{Index: i, Count: n}.Indices(len(jobs))) {
-			t.Errorf("shard %d/%d: %+v", i, n, sd)
-		}
-		// A sharded invocation has no complete result set, so it must not
-		// emit a partial bug log.
-		if _, log, _ := runWithBugLog(t, "noop", nil, fleet.Config{Workers: 1}); log != "" {
-			t.Errorf("shard %d/%d leaked a partial bug log", i, n)
-		}
-	}
-
-	outs, log, err := runWithBugLog(t, "ckpt", jobs, fleet.Config{
-		Workers: 1, Checkpoint: &fleet.CheckpointSpec{Dir: dir, Merge: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := renderOutcomes(t, outs); got != want {
-		t.Error("merged shards differ from the single-shard run")
-	}
-	if log != wantLog {
-		t.Error("merged bug log differs from the single-shard run")
 	}
 }
 
@@ -208,9 +163,9 @@ func TestResumeReportsUndecodableRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	j, err := checkpoint.Create(checkpoint.JournalPath(dir, "x", 1, 1), checkpoint.Manifest{
-		Campaign: "x", SpecHash: hash, TotalJobs: 1, ShardIndex: 1, ShardCount: 1,
-	})
+	j, _, err := checkpoint.Open(checkpoint.JournalPath(dir, "x"), checkpoint.Manifest{
+		Campaign: "x", SpecHash: hash, TotalJobs: 1,
+	}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,29 +180,6 @@ func TestResumeReportsUndecodableRecord(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("undecodable record silently ignored")
-	}
-}
-
-// TestMergeMissingShardFails: merging with a shard's journal absent must
-// name the gap instead of rendering a partial table.
-func TestMergeMissingShardFails(t *testing.T) {
-	jobs := ckptJobs()
-	dir := t.TempDir()
-	if _, err := runCampaigns("ckpt", jobs, fleet.Config{
-		Workers: 1,
-		Checkpoint: &fleet.CheckpointSpec{
-			Dir: dir, Shard: fleet.Shard{Index: 1, Count: 2},
-		},
-	}); err == nil {
-		t.Fatal("sharded run returned no ShardDone")
-	} else if _, ok := err.(*ShardDone); !ok {
-		t.Fatal(err)
-	}
-	_, err := runCampaigns("ckpt", jobs, fleet.Config{
-		Workers: 1, Checkpoint: &fleet.CheckpointSpec{Dir: dir, Merge: true},
-	})
-	if err == nil || !strings.Contains(err.Error(), "missing") {
-		t.Fatalf("incomplete merge accepted: %v", err)
 	}
 }
 
@@ -297,5 +229,65 @@ func TestRunZCoverResumable(t *testing.T) {
 	drifted.Seed = 99
 	if _, _, err := RunZCoverResumable(dir, true, drifted, newTB(), Options{}); err == nil {
 		t.Error("drifted campaign key accepted")
+	}
+}
+
+// TestParentJournalsStillResume: journals written before the shard
+// fields left the manifest (testdata/parent-journals: a three-job sweep
+// and a cmd/zcover single-campaign journal) still resume, execute
+// nothing, and render byte-identically to a fresh run.
+func TestParentJournalsStillResume(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"journal-ckpt-1of1.jsonl", "journal-zcover-D1-1of1.jsonl"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "parent-journals", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	jobs := ckptJobs()
+	wantOuts, wantLog, err := runWithBugLog(t, "ckpt", jobs, fleet.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := telemetry.Default().Counter("checkpoint_jobs_resumed_total")
+	before := resumed.Load()
+	outs, log, err := runWithBugLog(t, "ckpt", jobs, fleet.Config{
+		Workers: 1, Checkpoint: &fleet.CheckpointSpec{Dir: dir, Resume: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := resumed.Load() - before; n != int64(len(jobs)) {
+		t.Errorf("resumed %d jobs, want all %d", n, len(jobs))
+	}
+	if renderOutcomes(t, outs) != renderOutcomes(t, wantOuts) || log != wantLog {
+		t.Error("parent journal renders differently from a fresh run")
+	}
+
+	key := CampaignKey{Target: "D1", Strategy: fuzz.StrategyFull, Duration: 2 * time.Minute, Seed: 41}
+	newTB := func() *testbed.Testbed {
+		tb, err := testbed.New("D1", 41)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tb
+	}
+	fresh, err := RunZCoverWith(newTB(), key.Strategy, key.Duration, key.Seed, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, wasResumed, err := RunZCoverResumable(dir, true, key, newTB(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !wasResumed {
+		t.Fatal("parent zcover journal re-ran instead of replaying")
+	}
+	if renderOutcomes(t, []FleetOutcome{{Campaign: replayed}}) != renderOutcomes(t, []FleetOutcome{{Campaign: fresh}}) {
+		t.Error("replayed parent campaign differs from a fresh run")
 	}
 }

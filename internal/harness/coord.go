@@ -46,27 +46,32 @@ func smokeJobs(budget time.Duration) []fleet.Job {
 	}
 }
 
-// CampaignSpecHash fingerprints a campaign exactly as the checkpoint
-// layer does (checkpoint.SpecHash over the name plus the complete job
-// list), so coordinator journals, shard journals, and local checkpoint
-// journals of the same sweep all carry — and cross-validate — the same
-// hash.
+// CampaignSpecHash fingerprints a campaign (checkpoint.SpecHash over the
+// name plus the complete job list). Every journal of a sweep, local or
+// coordinated, carries it, so `experiments -resume` can render a
+// coordinator's journal and vice versa.
 func CampaignSpecHash(name string, jobs []fleet.Job) (string, error) {
 	return checkpoint.SpecHash(campaignSpec{Campaign: name, Jobs: jobs})
 }
 
-// DecodeRecords decodes journal records (coordinator uploads, in job
-// order) back into campaign outcomes. Every job must be present — the
-// same full-coverage rule the shard merge enforces.
+// DecodeRecords decodes journal records (Coordinator.Records, in job
+// order) back into campaign outcomes. Every job must be present exactly
+// once: a short set, an out-of-range index, or a repeated one is an
+// error, never a table with a zero row.
 func DecodeRecords(recs []checkpoint.JobRecord, total int) ([]FleetOutcome, error) {
 	if len(recs) != total {
 		return nil, fmt.Errorf("harness: %d records for %d jobs", len(recs), total)
 	}
 	outs := make([]FleetOutcome, total)
+	seen := make([]bool, total)
 	for _, rec := range recs {
 		if rec.Index < 0 || rec.Index >= total {
 			return nil, fmt.Errorf("harness: record index %d out of range [0,%d)", rec.Index, total)
 		}
+		if seen[rec.Index] {
+			return nil, fmt.Errorf("harness: job %d (%s) appears twice", rec.Index, rec.Label)
+		}
+		seen[rec.Index] = true
 		out, err := DecodeOutcome(rec.Body)
 		if err != nil {
 			return nil, fmt.Errorf("harness: job %d (%s): %w", rec.Index, rec.Label, err)

@@ -14,6 +14,7 @@ import (
 
 	"zcover/internal/coord"
 	"zcover/internal/fleet"
+	"zcover/internal/telemetry"
 )
 
 // smokeBaseline runs the smoke campaign on the classic single-machine
@@ -219,6 +220,43 @@ func TestCoordinatedCampaignSurvivesCoordinatorRestart(t *testing.T) {
 	}
 	if gotLog != wantLog {
 		t.Errorf("bug log differs after coordinator restart:\n--- want ---\n%s--- got ---\n%s", wantLog, gotLog)
+	}
+}
+
+// TestCoordinatorJournalResumesThroughRunCampaigns: a campaign finished
+// by a coordinator and its workers, resumed through the local
+// checkpointed path, renders the single-machine table and bug log and
+// executes zero jobs — every one is served from the journal.
+func TestCoordinatorJournalResumesThroughRunCampaigns(t *testing.T) {
+	wantTable, wantLog := smokeBaseline(t)
+	dir := t.TempDir()
+	c, srv := newSmokeCoordinator(t, dir, false, 0)
+	_, err := coord.RunWorker(context.Background(), coord.WorkerConfig{
+		Coordinator: srv.URL, ID: "w1", Runner: LeaseRunner(fleet.Config{}),
+	})
+	srv.Close()
+	c.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	resumed := telemetry.Default().Counter("checkpoint_jobs_resumed_total")
+	before := resumed.Load()
+	jobs := smokeJobs(0)
+	outs, log, err := runWithBugLog(t, "smoke", jobs, fleet.Config{
+		Workers: 1, Checkpoint: &fleet.CheckpointSpec{Dir: dir, Resume: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := resumed.Load() - before; n != int64(len(jobs)) {
+		t.Errorf("resumed %d jobs from the journal, want all %d", n, len(jobs))
+	}
+	if got := renderSmoke(outs).String(); got != wantTable {
+		t.Errorf("table differs from single-machine run:\n--- want ---\n%s--- got ---\n%s", wantTable, got)
+	}
+	if log != wantLog {
+		t.Errorf("bug log differs from single-machine run:\n--- want ---\n%s--- got ---\n%s", wantLog, log)
 	}
 }
 

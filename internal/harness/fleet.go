@@ -93,8 +93,7 @@ func RunFleetJob(tb *testbed.Testbed, job fleet.Job, obs *fleet.Observer) (Fleet
 //
 // With cfg.Checkpoint set, execution goes through the crash-safe journal
 // path in checkpoint.go: completed jobs are replayed instead of re-run,
-// sharded invocations stop after their subset with a *ShardDone error,
-// and merge mode renders purely from journals.
+// and a complete journal renders with nothing executed.
 func runCampaigns(name string, jobs []fleet.Job, cfg fleet.Config) ([]FleetOutcome, error) {
 	outs, err := func() ([]FleetOutcome, error) {
 		if cfg.Checkpoint != nil && cfg.Checkpoint.Dir != "" {

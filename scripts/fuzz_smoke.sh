@@ -22,6 +22,7 @@ FuzzS0Decrypt ./internal/security
 FuzzS2Decrypt ./internal/security
 FuzzReadLog ./internal/zcover/fuzz
 FuzzDecodeSerial ./internal/serialapi
+FuzzDecodeOutcome ./internal/harness
 "
 
 echo "$targets" | while read -r name pkg; do
