@@ -67,7 +67,7 @@ func BenchmarkTable2_Inventory(b *testing.B) {
 func BenchmarkTable3_ZeroDayDiscovery(b *testing.B) {
 	var union int
 	for i := 0; i < b.N; i++ {
-		_, res, err := zcover.Table3(24 * time.Hour)
+		_, res, err := zcover.Table3(24*time.Hour, zcover.FleetConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func BenchmarkTable3_ZeroDayDiscovery(b *testing.B) {
 func BenchmarkTable4_Fingerprinting(b *testing.B) {
 	var unknown int
 	for i := 0; i < b.N; i++ {
-		_, rows, err := zcover.Table4()
+		_, rows, err := zcover.Table4(zcover.FleetConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func BenchmarkTable4_Fingerprinting(b *testing.B) {
 func BenchmarkTable5_VFuzzComparison(b *testing.B) {
 	var zTotal, vTotal, overlap int
 	for i := 0; i < b.N; i++ {
-		_, rows, err := zcover.Table5(24 * time.Hour)
+		_, rows, err := zcover.Table5(24*time.Hour, zcover.FleetConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func BenchmarkTable5_VFuzzComparison(b *testing.B) {
 func BenchmarkTable6_Ablation(b *testing.B) {
 	var full, beta, gamma int
 	for i := 0; i < b.N; i++ {
-		_, rows, err := zcover.Table6(time.Hour)
+		_, rows, err := zcover.Table6(time.Hour, zcover.FleetConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func BenchmarkTable6_Ablation(b *testing.B) {
 func BenchmarkFig12_DetectionTimeline(b *testing.B) {
 	var early, packets int
 	for i := 0; i < b.N; i++ {
-		_, series, err := zcover.Fig12(24*time.Hour, 800*time.Second)
+		_, series, err := zcover.Fig12(24*time.Hour, 800*time.Second, zcover.FleetConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -239,11 +239,12 @@ func BenchmarkPipeline_SingleCampaign(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		c, err := zcover.Run(tb, zcover.StrategyFull, time.Hour, int64(i)+1)
+		job := zcover.FleetJob{Strategy: zcover.StrategyFull, Budget: time.Hour, Seed: int64(i) + 1}
+		out, err := zcover.Run(tb, job, zcover.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		found = len(c.Fuzz.Findings)
+		found = len(out.Campaign.Fuzz.Findings)
 	}
 	b.ReportMetric(float64(found), "unique-vulns")
 }

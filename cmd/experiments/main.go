@@ -215,7 +215,7 @@ func run(args []string) error {
 	}
 	if want("table3") {
 		ran = true
-		tbl, _, err := harness.Table3Fleet(*fuzzBudget, fleetCfg)
+		tbl, _, err := harness.Table3(*fuzzBudget, fleetCfg)
 		tick.clear()
 		if err != nil {
 			return err
@@ -224,7 +224,7 @@ func run(args []string) error {
 	}
 	if want("table4") {
 		ran = true
-		tbl, _, err := harness.Table4Fleet(fleetCfg)
+		tbl, _, err := harness.Table4(fleetCfg)
 		tick.clear()
 		if err != nil {
 			return err
@@ -233,7 +233,7 @@ func run(args []string) error {
 	}
 	if want("table5") {
 		ran = true
-		tbl, _, err := harness.Table5Fleet(*fuzzBudget, fleetCfg)
+		tbl, _, err := harness.Table5(*fuzzBudget, fleetCfg)
 		tick.clear()
 		if err != nil {
 			return err
@@ -251,7 +251,7 @@ func run(args []string) error {
 	}
 	if want("table6") {
 		ran = true
-		tbl, _, err := harness.Table6Fleet(*ablation, fleetCfg)
+		tbl, _, err := harness.Table6(*ablation, fleetCfg)
 		tick.clear()
 		if err != nil {
 			return err
@@ -270,7 +270,7 @@ func run(args []string) error {
 	}
 	if want("remediation") {
 		ran = true
-		tbl, _, err := harness.RemediationFleet(nil, *fuzzBudget, fleetCfg)
+		tbl, _, err := harness.Remediation(nil, *fuzzBudget, fleetCfg)
 		tick.clear()
 		if err != nil {
 			return err
@@ -281,7 +281,7 @@ func run(args []string) error {
 		ran = true
 		// "We conducted five 24-hour fuzzing trials for each controller."
 		for _, idx := range []string{"D1", "D2", "D3", "D4", "D5", "D6", "D7"} {
-			sum, err := harness.RunTrialsFleet(idx, 5, *fuzzBudget, 300, fleetCfg)
+			sum, err := harness.RunTrials(idx, 5, *fuzzBudget, 300, fleetCfg)
 			tick.clear()
 			if err != nil {
 				return err
@@ -293,7 +293,7 @@ func run(args []string) error {
 	}
 	if want("fig12") {
 		ran = true
-		csvs, series, err := harness.Fig12Fleet(*fuzzBudget, *window, fleetCfg)
+		csvs, series, err := harness.Fig12(*fuzzBudget, *window, fleetCfg)
 		tick.clear()
 		if err != nil {
 			return err

@@ -153,22 +153,41 @@ func run(args []string) error {
 		defer tf.Close()
 		opts.Tracer = telemetry.NewTracer(tf, nil)
 	}
+	job := zcover.FleetJob{Device: *target, Strategy: strat, Budget: *duration, Seed: *seed,
+		ChaosProfile: *chaosProfile, ChaosSeed: *chaosSeed}
 	if *fuzzMode == "coverage" {
+		job.FuzzMode = zcover.FuzzModeCoverage
+		opts.CorpusDir, opts.ResumeCorpus, opts.Minimize = *corpusDir, *resume, true
 		if *corpusDir != "" {
 			if err := os.MkdirAll(*corpusDir, 0o755); err != nil {
 				return err
 			}
 		}
-		res, err := zcover.RunCoverageWith(tb, *duration, *seed, opts,
-			zcover.CovFuzzOptions{CorpusDir: *corpusDir, Resume: *resume, Minimize: true})
-		if err != nil {
+	}
+	var out zcover.Outcome
+	resumed := false
+	if *ckptDir != "" {
+		key := zcover.CampaignKey{
+			Target: job.Device, Strategy: job.Strategy, Duration: job.Budget, Seed: job.Seed,
+			ChaosProfile: job.ChaosProfile, ChaosSeed: job.ChaosSeed,
+		}
+		out.Campaign, resumed, err = zcover.RunResumable(*ckptDir, *resume, key, tb, opts)
+	} else {
+		out, err = zcover.Run(tb, job, opts)
+	}
+	if err != nil {
+		return err
+	}
+	if resumed {
+		fmt.Println("Campaign replayed from checkpoint journal — nothing executed.")
+		fmt.Println()
+	}
+	if *metricsOut != "" {
+		if err := telemetry.Default().WriteFile(*metricsOut); err != nil {
 			return err
 		}
-		if *metricsOut != "" {
-			if err := telemetry.Default().WriteFile(*metricsOut); err != nil {
-				return err
-			}
-		}
+	}
+	if res := out.CovFuzz; res != nil {
 		if *coverageOut != "" {
 			b, err := json.MarshalIndent(res.Coverage, "", "  ")
 			if err != nil {
@@ -189,30 +208,7 @@ func run(args []string) error {
 		return nil
 	}
 
-	var c *zcover.Campaign
-	resumed := false
-	if *ckptDir != "" {
-		key := zcover.CampaignKey{
-			Target: *target, Strategy: strat, Duration: *duration, Seed: *seed,
-			ChaosProfile: *chaosProfile, ChaosSeed: *chaosSeed,
-		}
-		c, resumed, err = zcover.RunResumable(*ckptDir, *resume, key, tb, opts)
-	} else {
-		c, err = zcover.RunWith(tb, strat, *duration, *seed, opts)
-	}
-	if err != nil {
-		return err
-	}
-	if resumed {
-		fmt.Println("Campaign replayed from checkpoint journal — nothing executed.")
-		fmt.Println()
-	}
-	if *metricsOut != "" {
-		if err := telemetry.Default().WriteFile(*metricsOut); err != nil {
-			return err
-		}
-	}
-
+	c := out.Campaign
 	fmt.Println("Phase 1 — known properties fingerprinting")
 	fmt.Printf("  home ID      %s\n", c.Fingerprint.Home)
 	fmt.Printf("  controller   node %s\n", c.Fingerprint.Controller)

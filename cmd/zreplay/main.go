@@ -94,12 +94,12 @@ func runHunt(target string, duration time.Duration, out string, seed int64, flig
 	if err != nil {
 		return err
 	}
-	c, err := zcover.RunWith(tb, zcover.StrategyFull, duration, seed, zcover.Options{
-		FlightRecorderDepth: flightDepth,
-	})
+	job := zcover.FleetJob{Device: target, Strategy: zcover.StrategyFull, Budget: duration, Seed: seed}
+	res, err := zcover.Run(tb, job, zcover.Options{FlightRecorderDepth: flightDepth})
 	if err != nil {
 		return err
 	}
+	c := res.Campaign
 	f, err := os.Create(out)
 	if err != nil {
 		return err

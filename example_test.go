@@ -14,10 +14,12 @@ func ExampleRun() {
 	if err != nil {
 		panic(err)
 	}
-	campaign, err := zcover.Run(tb, zcover.StrategyFull, 20*time.Minute, 1)
+	job := zcover.FleetJob{Strategy: zcover.StrategyFull, Budget: 20 * time.Minute, Seed: 1}
+	out, err := zcover.Run(tb, job, zcover.Options{})
 	if err != nil {
 		panic(err)
 	}
+	campaign := out.Campaign
 	fmt.Printf("network %s: %d classes prioritised, %d commands validated\n",
 		campaign.Fingerprint.Home, campaign.Fuzz.ClassesCovered, campaign.Fuzz.CommandsCovered)
 	first := campaign.Fuzz.Findings[0]
@@ -46,17 +48,18 @@ func ExamplePaperBugs() {
 	// 12 with CVE IDs; bug 01 is CVE-2024-50929 via CMDCL 0x01
 }
 
-// ExampleRunBaseline runs the VFuzz comparison target for one simulated
+// ExampleRun_baseline runs the VFuzz comparison target for one simulated
 // hour against the Aeotec controller.
-func ExampleRunBaseline() {
+func ExampleRun_baseline() {
 	tb, err := zcover.NewTestbed("D4", 2)
 	if err != nil {
 		panic(err)
 	}
-	res, err := zcover.RunBaseline(tb, time.Hour, 2)
+	out, err := zcover.Run(tb, zcover.FleetJob{Baseline: true, Budget: time.Hour, Seed: 2}, zcover.Options{})
 	if err != nil {
 		panic(err)
 	}
+	res := out.Baseline
 	fmt.Printf("VFuzz sweeps %d command classes blindly\n", res.ClassesCovered)
 	// Output:
 	// VFuzz sweeps 256 command classes blindly

@@ -29,10 +29,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		c, err := zcover.Run(tb, cfg.strategy, time.Hour, cfg.seed)
+		out, err := zcover.Run(tb, zcover.FleetJob{Strategy: cfg.strategy, Budget: time.Hour, Seed: cfg.seed}, zcover.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
+		c := out.Campaign
 		fmt.Printf("test %d: %s\n", i+1, cfg.name)
 		fmt.Printf("  classes fuzzed  %d\n", c.Fuzz.ClassesCovered)
 		fmt.Printf("  packets sent    %d\n", c.Fuzz.PacketsSent)

@@ -23,10 +23,12 @@ func main() {
 	// fingerprinting, unknown-command-class discovery, and
 	// position-sensitive fuzzing. Thirty minutes of simulated fuzzing
 	// completes in well under a second of real time.
-	campaign, err := zcover.Run(tb, zcover.StrategyFull, 30*time.Minute, 1)
+	job := zcover.FleetJob{Strategy: zcover.StrategyFull, Budget: 30 * time.Minute, Seed: 1}
+	out, err := zcover.Run(tb, job, zcover.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	campaign := out.Campaign
 
 	fmt.Printf("target network  %s (controller node %s)\n",
 		campaign.Fingerprint.Home, campaign.Fingerprint.Controller)

@@ -74,8 +74,11 @@ type Job struct {
 	// FuzzMode selects the engine for ZCover jobs: "" is the generational
 	// Algorithm 1 engine, ModeCoverage the coverage-guided one.
 	FuzzMode string
-	// Frames, when positive, caps the campaign's injected test frames —
-	// the equal-frame-budget knob for engine comparisons.
+	// Frames, when positive, caps the campaign's injected test frames
+	// (fuzz.Config.FrameBudget). At Budget/500ms or above the cap is never
+	// reached and the campaign stops at its time budget. A lower cap
+	// starves the generational engine, whose per-class windows come from
+	// Budget; see fuzz.Config.FrameBudget.
 	Frames int
 	// Seed drives both the testbed assembly (S2 pairing entropy) and the
 	// campaign's mutation stream, exactly as the sequential drivers did.

@@ -10,12 +10,15 @@ import (
 	"time"
 
 	"zcover/internal/cmdclass"
+	"zcover/internal/corpus"
+	"zcover/internal/fleet"
 	"zcover/internal/telemetry"
 	"zcover/internal/testbed"
 	"zcover/internal/vfuzz"
 	"zcover/internal/zcover/discover"
 	"zcover/internal/zcover/dongle"
 	"zcover/internal/zcover/fuzz"
+	"zcover/internal/zcover/minimize"
 	"zcover/internal/zcover/mutate"
 	"zcover/internal/zcover/scan"
 )
@@ -24,10 +27,11 @@ import (
 // target; the testbed schedules periodic slave reports inside it.
 const PassiveScanWindow = 2 * time.Minute
 
-// Options attaches optional observability to a campaign run. The zero value
-// runs the campaign exactly as before: no callback, no recorder, no trace.
-// Every attachment is a pure observer — enabling them cannot change what the
-// campaign finds, only what it records along the way.
+// Options attaches optional observability, and for coverage-guided jobs
+// the corpus side, to a campaign run. The zero value runs the campaign
+// exactly as the fleet does: no callback, no recorder, no trace, an
+// in-memory corpus. The observers cannot change what the campaign finds,
+// only what it records along the way.
 type Options struct {
 	// OnFinding is invoked live for each unique finding.
 	OnFinding func(fuzz.Finding)
@@ -38,27 +42,24 @@ type Options struct {
 	FlightRecorderDepth int
 	// Tracer, when non-nil, receives one "phase" span per pipeline stage
 	// (scan, discover, fuzz), timestamped on the testbed's simulated clock
-	// so traces are deterministic.
+	// so traces are deterministic. A phase that aborts the run still writes
+	// its span, with an "error" attribute.
 	Tracer *telemetry.Tracer
 	// OnPhase, when non-nil, is invoked at the start of each pipeline
 	// phase ("scan", "discover", "fuzz") on the campaign goroutine —
 	// the hook the fleet's worker timeline attributes wall time through.
 	OnPhase func(phase string)
-	// FrameBudget, when positive, caps the campaign's injected test frames
-	// (fuzz.Config.FrameBudget) — the equal-budget knob the covfuzz
-	// comparison tables use. Unlike the observers above this does change
-	// what the campaign finds; it is a budget, not an attachment.
-	FrameBudget int
-}
-
-// phaseSpan opens a span on the simulated timeline; no-op without a tracer.
-// It also fires OnPhase, so span emission and wall-time attribution stay in
-// lockstep at every phase boundary.
-func (o Options) phaseSpan(tb *testbed.Testbed, name string, attrs map[string]string) *telemetry.Span {
-	if o.OnPhase != nil {
-		o.OnPhase(name)
-	}
-	return o.Tracer.SpanAt(name, "phase", attrs, tb.Clock.Now())
+	// CorpusDir, for coverage-guided jobs, journals every admitted seed to
+	// a crash-safe corpus journal under this directory
+	// (corpus.OpenJournal), so a killed campaign keeps its corpus and a
+	// rerun replays it. Empty keeps the corpus in memory.
+	CorpusDir string
+	// ResumeCorpus allows continuing an existing corpus journal; without
+	// it an existing journal is refused, mirroring campaign checkpoints.
+	ResumeCorpus bool
+	// Minimize reduces coverage-guided finding seeds to their minimal
+	// trigger before admission (corpus.Manager.SetMinimizer).
+	Minimize bool
 }
 
 // Campaign is one complete ZCover run against one testbed.
@@ -72,22 +73,57 @@ type Campaign struct {
 	Fuzz *fuzz.Result
 }
 
-// RunZCover executes the full ZCover pipeline against the testbed's
-// controller with the given strategy and fuzzing budget.
-func RunZCover(tb *testbed.Testbed, strategy fuzz.Strategy, duration time.Duration, seed int64) (*Campaign, error) {
-	return RunZCoverWith(tb, strategy, duration, seed, Options{})
+// FleetOutcome is one campaign's result: exactly one of Campaign (ZCover
+// jobs), Baseline (VFuzz jobs), or CovFuzz (coverage-guided jobs) is set.
+type FleetOutcome struct {
+	Campaign *Campaign
+	Baseline *fuzz.Result
+	CovFuzz  *fuzz.CovResult
 }
 
-// RunZCoverObserved is RunZCover with a live finding callback.
-func RunZCoverObserved(tb *testbed.Testbed, strategy fuzz.Strategy, duration time.Duration, seed int64, onFinding func(fuzz.Finding)) (*Campaign, error) {
-	return RunZCoverWith(tb, strategy, duration, seed, Options{OnFinding: onFinding})
+// Fuzz returns the job's fuzzing result regardless of kind.
+func (o FleetOutcome) Fuzz() *fuzz.Result {
+	if o.Baseline != nil {
+		return o.Baseline
+	}
+	if o.CovFuzz != nil {
+		return &o.CovFuzz.Result
+	}
+	if o.Campaign != nil {
+		return o.Campaign.Fuzz
+	}
+	return nil
 }
 
-// RunZCoverWith is RunZCover with observability attachments.
-func RunZCoverWith(tb *testbed.Testbed, strategy fuzz.Strategy, duration time.Duration, seed int64, opts Options) (*Campaign, error) {
+// Run executes one campaign spec against the testbed's controller. It is
+// the only campaign pipeline; the job picks which phases run and which
+// engine fuzzes:
+//
+//   - a ZCover job fingerprints the target, discovers unknown command
+//     classes (full strategy only), and runs the generational engine;
+//   - a coverage job (FuzzMode fleet.ModeCoverage) runs the full
+//     discovery pipeline and then the coverage-guided engine;
+//   - a baseline job scans passively for the network and runs VFuzz.
+//
+// The testbed must already be built for the job (fleet workers build it
+// from Device, Patched and the chaos fields). Run checks a set Device
+// against the testbed and otherwise reads only the job's engine
+// selection, strategy, seed, budget and frame cap.
+func Run(tb *testbed.Testbed, job fleet.Job, opts Options) (out FleetOutcome, err error) {
+	device := tb.Controller.Profile().Index
+	coverage := job.FuzzMode == fleet.ModeCoverage
+	baseline := job.Baseline && !coverage
+	switch {
+	case job.FuzzMode != "" && !coverage:
+		return out, fmt.Errorf("harness: unknown fuzz mode %q (want %q or empty)", job.FuzzMode, fleet.ModeCoverage)
+	case job.Device != "" && job.Device != device:
+		return out, fmt.Errorf("harness: job targets %s but the testbed is %s", job.Device, device)
+	case opts.CorpusDir != "" && !coverage:
+		return out, fmt.Errorf("harness: a corpus directory needs a coverage-guided job")
+	}
 	reg, err := cmdclass.Load()
 	if err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
+		return out, fmt.Errorf("harness: %w", err)
 	}
 	d := dongle.New(tb.Medium, tb.Region)
 
@@ -97,56 +133,64 @@ func RunZCoverWith(tb *testbed.Testbed, strategy fuzz.Strategy, duration time.Du
 		tb.Medium.SetFlightRecorder(recorder)
 		defer tb.Medium.SetFlightRecorder(nil)
 	}
-	attrs := map[string]string{"device": tb.Controller.Profile().Index, "strategy": string(strategy)}
-
-	// Phase 1: known-properties fingerprinting over live traffic.
-	span := opts.phaseSpan(tb, "scan", attrs)
-	tb.ScheduleTraffic(12, 10*time.Second)
-	fp, err := scan.FingerprintTarget(d, PassiveScanWindow, 0)
-	if err != nil {
-		return nil, fmt.Errorf("harness: fingerprinting: %w", err)
+	// Coverage mode runs the full pipeline whatever the job's strategy.
+	strategy, label := job.Strategy, job.Strategy
+	switch {
+	case coverage:
+		strategy, label = fuzz.StrategyFull, fuzz.StrategyCoverage
+	case baseline:
+		label = vfuzz.StrategyVFuzz
 	}
-	out := &Campaign{Fingerprint: fp}
-	span.SetAttr("nodes", fmt.Sprint(len(fp.Nodes)))
-	if err := span.EndAt(tb.Clock.Now()); err != nil {
-		return nil, err
+	discovers := strategy == fuzz.StrategyFull && !baseline
+	ph := &phase{opts: opts, tb: tb, attrs: map[string]string{"device": device, "strategy": string(label)}}
+	defer func() {
+		if err != nil {
+			ph.fail(err)
+		}
+	}()
+
+	// Phase 1: known-properties fingerprinting over live traffic; VFuzz,
+	// too, scans for the home and controller IDs, passively.
+	ph.start("scan")
+	tb.ScheduleTraffic(12, 10*time.Second)
+	var fp scan.Fingerprint
+	var net scan.Network
+	if baseline {
+		nets := scan.Passive(d, PassiveScanWindow)
+		if len(nets) == 0 {
+			return out, fmt.Errorf("harness: vfuzz: no traffic observed")
+		}
+		net = nets[0]
+	} else {
+		if fp, err = scan.FingerprintTarget(d, PassiveScanWindow, 0); err != nil {
+			return out, fmt.Errorf("harness: fingerprinting: %w", err)
+		}
+		ph.span.SetAttr("nodes", fmt.Sprint(len(fp.Nodes)))
+	}
+	if err = ph.end(); err != nil {
+		return out, err
 	}
 
 	// Phase 2: unknown-properties discovery (full strategy only — the β
 	// ablation deliberately ignores unknown classes, γ ignores both).
-	var listed, prioritized []*cmdclass.Class
-	for _, id := range fp.Listed {
-		if cls, ok := reg.Get(id); ok {
-			listed = append(listed, cls)
+	var disc discover.Result
+	if discovers {
+		ph.start("discover")
+		if disc, err = discover.Run(d, reg, fp); err != nil {
+			return out, fmt.Errorf("harness: discovery: %w", err)
 		}
-	}
-	if strategy == fuzz.StrategyFull {
-		span = opts.phaseSpan(tb, "discover", attrs)
-		out.Discovery, err = discover.Run(d, reg, fp)
-		if err != nil {
-			return nil, fmt.Errorf("harness: discovery: %w", err)
-		}
-		prioritized = out.Discovery.Prioritized
-		span.SetAttr("confirmed", fmt.Sprint(len(out.Discovery.ConfirmedCommands)))
-		if err := span.EndAt(tb.Clock.Now()); err != nil {
-			return nil, err
+		ph.span.SetAttr("confirmed", fmt.Sprint(len(disc.ConfirmedCommands)))
+		if err = ph.end(); err != nil {
+			return out, err
 		}
 	}
 
-	// Phase 3: position-sensitive mutation fuzzing.
-	var mut *mutate.Mutator
-	if strategy == fuzz.StrategyRandom {
-		mut = mutate.NewRandom(seed)
-	} else {
-		mut = mutate.New(mutate.Semantics{Controller: fp.Controller, KnownNodes: fp.Nodes}, seed)
-	}
-	queue := fuzz.BuildQueue(strategy, reg, listed, prioritized, seed)
-	span = opts.phaseSpan(tb, "fuzz", attrs)
+	// Phase 3: fuzzing, on the engine the job selects.
 	fcfg := fuzz.Config{
-		Duration:    duration,
+		Duration:    job.Budget,
 		OnFinding:   opts.OnFinding,
 		Recorder:    recorder,
-		FrameBudget: opts.FrameBudget,
+		FrameBudget: job.Frames,
 	}
 	if tb.Chaos != nil {
 		// Under chaos the engine grades findings against the injector's
@@ -155,72 +199,134 @@ func RunZCoverWith(tb *testbed.Testbed, strategy fuzz.Strategy, duration time.Du
 		fcfg.Impairment = tb.Chaos
 		fcfg.PingAttempts = 3
 	}
-	engine, err := fuzz.New(d, fp, queue, mut, strategy, tb.Controller.Profile().Index, fcfg)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
+	var mut *mutate.Mutator
+	var queue []*cmdclass.Class
+	if !baseline {
+		if strategy == fuzz.StrategyRandom {
+			mut = mutate.NewRandom(job.Seed)
+		} else {
+			mut = mutate.New(mutate.Semantics{Controller: fp.Controller, KnownNodes: fp.Nodes}, job.Seed)
+		}
+		var listed []*cmdclass.Class
+		for _, id := range fp.Listed {
+			if cls, ok := reg.Get(id); ok {
+				listed = append(listed, cls)
+			}
+		}
+		queue = fuzz.BuildQueue(strategy, reg, listed, disc.Prioritized, job.Seed)
 	}
-	sub := tb.Bus.Subscribe(engine.Observe)
-	defer sub.Unsubscribe()
-	out.Fuzz = engine.Run()
-	if strategy == fuzz.StrategyFull {
-		// Only the full strategy runs discovery; for β/γ the engine's own
+	ph.start("fuzz")
+	var res *fuzz.Result
+	switch {
+	case baseline:
+		engine := vfuzz.New(d, net.Home, net.Controller, vfuzz.Config{
+			Duration: fcfg.Duration, Seed: job.Seed, OnFinding: fcfg.OnFinding,
+		})
+		sub := tb.Bus.Subscribe(engine.Observe)
+		defer sub.Unsubscribe()
+		res = engine.Run()
+		res.Device = device
+		out.Baseline = res
+	case coverage:
+		var engine *fuzz.CovEngine
+		if engine, err = fuzz.NewCov(d, fp, queue, mut, device, job.Seed, fcfg); err != nil {
+			return out, fmt.Errorf("harness: %w", err)
+		}
+		if out.CovFuzz, err = runCoverage(tb, engine, job, opts); err != nil {
+			return FleetOutcome{}, err
+		}
+		res = &out.CovFuzz.Result
+		ph.span.SetAttr("features", fmt.Sprint(out.CovFuzz.Coverage.Features))
+	default:
+		var engine *fuzz.Engine
+		if engine, err = fuzz.New(d, fp, queue, mut, strategy, device, fcfg); err != nil {
+			return out, fmt.Errorf("harness: %w", err)
+		}
+		sub := tb.Bus.Subscribe(engine.Observe)
+		defer sub.Unsubscribe()
+		res = engine.Run()
+		out.Campaign = &Campaign{Fingerprint: fp, Discovery: disc, Fuzz: res}
+	}
+	if discovers {
+		// Only the full pipeline runs discovery; for β/γ the engine's own
 		// count stands rather than being clobbered by the zero-value
 		// Discovery.
-		out.Fuzz.CommandsCovered = len(out.Discovery.ConfirmedCommands)
+		res.CommandsCovered = len(disc.ConfirmedCommands)
 	}
-	span.SetAttr("findings", fmt.Sprint(len(out.Fuzz.Findings)))
-	span.SetAttr("packets", fmt.Sprint(out.Fuzz.PacketsSent))
-	if err := span.EndAt(tb.Clock.Now()); err != nil {
-		return nil, err
+	ph.span.SetAttr("findings", fmt.Sprint(len(res.Findings)))
+	ph.span.SetAttr("packets", fmt.Sprint(res.PacketsSent))
+	if err = ph.end(); err != nil {
+		return FleetOutcome{}, err
 	}
 	return out, nil
 }
 
-// RunVFuzz executes the VFuzz baseline against the testbed's controller.
-// VFuzz fingerprints the network the same way (it, too, scans for home and
-// node IDs) and then fuzzes MAC frames for the budget.
-func RunVFuzz(tb *testbed.Testbed, duration time.Duration, seed int64) (*fuzz.Result, error) {
-	return RunVFuzzObserved(tb, duration, seed, nil)
-}
+// runCoverage runs the coverage-guided engine. Its behavioral-coverage
+// collector is wired into the controller's dispatch path and the oracle
+// bus for the duration of the run, and coverage-novel inputs grow a
+// deterministic corpus, journaled under opts.CorpusDir when set.
+func runCoverage(tb *testbed.Testbed, engine *fuzz.CovEngine, job fleet.Job, opts Options) (*fuzz.CovResult, error) {
+	device := tb.Controller.Profile().Index
+	cov := engine.Coverage()
+	tb.Controller.SetCoverage(cov)
+	defer tb.Controller.SetCoverage(nil)
+	tb.Bus.SetCoverage(cov)
+	defer tb.Bus.SetCoverage(nil)
 
-// RunVFuzzObserved is RunVFuzz with a live finding callback.
-func RunVFuzzObserved(tb *testbed.Testbed, duration time.Duration, seed int64, onFinding func(fuzz.Finding)) (*fuzz.Result, error) {
-	return RunVFuzzWith(tb, duration, seed, Options{OnFinding: onFinding})
-}
-
-// RunVFuzzWith is RunVFuzz with observability attachments. The VFuzz
-// baseline has no discovery phase, so it emits only scan and fuzz spans.
-func RunVFuzzWith(tb *testbed.Testbed, duration time.Duration, seed int64, opts Options) (*fuzz.Result, error) {
-	d := dongle.New(tb.Medium, tb.Region)
-	if opts.FlightRecorderDepth > 0 {
-		recorder := telemetry.NewFlightRecorder(opts.FlightRecorderDepth)
-		tb.Medium.SetFlightRecorder(recorder)
-		defer tb.Medium.SetFlightRecorder(nil)
+	if opts.Minimize {
+		engine.Corpus().SetMinimizer(minimize.New(device, job.Seed))
 	}
-	attrs := map[string]string{"device": tb.Controller.Profile().Index, "strategy": string(vfuzz.StrategyVFuzz)}
-
-	span := opts.phaseSpan(tb, "scan", attrs)
-	tb.ScheduleTraffic(12, 10*time.Second)
-	nets := scan.Passive(d, PassiveScanWindow)
-	if len(nets) == 0 {
-		return nil, fmt.Errorf("harness: vfuzz: no traffic observed")
+	if opts.CorpusDir != "" {
+		key := covFuzzKey{Device: device, Duration: job.Budget, Frames: job.Frames, Seed: job.Seed}
+		j, err := corpus.OpenJournal(opts.CorpusDir, "covfuzz-"+device, key, opts.ResumeCorpus)
+		if err != nil {
+			return nil, err
+		}
+		defer j.Close()
+		engine.Corpus().AttachJournal(j)
 	}
-	if err := span.EndAt(tb.Clock.Now()); err != nil {
-		return nil, err
-	}
-
-	net := nets[0]
-	span = opts.phaseSpan(tb, "fuzz", attrs)
-	engine := vfuzz.New(d, net.Home, net.Controller, vfuzz.Config{
-		Duration: duration, Seed: seed, OnFinding: opts.OnFinding,
-	})
 	sub := tb.Bus.Subscribe(engine.Observe)
 	defer sub.Unsubscribe()
-	res := engine.Run()
-	res.Device = tb.Controller.Profile().Index
-	span.SetAttr("findings", fmt.Sprint(len(res.Findings)))
-	if err := span.EndAt(tb.Clock.Now()); err != nil {
-		return nil, err
+	return engine.Run()
+}
+
+// covFuzzKey pins a corpus journal to the campaign that wrote it: any
+// drift in these inputs changes the SpecHash and refuses the journal.
+type covFuzzKey struct {
+	Device   string        `json:"device"`
+	Duration time.Duration `json:"duration"`
+	Frames   int           `json:"frames,omitempty"`
+	Seed     int64         `json:"seed"`
+}
+
+// phase tracks the pipeline's open span. start fires OnPhase and opens a
+// span on the simulated timeline, so span emission and wall-time
+// attribution stay in lockstep at every phase boundary; end writes the
+// span; fail writes it with an "error" attribute, so a phase that aborts
+// the run still leaves its span in the trace.
+type phase struct {
+	opts  Options
+	tb    *testbed.Testbed
+	attrs map[string]string
+	span  *telemetry.Span // nil without a tracer, or between phases
+}
+
+func (p *phase) start(name string) {
+	if p.opts.OnPhase != nil {
+		p.opts.OnPhase(name)
 	}
-	return res, nil
+	p.span = p.opts.Tracer.SpanAt(name, "phase", p.attrs, p.tb.Clock.Now())
+}
+
+func (p *phase) end() error {
+	s := p.span
+	p.span = nil
+	return s.EndAt(p.tb.Clock.Now())
+}
+
+func (p *phase) fail(err error) {
+	if p.span != nil {
+		p.span.SetAttr("error", err.Error())
+		_ = p.end() // the run already fails with err
+	}
 }

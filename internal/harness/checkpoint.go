@@ -279,25 +279,25 @@ type CampaignKey struct {
 	ChaosSeed    int64         `json:"chaos_seed,omitempty"`
 }
 
-// RunZCoverResumable wraps RunZCoverWith in a one-job checkpointed
-// campaign under dir, on the same coordinator path as runCheckpointed. A
-// completed campaign already journaled for the same key is decoded and
-// returned (resumed=true) without executing anything; a journal that
-// exists but holds no completed outcome — the process died mid-campaign —
-// re-runs the campaign from its seed and journals the outcome. An
-// existing journal is refused unless resume is set.
+// RunZCoverResumable runs the key's ZCover campaign through Run as a
+// one-job checkpointed campaign under dir, on the same coordinator path
+// as runCheckpointed. A completed campaign already journaled for the same
+// key is decoded and returned (resumed=true) without executing anything;
+// a journal that exists but holds no completed outcome — the process died
+// mid-campaign — re-runs the campaign from its seed and journals the
+// outcome. An existing journal is refused unless resume is set.
 func RunZCoverResumable(dir string, resume bool, key CampaignKey, tb *testbed.Testbed, opts Options) (*Campaign, bool, error) {
 	hash, err := checkpoint.SpecHash(key)
 	if err != nil {
 		return nil, false, err
 	}
 	name := "zcover-" + key.Target
+	job := fleet.Job{
+		Name: name, Device: key.Target, Strategy: key.Strategy, Seed: key.Seed,
+		Budget: key.Duration, ChaosProfile: key.ChaosProfile, ChaosSeed: key.ChaosSeed,
+	}
 	c, err := coord.New(coord.Config{
-		Campaign: name, SpecHash: hash, Dir: dir, Resume: resume,
-		Jobs: []fleet.Job{{
-			Name: name, Device: key.Target, Strategy: key.Strategy, Seed: key.Seed,
-			Budget: key.Duration, ChaosProfile: key.ChaosProfile, ChaosSeed: key.ChaosSeed,
-		}},
+		Campaign: name, SpecHash: hash, Dir: dir, Resume: resume, Jobs: []fleet.Job{job},
 	})
 	if err != nil {
 		return nil, false, err
@@ -314,11 +314,11 @@ func RunZCoverResumable(dir string, resume bool, key CampaignKey, tb *testbed.Te
 		return out.Campaign, true, nil
 	}
 
-	camp, err := RunZCoverWith(tb, key.Strategy, key.Duration, key.Seed, opts)
+	out, err := Run(tb, job, opts)
 	if err != nil {
 		return nil, false, err
 	}
-	raw, err := EncodeOutcome(FleetOutcome{Campaign: camp})
+	raw, err := EncodeOutcome(out)
 	if err != nil {
 		return nil, false, err
 	}
@@ -327,5 +327,5 @@ func RunZCoverResumable(dir string, resume bool, key CampaignKey, tb *testbed.Te
 	}); err != nil {
 		return nil, false, err
 	}
-	return camp, false, nil
+	return out.Campaign, false, nil
 }

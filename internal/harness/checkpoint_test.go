@@ -276,10 +276,11 @@ func TestParentJournalsStillResume(t *testing.T) {
 		}
 		return tb
 	}
-	fresh, err := RunZCoverWith(newTB(), key.Strategy, key.Duration, key.Seed, Options{})
+	out, err := Run(newTB(), fleet.Job{Strategy: key.Strategy, Budget: key.Duration, Seed: key.Seed}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fresh := out.Campaign
 	replayed, wasResumed, err := RunZCoverResumable(dir, true, key, newTB(), Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -5,150 +5,11 @@ import (
 	"strconv"
 	"time"
 
-	"zcover/internal/cmdclass"
-	"zcover/internal/corpus"
 	"zcover/internal/fleet"
 	"zcover/internal/oracle"
 	"zcover/internal/report"
-	"zcover/internal/telemetry"
-	"zcover/internal/testbed"
-	"zcover/internal/zcover/discover"
-	"zcover/internal/zcover/dongle"
 	"zcover/internal/zcover/fuzz"
-	"zcover/internal/zcover/minimize"
-	"zcover/internal/zcover/mutate"
-	"zcover/internal/zcover/scan"
 )
-
-// CovFuzzOptions configures the coverage-guided pipeline's corpus side.
-// The zero value keeps the corpus in memory only.
-type CovFuzzOptions struct {
-	// CorpusDir, when set, journals every admitted seed to a crash-safe
-	// corpus journal under this directory (corpus.OpenJournal), so a
-	// killed campaign keeps its corpus and a resumed one replays it.
-	CorpusDir string
-	// Resume allows continuing an existing corpus journal; without it an
-	// existing journal is refused, mirroring campaign checkpoints.
-	Resume bool
-	// Minimize reduces finding seeds to their minimal trigger before
-	// admission (corpus.Manager.SetMinimizer).
-	Minimize bool
-}
-
-// covFuzzKey pins a corpus journal to the campaign that wrote it: any
-// drift in these inputs changes the SpecHash and refuses the journal.
-type covFuzzKey struct {
-	Device   string        `json:"device"`
-	Duration time.Duration `json:"duration"`
-	Frames   int           `json:"frames,omitempty"`
-	Seed     int64         `json:"seed"`
-}
-
-// RunCovFuzz executes the coverage-guided pipeline against the testbed's
-// controller with an in-memory corpus.
-func RunCovFuzz(tb *testbed.Testbed, duration time.Duration, seed int64) (*fuzz.CovResult, error) {
-	return RunCovFuzzWith(tb, duration, seed, Options{}, CovFuzzOptions{})
-}
-
-// RunCovFuzzWith runs the full three-phase pipeline — fingerprinting,
-// discovery, then the coverage-guided engine in place of the generational
-// one. The engine's behavioral-coverage collector is wired into the
-// controller's dispatch path and the oracle bus for the duration of the
-// run, and coverage-novel inputs grow a deterministic corpus.
-func RunCovFuzzWith(tb *testbed.Testbed, duration time.Duration, seed int64, opts Options, covOpts CovFuzzOptions) (*fuzz.CovResult, error) {
-	reg, err := cmdclass.Load()
-	if err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
-	}
-	d := dongle.New(tb.Medium, tb.Region)
-
-	var recorder *telemetry.FlightRecorder
-	if opts.FlightRecorderDepth > 0 {
-		recorder = telemetry.NewFlightRecorder(opts.FlightRecorderDepth)
-		tb.Medium.SetFlightRecorder(recorder)
-		defer tb.Medium.SetFlightRecorder(nil)
-	}
-	device := tb.Controller.Profile().Index
-	attrs := map[string]string{"device": device, "strategy": string(fuzz.StrategyCoverage)}
-
-	// Phase 1: fingerprinting.
-	span := opts.phaseSpan(tb, "scan", attrs)
-	tb.ScheduleTraffic(12, 10*time.Second)
-	fp, err := scan.FingerprintTarget(d, PassiveScanWindow, 0)
-	if err != nil {
-		return nil, fmt.Errorf("harness: fingerprinting: %w", err)
-	}
-	span.SetAttr("nodes", fmt.Sprint(len(fp.Nodes)))
-	if err := span.EndAt(tb.Clock.Now()); err != nil {
-		return nil, err
-	}
-
-	// Phase 2: discovery — the coverage-guided engine starts from the same
-	// prioritised queue as the full generational strategy.
-	span = opts.phaseSpan(tb, "discover", attrs)
-	disc, err := discover.Run(d, reg, fp)
-	if err != nil {
-		return nil, fmt.Errorf("harness: discovery: %w", err)
-	}
-	span.SetAttr("confirmed", fmt.Sprint(len(disc.ConfirmedCommands)))
-	if err := span.EndAt(tb.Clock.Now()); err != nil {
-		return nil, err
-	}
-
-	// Phase 3: coverage-guided fuzzing.
-	mut := mutate.New(mutate.Semantics{Controller: fp.Controller, KnownNodes: fp.Nodes}, seed)
-	queue := fuzz.BuildQueue(fuzz.StrategyFull, reg, nil, disc.Prioritized, seed)
-	span = opts.phaseSpan(tb, "fuzz", attrs)
-	fcfg := fuzz.Config{
-		Duration:    duration,
-		OnFinding:   opts.OnFinding,
-		Recorder:    recorder,
-		FrameBudget: opts.FrameBudget,
-	}
-	if tb.Chaos != nil {
-		fcfg.Impairment = tb.Chaos
-		fcfg.PingAttempts = 3
-	}
-	engine, err := fuzz.NewCov(d, fp, queue, mut, device, seed, fcfg)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
-	}
-
-	// Wire the behavioral-coverage hooks for the duration of the run.
-	cov := engine.Coverage()
-	tb.Controller.SetCoverage(cov)
-	defer tb.Controller.SetCoverage(nil)
-	tb.Bus.SetCoverage(cov)
-	defer tb.Bus.SetCoverage(nil)
-
-	if covOpts.Minimize {
-		engine.Corpus().SetMinimizer(minimize.New(device, seed))
-	}
-	if covOpts.CorpusDir != "" {
-		key := covFuzzKey{Device: device, Duration: duration, Frames: opts.FrameBudget, Seed: seed}
-		j, err := corpus.OpenJournal(covOpts.CorpusDir, "covfuzz-"+device, key, covOpts.Resume)
-		if err != nil {
-			return nil, err
-		}
-		defer j.Close()
-		engine.Corpus().AttachJournal(j)
-	}
-
-	sub := tb.Bus.Subscribe(engine.Observe)
-	defer sub.Unsubscribe()
-	res, err := engine.Run()
-	if err != nil {
-		return nil, err
-	}
-	res.CommandsCovered = len(disc.ConfirmedCommands)
-	span.SetAttr("findings", fmt.Sprint(len(res.Findings)))
-	span.SetAttr("packets", fmt.Sprint(res.PacketsSent))
-	span.SetAttr("features", fmt.Sprint(res.Coverage.Features))
-	if err := span.EndAt(tb.Clock.Now()); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
 
 // distinctKinds counts the distinct oracle effect classes among findings
 // — hangs, node tampering, database overwrites, ... — the "discovery
@@ -169,7 +30,7 @@ func framesToFirst(findings []fuzz.Finding) int {
 	return findings[0].Packets
 }
 
-// CovFuzzRow is one device's engine comparison at an equal frame budget.
+// CovFuzzRow is one device's engine comparison under the same budget.
 type CovFuzzRow struct {
 	Index        string
 	Frames       int
@@ -187,15 +48,16 @@ type CovFuzzRow struct {
 
 // covFuzzFramesPerTest is the nominal simulated cost of one test cycle
 // (response window + inter-test gap), used to convert a time budget into
-// an equal frame budget for both engines.
+// the frame cap both engines get. Real cycles run slightly longer, so the
+// cap is never the binding limit.
 const covFuzzFramesPerTest = 500 * time.Millisecond
 
 // CovFuzzTable compares the coverage-guided engine against the
-// generational engine on D1–D5 at an equal frame budget derived from
-// duration. Both engines run the identical discovery pipeline and get the
-// same time and frame caps; the table reports unique findings, distinct
-// discovery classes, frames to first discovery, and the coverage map's
-// final state.
+// generational engine on D1–D5. Both engines run the identical discovery
+// pipeline and get the same time budget and the same frame cap
+// (duration/500ms); neither reaches the cap, so both stop at the time
+// budget. The table reports unique findings, distinct discovery classes,
+// frames to first discovery, and the coverage map's final state.
 func CovFuzzTable(duration time.Duration, cfg fleet.Config) (*report.Table, []CovFuzzRow, error) {
 	if duration <= 0 {
 		duration = 24 * time.Hour
@@ -206,8 +68,9 @@ func CovFuzzTable(duration time.Duration, cfg fleet.Config) (*report.Table, []Co
 		Headers: []string{"ID", "Frames", "Gen #Vul", "Gen Kinds", "Gen 1st",
 			"Cov #Vul", "Cov Kinds", "Cov 1st", "Corpus", "Features", "Density"},
 		Notes: []string{
-			"Both engines run the full discovery pipeline and stop at the same",
-			"frame budget; 1st is the frame count of the first discovery (0 = none).",
+			"Both engines run the full discovery pipeline with the same time budget",
+			"and frame cap (budget/500ms); neither reaches the cap, so both stop at",
+			"the time budget. 1st is the frame count of the first discovery (0 = none).",
 			"Features/Density describe the behavioral coverage map (dispatch state x",
 			"CMDCL x encap depth x security class, Serial API handlers, oracle events).",
 		},

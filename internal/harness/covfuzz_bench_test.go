@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"zcover/internal/fleet"
 	"zcover/internal/testbed"
+	"zcover/internal/zcover/fuzz"
 )
 
 // BenchmarkCovFuzz measures one coverage-guided campaign end to end —
@@ -20,11 +22,11 @@ func BenchmarkCovFuzz(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := RunCovFuzz(tb, budget, 1)
+		out, err := Run(tb, fleet.Job{Strategy: fuzz.StrategyFull, FuzzMode: fleet.ModeCoverage, Budget: budget, Seed: 1}, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		simSeconds = res.Elapsed.Seconds()
+		simSeconds = out.CovFuzz.Elapsed.Seconds()
 	}
 	b.ReportMetric(simSeconds*float64(b.N)/b.Elapsed().Seconds(), "simsec/s")
 }

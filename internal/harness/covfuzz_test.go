@@ -7,6 +7,7 @@ import (
 
 	"zcover/internal/fleet"
 	"zcover/internal/testbed"
+	"zcover/internal/zcover/fuzz"
 )
 
 // covFuzzTestBudget keeps the comparison meaningful (hundreds of frames
@@ -77,6 +78,10 @@ func TestCovFuzzTableResumesFromCheckpoint(t *testing.T) {
 	}
 }
 
+// covJob is the coverage-guided campaign the corpus tests run.
+var covJob = fleet.Job{Device: "D1", Strategy: fuzz.StrategyFull, FuzzMode: fleet.ModeCoverage,
+	Budget: 30 * time.Minute, Seed: 41}
+
 func TestRunCovFuzzCorpusJournalSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	run := func(resume bool) []byte {
@@ -84,12 +89,11 @@ func TestRunCovFuzzCorpusJournalSurvivesRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunCovFuzzWith(tb, 30*time.Minute, 41, Options{},
-			CovFuzzOptions{CorpusDir: dir, Resume: resume})
+		out, err := Run(tb, covJob, Options{CorpusDir: dir, ResumeCorpus: resume})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := json.Marshal(res)
+		b, err := json.Marshal(out.CovFuzz)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,8 +110,7 @@ func TestRunCovFuzzCorpusJournalSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunCovFuzzWith(tb, 30*time.Minute, 41, Options{},
-		CovFuzzOptions{CorpusDir: dir}); err == nil {
+	if _, err := Run(tb, covJob, Options{CorpusDir: dir}); err == nil {
 		t.Fatal("existing corpus journal silently reused without resume")
 	}
 }
@@ -123,10 +126,11 @@ func TestRunCovFuzzMinimizerIsPureObserver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunCovFuzzWith(tb, 30*time.Minute, 41, Options{}, CovFuzzOptions{Minimize: min})
+		out, err := Run(tb, covJob, Options{Minimize: min})
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := out.CovFuzz
 		b, err := json.Marshal(res.Findings)
 		if err != nil {
 			t.Fatal(err)

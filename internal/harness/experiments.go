@@ -96,16 +96,11 @@ type Table3Result struct {
 
 // Table3 runs the full ZCover campaign (24 h per controller, as in the
 // paper) against every testbed device and reconciles the union of unique
-// findings against the Table III catalogue.
-func Table3(duration time.Duration) (*report.Table, *Table3Result, error) {
-	return Table3Fleet(duration, fleet.Config{})
-}
-
-// Table3Fleet is Table3 with the campaigns scheduled across a fleet
-// worker pool. Output is identical for any worker count: each campaign is
-// seeded per device and runs on its own testbed, and rows are assembled in
-// job order.
-func Table3Fleet(duration time.Duration, cfg fleet.Config) (*report.Table, *Table3Result, error) {
+// findings against the Table III catalogue. The campaigns are scheduled
+// across a fleet worker pool; output is identical for any worker count:
+// each campaign is seeded per device and runs on its own testbed, and rows
+// are assembled in job order.
+func Table3(duration time.Duration, cfg fleet.Config) (*report.Table, *Table3Result, error) {
 	if duration <= 0 {
 		duration = 24 * time.Hour
 	}
@@ -185,14 +180,10 @@ type Table4Row struct {
 	Commands int
 }
 
-// Table4 runs phases 1 and 2 against every controller and reports the
-// known/unknown property counts of Table IV.
-func Table4() (*report.Table, []Table4Row, error) {
-	return Table4Fleet(fleet.Config{})
-}
-
-// Table4Fleet is Table4 scheduled across a fleet worker pool.
-func Table4Fleet(cfg fleet.Config) (*report.Table, []Table4Row, error) {
+// Table4 runs phases 1 and 2 against every controller, scheduled across a
+// fleet worker pool, and reports the known/unknown property counts of
+// Table IV.
+func Table4(cfg fleet.Config) (*report.Table, []Table4Row, error) {
 	out := &report.Table{
 		Title:   "Table IV: known properties fingerprinting and unknown properties discovery",
 		Headers: []string{"ID", "Home ID", "Node ID", "Known CMDCLs", "Unknown CMDCLs"},
@@ -239,14 +230,9 @@ type Table5Row struct {
 }
 
 // Table5 compares VFuzz and ZCover on controllers D1–D5 with equal
-// budgets (24 h in the paper).
-func Table5(duration time.Duration) (*report.Table, []Table5Row, error) {
-	return Table5Fleet(duration, fleet.Config{})
-}
-
-// Table5Fleet is Table5 with the ten campaigns (VFuzz + ZCover per
-// device) scheduled across a fleet worker pool.
-func Table5Fleet(duration time.Duration, cfg fleet.Config) (*report.Table, []Table5Row, error) {
+// budgets (24 h in the paper), the ten campaigns scheduled across a fleet
+// worker pool.
+func Table5(duration time.Duration, cfg fleet.Config) (*report.Table, []Table5Row, error) {
 	outs, err := runCampaigns("table5", table5Jobs(duration), cfg)
 	if err != nil {
 		return nil, nil, err
@@ -331,14 +317,8 @@ type Table6Row struct {
 }
 
 // Table6 runs the ablation study: one hour on the ZooZ controller under
-// the three configurations of §IV-D.
-func Table6(duration time.Duration) (*report.Table, []Table6Row, error) {
-	return Table6Fleet(duration, fleet.Config{})
-}
-
-// Table6Fleet is Table6 with the three ablation campaigns scheduled
-// across a fleet worker pool.
-func Table6Fleet(duration time.Duration, fcfg fleet.Config) (*report.Table, []Table6Row, error) {
+// the three configurations of §IV-D, scheduled across a fleet worker pool.
+func Table6(duration time.Duration, fcfg fleet.Config) (*report.Table, []Table6Row, error) {
 	if duration <= 0 {
 		duration = time.Hour
 	}
@@ -392,14 +372,9 @@ type Fig12Series struct {
 // Fig12 regenerates the detection timelines for the four devices of
 // Figure 12 (ZooZ, Nortek, Aeotec, ZWaveMe). The campaign runs for the
 // full duration; the figure window trims to the first windowSecs seconds,
-// where most discoveries land.
-func Fig12(duration time.Duration, window time.Duration) ([]*report.CSV, []Fig12Series, error) {
-	return Fig12Fleet(duration, window, fleet.Config{})
-}
-
-// Fig12Fleet is Fig12 with the four timeline campaigns scheduled across a
+// where most discoveries land. The four campaigns are scheduled across a
 // fleet worker pool.
-func Fig12Fleet(duration, window time.Duration, cfg fleet.Config) ([]*report.CSV, []Fig12Series, error) {
+func Fig12(duration, window time.Duration, cfg fleet.Config) ([]*report.CSV, []Fig12Series, error) {
 	if duration <= 0 {
 		duration = 24 * time.Hour
 	}

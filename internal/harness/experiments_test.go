@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"zcover/internal/controller"
+	"zcover/internal/fleet"
 	"zcover/internal/testbed"
 	"zcover/internal/zcover/fuzz"
 )
@@ -50,7 +51,7 @@ func TestTable2Inventory(t *testing.T) {
 }
 
 func TestTable4MatchesPaperExactly(t *testing.T) {
-	_, rows, err := Table4()
+	_, rows, err := Table4(fleet.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestTable4MatchesPaperExactly(t *testing.T) {
 }
 
 func TestTable6AblationMatchesPaperShape(t *testing.T) {
-	_, rows, err := Table6(time.Hour)
+	_, rows, err := Table6(time.Hour, fleet.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestTable3FullCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("24h-per-device campaign; run without -short")
 	}
-	_, res, err := Table3(24 * time.Hour)
+	_, res, err := Table3(24*time.Hour, fleet.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestTable5ComparisonMatchesPaperShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("24h-per-device comparison; run without -short")
 	}
-	_, rows, err := Table5(24 * time.Hour)
+	_, rows, err := Table5(24*time.Hour, fleet.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestFig12TimelineShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("24h campaigns; run without -short")
 	}
-	csvs, series, err := Fig12(24*time.Hour, 800*time.Second)
+	csvs, series, err := Fig12(24*time.Hour, 800*time.Second, fleet.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,14 +216,28 @@ func TestRunZCoverRejectsBadInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A campaign against a silent testbed (no scheduled traffic) is fine —
-	// RunZCover schedules its own; but an unknown strategy string still
-	// runs as full. Exercise the success path cheaply.
-	c, err := RunZCover(tb, fuzz.StrategyKnownOnly, time.Minute, 1)
+	beta := fleet.Job{Device: "D1", Strategy: fuzz.StrategyKnownOnly, Budget: time.Minute, Seed: 1}
+	bad := []struct {
+		name string
+		job  fleet.Job
+		opts Options
+	}{
+		{"unknown fuzz mode", fleet.Job{Device: "D1", Strategy: fuzz.StrategyFull, FuzzMode: "afl"}, Options{}},
+		{"testbed mismatch", fleet.Job{Device: "D2", Strategy: fuzz.StrategyFull}, Options{}},
+		{"corpus without coverage", beta, Options{CorpusDir: t.TempDir()}},
+	}
+	for _, tc := range bad {
+		if _, err := Run(tb, tc.job, tc.opts); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	// The testbed schedules its own traffic, so a fresh one needs no
+	// warm-up: exercise the success path cheaply.
+	out, err := Run(tb, beta, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Fuzz.ClassesCovered != 17 {
+	if c := out.Campaign; c.Fuzz.ClassesCovered != 17 {
 		t.Fatalf("beta queue = %d classes", c.Fuzz.ClassesCovered)
 	}
 }

@@ -25,64 +25,23 @@ func SetFleetRecorderDepth(depth int) {
 	fleetRecorderDepth.Store(int32(depth))
 }
 
-// FleetOutcome is one fleet campaign's result: exactly one of Campaign
-// (ZCover jobs), Baseline (VFuzz jobs), or CovFuzz (coverage-guided jobs)
-// is set.
-type FleetOutcome struct {
-	Campaign *Campaign
-	Baseline *fuzz.Result
-	CovFuzz  *fuzz.CovResult
-}
-
-// Fuzz returns the job's fuzzing result regardless of kind.
-func (o FleetOutcome) Fuzz() *fuzz.Result {
-	if o.Baseline != nil {
-		return o.Baseline
-	}
-	if o.CovFuzz != nil {
-		return &o.CovFuzz.Result
-	}
-	if o.Campaign != nil {
-		return o.Campaign.Fuzz
-	}
-	return nil
-}
-
-// RunFleetJob is the canonical fleet.Runner: it executes one job spec
-// against the worker's private testbed, streaming live metrics into the
-// pool. All experiment drivers schedule through it.
+// RunFleetJob is the canonical fleet.Runner: Run with the worker's
+// observer attached, streaming live findings and phases into the pool and
+// reporting packets and simulated time once the campaign ends. All
+// experiment drivers schedule through it.
 func RunFleetJob(tb *testbed.Testbed, job fleet.Job, obs *fleet.Observer) (FleetOutcome, error) {
-	opts := Options{
+	out, err := Run(tb, job, Options{
 		OnFinding:           func(fuzz.Finding) { obs.Finding() },
 		OnPhase:             obs.Phase,
 		FlightRecorderDepth: int(fleetRecorderDepth.Load()),
-		FrameBudget:         job.Frames,
-	}
-	if job.FuzzMode == fleet.ModeCoverage {
-		res, err := RunCovFuzzWith(tb, job.Budget, job.Seed, opts, CovFuzzOptions{})
-		if err != nil {
-			return FleetOutcome{}, err
-		}
-		obs.Packets(res.PacketsSent)
-		obs.SimTime(res.Elapsed)
-		return FleetOutcome{CovFuzz: res}, nil
-	}
-	if job.Baseline {
-		res, err := RunVFuzzWith(tb, job.Budget, job.Seed, opts)
-		if err != nil {
-			return FleetOutcome{}, err
-		}
-		obs.Packets(res.PacketsSent)
-		obs.SimTime(res.Elapsed)
-		return FleetOutcome{Baseline: res}, nil
-	}
-	c, err := RunZCoverWith(tb, job.Strategy, job.Budget, job.Seed, opts)
+	})
 	if err != nil {
 		return FleetOutcome{}, err
 	}
-	obs.Packets(c.Fuzz.PacketsSent)
-	obs.SimTime(c.Fuzz.Elapsed)
-	return FleetOutcome{Campaign: c}, nil
+	res := out.Fuzz()
+	obs.Packets(res.PacketsSent)
+	obs.SimTime(res.Elapsed)
+	return out, nil
 }
 
 // runCampaigns executes the jobs through the fleet with all-or-nothing

@@ -42,7 +42,7 @@ D5  256          256        0           45            53          10           0
 VFuzz covers the whole 256-value CMDCL range; ZCover prioritises the
 45 known+unknown CMDCLs and the 53 validated commands.
 `
-	tbl, _, err := Table5(fleetTestBudget)
+	tbl, _, err := Table5(fleetTestBudget, fleet.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +55,11 @@ VFuzz covers the whole 256-value CMDCL range; ZCover prioritises the
 // acceptance criterion: the sequential fallback and the parallel pool
 // produce the same bytes for fixed seeds.
 func TestTable5FleetByteIdenticalAcrossWorkers(t *testing.T) {
-	seqTbl, seqRows, err := Table5Fleet(fleetTestBudget, fleet.Config{Workers: 1})
+	seqTbl, seqRows, err := Table5(fleetTestBudget, fleet.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parTbl, parRows, err := Table5Fleet(fleetTestBudget, fleet.Config{Workers: 8})
+	parTbl, parRows, err := Table5(fleetTestBudget, fleet.Config{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +73,11 @@ func TestTable5FleetByteIdenticalAcrossWorkers(t *testing.T) {
 }
 
 func TestTable6FleetByteIdenticalAcrossWorkers(t *testing.T) {
-	seqTbl, seqRows, err := Table6Fleet(30*time.Minute, fleet.Config{Workers: 1})
+	seqTbl, seqRows, err := Table6(30*time.Minute, fleet.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parTbl, parRows, err := Table6Fleet(30*time.Minute, fleet.Config{Workers: 8})
+	parTbl, parRows, err := Table6(30*time.Minute, fleet.Config{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +91,11 @@ func TestTable6FleetByteIdenticalAcrossWorkers(t *testing.T) {
 }
 
 func TestFig12FleetByteIdenticalAcrossWorkers(t *testing.T) {
-	seqCSVs, seqSeries, err := Fig12Fleet(30*time.Minute, 400*time.Second, fleet.Config{Workers: 1})
+	seqCSVs, seqSeries, err := Fig12(30*time.Minute, 400*time.Second, fleet.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parCSVs, parSeries, err := Fig12Fleet(30*time.Minute, 400*time.Second, fleet.Config{Workers: 8})
+	parCSVs, parSeries, err := Fig12(30*time.Minute, 400*time.Second, fleet.Config{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +113,11 @@ func TestFig12FleetByteIdenticalAcrossWorkers(t *testing.T) {
 }
 
 func TestRunTrialsFleetMatchesSequential(t *testing.T) {
-	seq, err := RunTrialsFleet("D1", 3, fleetTestBudget, 300, fleet.Config{Workers: 1})
+	seq, err := RunTrials("D1", 3, fleetTestBudget, 300, fleet.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunTrialsFleet("D1", 3, fleetTestBudget, 300, fleet.Config{Workers: 4})
+	par, err := RunTrials("D1", 3, fleetTestBudget, 300, fleet.Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,13 +134,13 @@ func TestCampaignsDetachBusObservers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunZCover(tb, fuzz.StrategyFull, time.Minute, 41); err != nil {
+	if _, err := Run(tb, fleet.Job{Strategy: fuzz.StrategyFull, Budget: time.Minute, Seed: 41}, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if n := tb.Bus.Subscribers(); n != 0 {
 		t.Errorf("%d observers leaked after a ZCover campaign", n)
 	}
-	if _, err := RunVFuzz(tb, time.Minute, 41); err != nil {
+	if _, err := Run(tb, fleet.Job{Baseline: true, Budget: time.Minute, Seed: 41}, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if n := tb.Bus.Subscribers(); n != 0 {

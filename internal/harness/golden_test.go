@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"zcover/internal/fleet"
 	"zcover/internal/testbed"
 	"zcover/internal/zcover/fuzz"
 )
@@ -19,10 +20,11 @@ func TestGoldenD1DiscoverySequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := RunZCover(tb, fuzz.StrategyFull, time.Hour, deviceSeed("D1"))
+	out, err := Run(tb, fleet.Job{Strategy: fuzz.StrategyFull, Budget: time.Hour, Seed: deviceSeed("D1")}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := out.Campaign
 	want := []struct {
 		signature string
 		packets   int

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"zcover/internal/fleet"
 	"zcover/internal/ids"
 	"zcover/internal/oracle"
 	"zcover/internal/serialapi"
@@ -37,10 +38,11 @@ func TestGrandIntegration(t *testing.T) {
 	}
 
 	// The attack campaign.
-	c, err := RunZCover(tb, fuzz.StrategyFull, time.Hour, 90)
+	out, err := Run(tb, fleet.Job{Strategy: fuzz.StrategyFull, Budget: time.Hour, Seed: 90}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := out.Campaign
 	if len(c.Fuzz.Findings) < 12 {
 		t.Fatalf("campaign found %d bugs", len(c.Fuzz.Findings))
 	}

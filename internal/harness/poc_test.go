@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"zcover/internal/fleet"
 	"zcover/internal/testbed"
 	"zcover/internal/zcover/fuzz"
 )
@@ -58,10 +59,11 @@ func TestBugLogRoundTripAndReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := RunZCover(tb, fuzz.StrategyFull, 30*time.Minute, 62)
+	out, err := Run(tb, fleet.Job{Strategy: fuzz.StrategyFull, Budget: 30 * time.Minute, Seed: 62}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := out.Campaign
 	if len(c.Fuzz.Findings) == 0 {
 		t.Fatal("campaign found nothing")
 	}

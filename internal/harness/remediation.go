@@ -24,14 +24,9 @@ type RemediationRow struct {
 // ZCover campaign against firmware built on the updated specification
 // (the one the Z-Wave Alliance incorporates the paper's findings into)
 // and show that only the implementation bugs — which need vendor SDK
-// fixes, not spec changes — survive.
-func Remediation(devices []string, duration time.Duration) (*report.Table, []RemediationRow, error) {
-	return RemediationFleet(devices, duration, fleet.Config{})
-}
-
-// RemediationFleet is Remediation with the stock and patched campaigns
+// fixes, not spec changes — survive. The stock and patched campaigns are
 // scheduled across a fleet worker pool.
-func RemediationFleet(devices []string, duration time.Duration, cfg fleet.Config) (*report.Table, []RemediationRow, error) {
+func Remediation(devices []string, duration time.Duration, cfg fleet.Config) (*report.Table, []RemediationRow, error) {
 	if len(devices) == 0 {
 		devices = []string{"D1", "D6"}
 	}

@@ -3,10 +3,12 @@ package harness
 import (
 	"testing"
 	"time"
+
+	"zcover/internal/fleet"
 )
 
 func TestRemediationClosesSpecBugs(t *testing.T) {
-	_, rows, err := Remediation([]string{"D1", "D6"}, 2*time.Hour)
+	_, rows, err := Remediation([]string{"D1", "D6"}, 2*time.Hour, fleet.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // run, at workers=1 and workers=8 alike. Profilers that feed back into
 // campaign state would surface here first.
 func TestTable5ByteIdenticalWithProfiling(t *testing.T) {
-	bare, _, err := Table5Fleet(fleetTestBudget, fleet.Config{Workers: 1})
+	bare, _, err := Table5(fleetTestBudget, fleet.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestTable5ByteIdenticalWithProfiling(t *testing.T) {
 	defer restore()
 	for _, workers := range []int{1, 8} {
 		tl := obs.NewTimeline()
-		profTbl, _, err := Table5Fleet(fleetTestBudget, fleet.Config{Workers: workers, Timeline: tl})
+		profTbl, _, err := Table5(fleetTestBudget, fleet.Config{Workers: workers, Timeline: tl})
 		if err != nil {
 			t.Fatal(err)
 		}

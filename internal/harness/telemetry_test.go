@@ -29,7 +29,7 @@ func fullTelemetryConfig(workers int, traceSink io.Writer) fleet.Config {
 // metrics registry, flight recorder, span tracer — must not perturb
 // Table V by a single byte, at any worker count.
 func TestTable5ByteIdenticalWithTelemetryAcrossWorkers(t *testing.T) {
-	baseTbl, _, err := Table5Fleet(fleetTestBudget, fleet.Config{Workers: 1})
+	baseTbl, _, err := Table5(fleetTestBudget, fleet.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestTable5ByteIdenticalWithTelemetryAcrossWorkers(t *testing.T) {
 	defer SetFleetRecorderDepth(0)
 	for _, workers := range []int{1, 8} {
 		var traces bytes.Buffer
-		tbl, _, err := Table5Fleet(fleetTestBudget, fullTelemetryConfig(workers, &traces))
+		tbl, _, err := Table5(fleetTestBudget, fullTelemetryConfig(workers, &traces))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestTable5ByteIdenticalWithTelemetryAcrossWorkers(t *testing.T) {
 }
 
 func TestTable6ByteIdenticalWithTelemetryAcrossWorkers(t *testing.T) {
-	baseTbl, _, err := Table6Fleet(fleetTestBudget, fleet.Config{Workers: 1})
+	baseTbl, _, err := Table6(fleetTestBudget, fleet.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestTable6ByteIdenticalWithTelemetryAcrossWorkers(t *testing.T) {
 	defer SetFleetRecorderDepth(0)
 	for _, workers := range []int{1, 8} {
 		var traces bytes.Buffer
-		tbl, _, err := Table6Fleet(fleetTestBudget, fullTelemetryConfig(workers, &traces))
+		tbl, _, err := Table6(fleetTestBudget, fullTelemetryConfig(workers, &traces))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,12 +86,13 @@ func TestFlightRecorderAttachesTracesToFindings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := RunZCoverWith(tb, fuzz.StrategyFull, fleetTestBudget, 41, Options{
+	out, err := Run(tb, fleet.Job{Strategy: fuzz.StrategyFull, Budget: fleetTestBudget, Seed: 41}, Options{
 		FlightRecorderDepth: telemetry.DefaultFlightDepth,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := out.Campaign
 	if len(c.Fuzz.Findings) == 0 {
 		t.Fatal("campaign found nothing; cannot exercise traces")
 	}
@@ -124,10 +125,11 @@ func TestFlightRecorderAttachesTracesToFindings(t *testing.T) {
 	}
 
 	// The deferred detach must leave the medium clean for testbed reuse.
-	plain, err := RunZCover(tb, fuzz.StrategyFull, time.Minute, 41)
+	out, err = Run(tb, fleet.Job{Strategy: fuzz.StrategyFull, Budget: time.Minute, Seed: 41}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	plain := out.Campaign
 	for _, f := range plain.Fuzz.Findings {
 		if len(f.Trace) != 0 {
 			t.Error("recorder leaked into a later campaign without one")
@@ -146,10 +148,11 @@ func TestRecorderAndTracerDoNotPerturbFindings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := RunZCoverWith(tb, fuzz.StrategyFull, fleetTestBudget, 7, opts)
+		out, err := Run(tb, fleet.Job{Strategy: fuzz.StrategyFull, Budget: fleetTestBudget, Seed: 7}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		c := out.Campaign
 		return c.Fuzz
 	}
 

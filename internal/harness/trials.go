@@ -26,15 +26,10 @@ type TrialSummary struct {
 
 // RunTrials executes n full-ZCover campaigns against the same device,
 // each on a freshly built testbed (as re-flashing/rebooting the device
-// does in the paper's methodology), with per-trial seeds.
-func RunTrials(index string, n int, duration time.Duration, baseSeed int64) (TrialSummary, error) {
-	return RunTrialsFleet(index, n, duration, baseSeed, fleet.Config{})
-}
-
-// RunTrialsFleet is RunTrials with the trials scheduled across a fleet
-// worker pool. Trial seeds are fixed up front, so the summary is identical
-// for any worker count.
-func RunTrialsFleet(index string, n int, duration time.Duration, baseSeed int64, cfg fleet.Config) (TrialSummary, error) {
+// does in the paper's methodology), with per-trial seeds. The trials are
+// scheduled across a fleet worker pool; trial seeds are fixed up front, so
+// the summary is identical for any worker count.
+func RunTrials(index string, n int, duration time.Duration, baseSeed int64, cfg fleet.Config) (TrialSummary, error) {
 	if n <= 0 {
 		return TrialSummary{}, fmt.Errorf("harness: trials must be positive, got %d", n)
 	}

@@ -3,6 +3,8 @@ package harness
 import (
 	"testing"
 	"time"
+
+	"zcover/internal/fleet"
 )
 
 func TestRunTrialsStableAcrossSeeds(t *testing.T) {
@@ -11,7 +13,7 @@ func TestRunTrialsStableAcrossSeeds(t *testing.T) {
 	}
 	// Three 4-hour trials: enough budget that every D1 bug is reached in
 	// each trial, so the discovery must be seed-stable.
-	sum, err := RunTrials("D1", 3, 4*time.Hour, 100)
+	sum, err := RunTrials("D1", 3, 4*time.Hour, 100, fleet.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +31,7 @@ func TestRunTrialsStableAcrossSeeds(t *testing.T) {
 }
 
 func TestRunTrialsRejectsBadCount(t *testing.T) {
-	if _, err := RunTrials("D1", 0, time.Hour, 1); err == nil {
+	if _, err := RunTrials("D1", 0, time.Hour, 1, fleet.Config{}); err == nil {
 		t.Fatal("accepted zero trials")
 	}
 }

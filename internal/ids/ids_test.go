@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"zcover/internal/fleet"
 	"zcover/internal/harness"
 	"zcover/internal/testbed"
 	"zcover/internal/zcover/dongle"
@@ -134,7 +135,8 @@ func TestIgnoresOtherNetworks(t *testing.T) {
 
 func TestFullFuzzingCampaignIsLoudlyVisible(t *testing.T) {
 	tb, mon := trainedMonitor(t, "D1")
-	if _, err := harness.RunZCover(tb, fuzz.StrategyFull, 10*time.Minute, 1); err != nil {
+	job := fleet.Job{Strategy: fuzz.StrategyFull, Budget: 10 * time.Minute, Seed: 1}
+	if _, err := harness.Run(tb, job, harness.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	alerts := mon.Alerts()

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"zcover/internal/fleet"
 	"zcover/internal/harness"
 	"zcover/internal/testbed"
 	"zcover/internal/zcover/fuzz"
@@ -25,11 +26,11 @@ func lossyCampaign(t *testing.T, lossP, noiseP float64, impairSeed int64, budget
 		t.Fatal(err)
 	}
 	tb.Medium.SetImpairments(lossP, noiseP, impairSeed)
-	c, err := harness.RunZCover(tb, fuzz.StrategyFull, budget, 55)
+	out, err := harness.Run(tb, fleet.Job{Strategy: fuzz.StrategyFull, Budget: budget, Seed: 55}, harness.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c.Fuzz
+	return out.Campaign.Fuzz
 }
 
 func TestCampaignSurvivesPacketLoss(t *testing.T) {

@@ -83,8 +83,12 @@ type Config struct {
 	PingAttempts int
 	// FrameBudget, when positive, caps the number of test packets the
 	// campaign may inject; the engine stops at whichever of Duration and
-	// FrameBudget runs out first. This is how the coverage-guided and
-	// generational engines are compared at an equal frame budget.
+	// FrameBudget runs out first. A test cycle costs a little over 500 ms
+	// of simulated time, so a cap of Duration/500ms is never reached. A
+	// lower cap starves the generational engine, whose per-class windows
+	// come from Duration: with a 7,200-frame cap under a 24 h Duration it
+	// found 910 unique bugs against the coverage engine's 946 over 70
+	// clean campaigns (EXPERIMENTS.md).
 	FrameBudget int
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"zcover/internal/fleet"
 	"zcover/internal/harness"
 	"zcover/internal/testbed"
 	"zcover/internal/zcover/fuzz"
@@ -79,10 +80,11 @@ func TestMinimizeCampaignFindings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := harness.RunZCover(tb, fuzz.StrategyFull, 30*time.Minute, 75)
+	out, err := harness.Run(tb, fleet.Job{Strategy: fuzz.StrategyFull, Budget: 30 * time.Minute, Seed: 75}, harness.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := out.Campaign
 	m := minimize.New("D1", 76)
 	minimised := 0
 	for _, f := range c.Fuzz.Findings {

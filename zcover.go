@@ -19,19 +19,20 @@
 //
 //	tb, err := zcover.NewTestbed("D6", 1)
 //	if err != nil { ... }
-//	campaign, err := zcover.Run(tb, zcover.StrategyFull, time.Hour, 1)
-//	for _, f := range campaign.Fuzz.Findings {
+//	job := zcover.FleetJob{Strategy: zcover.StrategyFull, Budget: time.Hour, Seed: 1}
+//	out, err := zcover.Run(tb, job, zcover.Options{})
+//	for _, f := range out.Campaign.Fuzz.Findings {
 //	    fmt.Println(f.Elapsed, f.Signature)
 //	}
 //
-// Every table and figure of the paper's evaluation can be regenerated with
-// the experiment drivers (Table3, Table4, Table5, Table6, Fig5, Fig12) or
-// the cmd/experiments binary.
+// The job selects the engine: Baseline runs VFuzz, FuzzMode
+// FuzzModeCoverage the coverage-guided engine. Every table and figure of
+// the paper's evaluation can be regenerated with the experiment drivers
+// (Table3, Table4, Table5, Table6, Fig5, Fig12) or the cmd/experiments
+// binary.
 package zcover
 
 import (
-	"time"
-
 	"zcover/internal/chaos"
 	"zcover/internal/coverage"
 	"zcover/internal/fleet"
@@ -73,10 +74,16 @@ type (
 	FleetConfig = fleet.Config
 	// FleetProgress is an atomic snapshot of a running campaign fleet.
 	FleetProgress = fleet.Progress
-	// FleetJob is one self-contained campaign spec for the scheduler.
+	// FleetJob is one self-contained campaign spec: Run's input and the
+	// scheduler's unit of work.
 	FleetJob = fleet.Job
+	// Outcome is one campaign's result: exactly one of Campaign (ZCover),
+	// Baseline (VFuzz) or CovFuzz (coverage-guided) is set, and Fuzz()
+	// returns the fuzzing result of any kind.
+	Outcome = harness.FleetOutcome
 	// Options attaches observability (finding callback, packet flight
-	// recorder, phase tracer) to a campaign run.
+	// recorder, phase tracer) to a campaign run, plus the corpus journal
+	// of a coverage-guided one.
 	Options = harness.Options
 	// TraceFrame is one serialised flight-recorder frame in a bug log.
 	TraceFrame = fuzz.TraceFrame
@@ -102,10 +109,7 @@ type (
 	CovResult = fuzz.CovResult
 	// CoverageStats is a behavioral-coverage map snapshot.
 	CoverageStats = coverage.Stats
-	// CovFuzzOptions configures the coverage-guided pipeline's corpus
-	// side: journal directory, resume, seed minimisation.
-	CovFuzzOptions = harness.CovFuzzOptions
-	// CovFuzzRow is one device's engine comparison at equal frame budget.
+	// CovFuzzRow is one device's engine comparison under the same budget.
 	CovFuzzRow = harness.CovFuzzRow
 )
 
@@ -137,6 +141,10 @@ const (
 	StrategyRandom = fuzz.StrategyRandom
 )
 
+// FuzzModeCoverage is the FleetJob.FuzzMode that selects the
+// coverage-guided engine in place of the generational one.
+const FuzzModeCoverage = fleet.ModeCoverage
+
 // NewTestbed assembles the simulated smart home around the controller with
 // the given testbed index ("D1".."D7", per Table II). seed drives pairing
 // entropy deterministically.
@@ -151,64 +159,29 @@ func NewPatchedTestbed(index string, seed int64) (*Testbed, error) {
 	return testbed.NewPatched(index, seed)
 }
 
-// Run executes the full ZCover pipeline — fingerprinting, discovery, and
-// fuzzing for the given budget — against the testbed's controller.
-func Run(tb *Testbed, strategy Strategy, duration time.Duration, seed int64) (*Campaign, error) {
-	return harness.RunZCover(tb, strategy, duration, seed)
+// Run executes one campaign against the testbed's controller: the
+// fingerprinting scan, unknown-class discovery, and fuzzing for the job's
+// budget on the engine the job selects (see harness.Run).
+func Run(tb *Testbed, job FleetJob, opts Options) (Outcome, error) {
+	return harness.Run(tb, job, opts)
 }
 
-// RunObserved is Run with a callback invoked live for each new unique
-// finding (interactive progress).
-func RunObserved(tb *Testbed, strategy Strategy, duration time.Duration, seed int64, onFinding func(Finding)) (*Campaign, error) {
-	return harness.RunZCoverObserved(tb, strategy, duration, seed, onFinding)
-}
-
-// RunWith is Run with observability attachments: a live finding callback,
-// a packet flight recorder whose snapshots ride on each finding, and a
-// span tracer for the pipeline phases. The zero Options value makes it
-// identical to Run.
-func RunWith(tb *Testbed, strategy Strategy, duration time.Duration, seed int64, opts Options) (*Campaign, error) {
-	return harness.RunZCoverWith(tb, strategy, duration, seed, opts)
-}
-
-// RunResumable is RunWith behind a crash-safe checkpoint journal in dir: a
-// campaign already journaled for the same key is replayed byte-identically
-// (resumed=true) instead of re-executing, and a fresh run journals its
-// outcome before returning. An existing journal is refused unless resume
-// is set, so a campaign is never double-run by accident.
+// RunResumable is a ZCover Run behind a crash-safe checkpoint journal in
+// dir: a campaign already journaled for the same key is replayed
+// byte-identically (resumed=true) instead of re-executing, and a fresh run
+// journals its outcome before returning. An existing journal is refused
+// unless resume is set, so a campaign is never double-run by accident.
 func RunResumable(dir string, resume bool, key CampaignKey, tb *Testbed, opts Options) (*Campaign, bool, error) {
 	return harness.RunZCoverResumable(dir, resume, key, tb, opts)
-}
-
-// RunCoverage executes the coverage-guided pipeline — fingerprinting,
-// discovery, then the behavioral-coverage-guided engine with a
-// deterministic corpus — against the testbed's controller.
-func RunCoverage(tb *Testbed, duration time.Duration, seed int64) (*CovResult, error) {
-	return harness.RunCovFuzz(tb, duration, seed)
-}
-
-// RunCoverageWith is RunCoverage with observability attachments plus the
-// corpus configuration: crash-safe corpus journaling under a directory
-// (resumable) and optional seed minimisation.
-func RunCoverageWith(tb *Testbed, duration time.Duration, seed int64, opts Options, covOpts CovFuzzOptions) (*CovResult, error) {
-	return harness.RunCovFuzzWith(tb, duration, seed, opts, covOpts)
-}
-
-// RunBaseline executes the VFuzz baseline against the testbed's controller
-// for the given budget.
-func RunBaseline(tb *Testbed, duration time.Duration, seed int64) (*Result, error) {
-	return harness.RunVFuzz(tb, duration, seed)
-}
-
-// RunBaselineWith is RunBaseline with observability attachments.
-func RunBaselineWith(tb *Testbed, duration time.Duration, seed int64, opts Options) (*Result, error) {
-	return harness.RunVFuzzWith(tb, duration, seed, opts)
 }
 
 // PaperBugs returns the paper's Table III vulnerability catalogue.
 func PaperBugs() []PaperBug { return harness.PaperBugs() }
 
 // Experiment drivers, one per table and figure of the evaluation section.
+// The campaign drivers schedule across a fleet worker pool (FleetConfig);
+// their output is identical for any worker count, since each campaign is
+// independently seeded on its own testbed.
 var (
 	// Fig1 dissects the Figure 1 example frame.
 	Fig1 = harness.Fig1
@@ -230,30 +203,12 @@ var (
 	Table6 = harness.Table6
 	// Remediation validates the §V-B specification-update mitigation.
 	Remediation = harness.Remediation
-)
-
-// Fleet-scheduled experiment drivers: identical output to the plain
-// drivers for any worker count (each campaign is independently seeded on
-// its own testbed), with the scheduling knobs exposed.
-var (
-	// Table3Fleet reruns the zero-day discovery campaign across a pool.
-	Table3Fleet = harness.Table3Fleet
-	// Table4Fleet reruns fingerprinting and discovery across a pool.
-	Table4Fleet = harness.Table4Fleet
-	// Table5Fleet reruns the VFuzz comparison across a pool.
-	Table5Fleet = harness.Table5Fleet
-	// Table6Fleet reruns the ablation study across a pool.
-	Table6Fleet = harness.Table6Fleet
-	// Fig12Fleet regenerates the detection timelines across a pool.
-	Fig12Fleet = harness.Fig12Fleet
-	// RemediationFleet validates the §V-B mitigation across a pool.
-	RemediationFleet = harness.RemediationFleet
-	// RunTrialsFleet repeats full campaigns against one device across a pool.
-	RunTrialsFleet = harness.RunTrialsFleet
+	// RunTrials repeats full campaigns against one device.
+	RunTrials = harness.RunTrials
 	// ChaosTable5 reruns the Table V ZCover campaigns under impairment
 	// profiles and reports detection-robustness deltas.
 	ChaosTable5 = harness.ChaosTable5
 	// CovFuzzTable compares the coverage-guided engine against the
-	// generational engine at an equal frame budget across a pool.
+	// generational engine under the same budget.
 	CovFuzzTable = harness.CovFuzzTable
 )

@@ -12,10 +12,11 @@ func TestPublicAPIQuickCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := zcover.Run(tb, zcover.StrategyFull, 30*time.Minute, 1)
+	out, err := zcover.Run(tb, zcover.FleetJob{Strategy: zcover.StrategyFull, Budget: 30 * time.Minute, Seed: 1}, zcover.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := out.Campaign
 	if c.Fingerprint.Home.String() != "E7DE3F3D" {
 		t.Errorf("fingerprinted home %s", c.Fingerprint.Home)
 	}
@@ -43,11 +44,11 @@ func TestPublicAPIBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := zcover.RunBaseline(tb, time.Hour, 2)
+	out, err := zcover.Run(tb, zcover.FleetJob{Baseline: true, Budget: time.Hour, Seed: 2}, zcover.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ClassesCovered != 256 {
+	if res := out.Baseline; res.ClassesCovered != 256 {
 		t.Errorf("baseline coverage = %d", res.ClassesCovered)
 	}
 }
