@@ -212,6 +212,18 @@ func buildParam(xp xmlParam) (Param, error) {
 			}
 			p.Values = append(p.Values, v)
 		}
+		// The mutator's rand-invalid operator needs an illegal value.
+		var listed [256]bool
+		distinct := 0
+		for _, v := range p.Values {
+			if !listed[v] {
+				listed[v] = true
+				distinct++
+			}
+		}
+		if distinct == len(listed) {
+			return Param{}, fmt.Errorf("enum param %q lists all 256 byte values, leaving no illegal value", xp.Name)
+		}
 	}
 	return p, nil
 }

@@ -1,6 +1,7 @@
 package cmdclass
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -228,6 +229,30 @@ func TestParseRejectsBadDocuments(t *testing.T) {
 		if _, err := Parse([]byte(doc)); err == nil {
 			t.Errorf("%s: Parse accepted invalid document", name)
 		}
+	}
+}
+
+// An enum that lists every byte leaves the rand-invalid operator nothing
+// to draw; Parse must reject it and name the param, while one value short
+// of that is a valid spec.
+func TestParseRejectsEnumListingEveryByte(t *testing.T) {
+	doc := func(values int) []byte {
+		vals := make([]string, values)
+		for i := range vals {
+			vals[i] = fmt.Sprintf("0x%02X", i)
+		}
+		return []byte(`<zwave_command_classes><cmd_class key="0x20" name="A" category="application" scope="slave"><cmd key="0x01" name="X" type="controlling"><param name="Mode" type="enum" values="` +
+			strings.Join(vals, ",") + `"/></cmd></cmd_class></zwave_command_classes>`)
+	}
+	_, err := Parse(doc(256))
+	if err == nil {
+		t.Fatal("Parse accepted an enum listing all 256 byte values")
+	}
+	if !strings.Contains(err.Error(), `"Mode"`) {
+		t.Fatalf("error does not name the param: %v", err)
+	}
+	if _, err := Parse(doc(255)); err != nil {
+		t.Fatalf("Parse rejected a 255-value enum: %v", err)
 	}
 }
 

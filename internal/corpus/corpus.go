@@ -204,9 +204,7 @@ func (m *Manager) stream(id cmdclass.ClassID) *mutate.Stream {
 	// The corpus stream continues where the engine's exploration already
 	// walked: skip the quick prefix so variants draw from the structural
 	// and positional passes instead of repeating the bare commands.
-	for n := st.QuickSize(); n > 0; n-- {
-		st.Next()
-	}
+	st.Seek(st.QuickSize())
 	m.streams[id] = st
 	return st
 }
@@ -229,7 +227,10 @@ func mix(x uint64) uint64 {
 // the seed class's position-sensitive mutation stream (the mutate reuse:
 // spec-aware structural, positional, and correlation operators); the rest
 // are havoc edits of the seed payload — byte pools, bit flips, truncation,
-// growth — derived purely from (campaignSeed, seed.ID, k).
+// growth — derived purely from (campaignSeed, seed.ID, k). A stream draw
+// is the stream's reused buffer (see mutate.Stream.Next): it is valid
+// until the next Variant, and a caller that keeps it copies it, as Admit
+// does.
 func (m *Manager) Variant(s *Seed, k int) []byte {
 	mVariants.Inc()
 	if k%4 == 3 && len(s.Payload) >= 1 {

@@ -192,7 +192,7 @@ func (e *CovEngine) covTest(payload []byte) error {
 	if len(payload) >= 2 && e.crashedCmds[[2]byte{payload[0], payload[1]}] {
 		return nil // known hang: the generational engine filters these too
 	}
-	key := string(payload)
+	key := string(payload) // a copy: payload may be a reused stream buffer
 	if e.tested[key] {
 		mCovDeduped.Inc()
 		return nil

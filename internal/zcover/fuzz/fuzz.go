@@ -401,7 +401,7 @@ func (e *Engine) drainEvents(res *Result, payload []byte, elapsed time.Duration,
 		finding := Finding{
 			Signature:      sig,
 			Event:          ev,
-			TriggerPayload: append([]byte{}, payload...),
+			TriggerPayload: append([]byte{}, payload...), // payload is a reused stream buffer
 			Packets:        res.PacketsSent,
 			Elapsed:        elapsed,
 		}

@@ -68,7 +68,7 @@ func TestSurfaceReachesMemoryTamperShapes(t *testing.T) {
 	s := m.Stream(classOf(t, cmdclass.ClassZWaveProtocol))
 	var surface [][]byte
 	for i := 0; i < s.SurfaceSize(); i++ {
-		surface = append(surface, s.Next())
+		surface = append(surface, append([]byte{}, s.Next()...))
 	}
 	contains := func(pred func(p []byte) bool) bool {
 		for _, p := range surface {
@@ -109,7 +109,7 @@ func TestSurfaceBoundaryValuesForRanges(t *testing.T) {
 	m := testMutator()
 	proto := classOf(t, cmdclass.ClassZWaveProtocol)
 	cmd, _ := proto.Command(cmdclass.CmdProtoFindNodesInRange)
-	pool := m.pool(cmd.Params[0]) // range 0..29
+	pool := m.appendPool(nil, cmd.Params[0]) // range 0..29
 	want := []byte{0, 29, 30, 0xFF}
 	for _, w := range want {
 		found := false
@@ -126,7 +126,7 @@ func TestSurfaceBoundaryValuesForRanges(t *testing.T) {
 
 func TestNodeIDPoolContainsSemanticsAndInteresting(t *testing.T) {
 	m := testMutator()
-	pool := m.nodeIDPool()
+	pool := m.nodeIDs
 	// Known slaves first, controller after them, then interesting IDs.
 	if pool[0] != 0x02 || pool[1] != 0x03 {
 		t.Fatalf("pool starts %v, want known slaves first", pool[:2])
@@ -154,7 +154,7 @@ func TestNodeIDPoolContainsSemanticsAndInteresting(t *testing.T) {
 
 func TestCorrelationPoolPutsUnknownIDsFirst(t *testing.T) {
 	m := testMutator()
-	pool := m.correlationNodeIDs()
+	pool := m.corrNodeIDs
 	known := map[byte]bool{0x01: true, 0x02: true, 0x03: true}
 	boundary := -1
 	for i, v := range pool {
@@ -176,7 +176,7 @@ func TestCorrelationPoolPutsUnknownIDsFirst(t *testing.T) {
 func TestEnumPoolIncludesIllegalValue(t *testing.T) {
 	m := testMutator()
 	p := cmdclass.Param{Kind: cmdclass.ParamEnum, Values: []byte{0x00, 0xFF}}
-	pool := m.pool(p)
+	pool := m.appendPool(nil, p)
 	hasIllegal := false
 	for _, v := range pool {
 		if !p.Legal(v) {
@@ -185,6 +185,20 @@ func TestEnumPoolIncludesIllegalValue(t *testing.T) {
 	}
 	if !hasIllegal {
 		t.Fatalf("enum pool %v has no illegal value (rand invalid operator)", pool)
+	}
+}
+
+func TestInvalidEnumValueTerminates(t *testing.T) {
+	all := make([]byte, 256)
+	for i := range all {
+		all[i] = byte(i)
+	}
+	if v, ok := invalidEnumValue(cmdclass.Param{Kind: cmdclass.ParamEnum, Values: all}); ok {
+		t.Fatalf("found illegal value %#02x in an enum listing every byte", v)
+	}
+	// 0x00..0xFD legal: the search down from 0xFD wraps past 0x00 to 0xFF.
+	if v, ok := invalidEnumValue(cmdclass.Param{Kind: cmdclass.ParamEnum, Values: all[:0xFE]}); !ok || v != 0xFF {
+		t.Fatalf("invalidEnumValue = %#02x, %v; want 0xFF, true", v, ok)
 	}
 }
 
