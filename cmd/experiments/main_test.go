@@ -13,6 +13,7 @@ import (
 	"zcover/internal/coord"
 	"zcover/internal/fleet"
 	"zcover/internal/harness"
+	"zcover/internal/obs"
 	"zcover/internal/telemetry"
 )
 
@@ -142,25 +143,35 @@ func TestRunUnknownExperiment(t *testing.T) {
 // TestScalingCLI drives -run scaling end to end at a tiny budget: the
 // report file must gate cleanly against itself, and the printed table must
 // carry the ranked bottleneck section.
+// TestScalingCLI checks the sweep's wiring: the table and ranking are
+// printed, -scaling-out writes a readable report, and -scaling-baseline
+// gates. The gate runs against fixtures whose top point has efficiency
+// 0.01 and 100, which any sweep passes and fails, so host load cannot
+// flip the result; obs TestCheckRegression covers the 10% arithmetic.
 func TestScalingCLI(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "scaling.json")
 	printed := captureStdout(t, func() error {
-		return run([]string{"-run", "scaling", "-fuzz", "30m",
-			"-scaling-workers", "1,2", "-scaling-out", out, "-git-sha", "test"})
+		return run([]string{"-run", "scaling", "-fuzz", "30m", "-scaling-workers", "1,2",
+			"-scaling-baseline", "testdata/scaling-pass.json", "-scaling-out", out, "-git-sha", "test"})
 	})
-	for _, want := range []string{"Fleet scaling", "Ranked serialization sources"} {
+	for _, want := range []string{"Fleet scaling", "Ranked serialization sources",
+		"scaling gate: efficiency within 10% of baseline testdata/scaling-pass.json"} {
 		if !strings.Contains(printed, want) {
 			t.Errorf("scaling output missing %q:\n%s", want, printed)
 		}
 	}
-	// Re-run gating against the report just written: same workload, same
-	// host, so efficiency cannot have regressed 10%.
-	gated := captureStdout(t, func() error {
-		return run([]string{"-run", "scaling", "-fuzz", "30m",
-			"-scaling-workers", "1,2", "-scaling-baseline", out})
+	if rep, err := obs.LoadScalingReport(out); err != nil || len(rep.Points) != 2 {
+		t.Errorf("-scaling-out report: %v, %+v", err, rep)
+	}
+
+	var gateErr error
+	captureStdout(t, func() error {
+		gateErr = run([]string{"-run", "scaling", "-fuzz", "30m", "-scaling-workers", "1,2",
+			"-scaling-baseline", "testdata/scaling-fail.json"})
+		return nil
 	})
-	if !strings.Contains(gated, "scaling gate: efficiency within 10%") {
-		t.Errorf("no gate confirmation in output:\n%s", gated)
+	if gateErr == nil || !strings.Contains(gateErr.Error(), "regressed") {
+		t.Errorf("sweep against an efficiency-100 baseline: %v, want a regression error", gateErr)
 	}
 }
 

@@ -290,6 +290,27 @@ func TestTerminalJobFailureFailsCampaign(t *testing.T) {
 	}
 }
 
+// TestResultsAfterFailureKeepCampaignFailed: uploads that arrive after a
+// job failed terminally still journal, and completing every job does not
+// close the already-closed finished channel or clear the failure.
+func TestResultsAfterFailureKeepCampaignFailed(t *testing.T) {
+	c, _, _ := newTestCoord(t, 2, time.Minute)
+	if _, err := c.Submit(ResultRequest{Worker: "w1", JobIndex: 0, SpecHash: "cafe0123", Error: "boom"}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := c.Submit(uploadBody(i, `{"v":1}`)); err != nil {
+			t.Fatalf("upload %d after failure: %v", i, err)
+		}
+	}
+	if st := c.Status(); st.Done != 2 || st.Failed == "" {
+		t.Fatalf("status = %+v, want 2 done and the failure kept", st)
+	}
+	if err := c.Wait(context.Background()); err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("Wait = %v, want the job failure", err)
+	}
+}
+
 // TestCoordinatorRestartRecoversJournal is the coordinator half of the
 // crash matrix: a restarted coordinator rebuilds completed jobs from its
 // journal and re-leases only the rest.

@@ -426,7 +426,9 @@ func (c *Coordinator) Submit(req ResultRequest) (ResultReply, error) {
 	c.done++
 	c.touchWorker(req.Worker).Results++
 	mResults.Inc()
-	if c.done == len(c.jobs) {
+	// A failed campaign closed finished already; results that arrive
+	// after the failure still journal, but must not close it again.
+	if c.done == len(c.jobs) && c.failure == nil {
 		close(c.finished)
 	}
 	return ResultReply{Status: "accepted"}, nil

@@ -158,12 +158,8 @@ type Config struct {
 	// churn and cache interleaving. The 1→8 worker sweep in
 	// BENCH_scaling.json measured that oversubscription tax at ~7% sim-rate
 	// on a 1-P host, so Run caps the pool at GOMAXPROCS. Results are
-	// byte-identical either way; set AllowOversubscription to measure the
-	// uncapped behavior.
+	// byte-identical at any worker count.
 	Workers int
-	// AllowOversubscription disables the GOMAXPROCS worker cap. The
-	// scaling sweep uses it to quantify the overhead the cap removes.
-	AllowOversubscription bool
 	// MaxAttempts is how many times a failing job is run (each attempt on
 	// a fresh testbed) before it is reported failed. Zero or negative
 	// means DefaultMaxAttempts.
@@ -299,26 +295,16 @@ func (f *Fleet[T]) WithResume(persist func(i int, job Job, res Result[T]) error)
 }
 
 // EffectiveWorkers returns the worker-goroutine count Run will actually
-// use for a fleet of `jobs` jobs: Workers clamped to the job count and —
-// unless AllowOversubscription — to GOMAXPROCS, since extra goroutines on
-// a CPU-bound pool cost sim-rate instead of adding it.
+// use for a fleet of `jobs` jobs: Workers clamped to the job count and to
+// GOMAXPROCS, since extra goroutines on a CPU-bound pool cost sim-rate
+// instead of adding it.
 func (c Config) EffectiveWorkers(jobs int) int {
+	p := runtime.GOMAXPROCS(0)
 	workers := c.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if workers <= 0 || workers > p {
+		workers = p
 	}
-	if !c.AllowOversubscription {
-		if p := runtime.GOMAXPROCS(0); workers > p {
-			workers = p
-		}
-	}
-	if workers > jobs {
-		workers = jobs
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
+	return max(1, min(workers, jobs))
 }
 
 // Run executes the fleet. See the package-level Run.

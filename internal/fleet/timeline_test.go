@@ -19,7 +19,6 @@ func TestEffectiveWorkersCapsAtGomaxprocs(t *testing.T) {
 	}{
 		{fleet.Config{Workers: 1}, 14, 1},
 		{fleet.Config{Workers: p + 7}, 14, min(p, 14)},
-		{fleet.Config{Workers: p + 7, AllowOversubscription: true}, 14, min(p+7, 14)},
 		{fleet.Config{Workers: 8}, 3, min(p, 3)},
 		{fleet.Config{}, 14, min(p, 14)},
 		{fleet.Config{Workers: 5}, 0, 1},

@@ -12,8 +12,9 @@ import (
 // BenchmarkCovFuzz measures one coverage-guided campaign end to end —
 // fingerprint, discovery, then the CovFuzz engine with its behavioral
 // coverage map and in-memory corpus — against D1 at the one-hour budget.
-// Its allocs/op figure gates the new hot path (coverage hooks, corpus
-// admission, variant derivation) via the verify.sh -bench ratchet.
+// No bench/ workload runs this engine, so scripts/bench_gate.sh gates its
+// allocs/op (coverage hooks, corpus admission, variant derivation) against
+// the base commit's.
 func BenchmarkCovFuzz(b *testing.B) {
 	const budget = time.Hour
 	var simSeconds float64

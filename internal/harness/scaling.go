@@ -16,8 +16,7 @@ type ScalingConfig struct {
 	// means exactly that default.
 	Workers []int
 	// Budget is each campaign's simulated fuzzing duration. Zero means one
-	// hour — the same shape as BenchmarkFleetParallelism, so sim-rates are
-	// comparable with BENCH_fleet.json.
+	// hour.
 	Budget time.Duration
 	// GitSHA stamps the report's host info (passed in by scripts; empty is
 	// fine).
@@ -29,8 +28,7 @@ type ScalingConfig struct {
 }
 
 // scalingJobs is the measured workload: the 7-device Table V-style sweep
-// (VFuzz + ZCover per controller, 14 CPU-bound jobs sharing nothing) —
-// identical in shape to BenchmarkFleetParallelism.
+// (VFuzz + ZCover per controller, 14 CPU-bound jobs sharing nothing).
 func scalingJobs(budget time.Duration) []fleet.Job {
 	devices := []string{"D1", "D2", "D3", "D4", "D5", "D6", "D7"}
 	var jobs []fleet.Job
@@ -47,9 +45,9 @@ func scalingJobs(budget time.Duration) []fleet.Job {
 
 // scalingPoint runs the workload once at the given worker count with a
 // timeline attached and converts the run into one report point.
-func scalingPoint(jobs []fleet.Job, workers int, oversubscribe bool) (obs.ScalingPoint, error) {
+func scalingPoint(jobs []fleet.Job, workers int) (obs.ScalingPoint, error) {
 	tl := obs.NewTimeline()
-	cfg := fleet.Config{Workers: workers, AllowOversubscription: oversubscribe, Timeline: tl}
+	cfg := fleet.Config{Workers: workers, Timeline: tl}
 
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -72,7 +70,6 @@ func scalingPoint(jobs []fleet.Job, workers int, oversubscribe bool) (obs.Scalin
 	pt := obs.ScalingPoint{
 		Workers:          workers,
 		EffectiveWorkers: cfg.EffectiveWorkers(len(jobs)),
-		Oversubscribed:   oversubscribe,
 		WallSec:          wall.Seconds(),
 		SimSec:           simSec,
 		Phases:           snap.PhaseShares(),
@@ -86,11 +83,9 @@ func scalingPoint(jobs []fleet.Job, workers int, oversubscribe bool) (obs.Scalin
 
 // ScalingSweep measures the fleet's parallel scaling: it runs the
 // 14-campaign Table V workload at each requested worker count with a
-// worker timeline attached, and — when the largest request exceeds
-// GOMAXPROCS — one extra uncapped point at that count, quantifying the
-// oversubscription tax the fleet's worker cap removes. The returned
-// report has derived efficiencies computed and bottlenecks ranked
-// (Finalize already called); cmd/experiments -run scaling renders it.
+// worker timeline attached. The returned report has derived efficiencies
+// computed and bottlenecks ranked (Finalize already called);
+// cmd/experiments -run scaling renders it.
 //
 // The campaigns themselves are byte-for-byte the deterministic seeds the
 // experiment tables use, so the sweep doubles as a cross-worker-count
@@ -112,22 +107,8 @@ func ScalingSweep(cfg ScalingConfig) (*obs.ScalingReport, error) {
 		Host:     obs.Host(cfg.GitSHA),
 		Campaign: fmt.Sprintf("table5 sweep, %d jobs, %s budget", len(jobs), cfg.Budget),
 	}
-	maxWorkers := 0
 	for _, w := range cfg.Workers {
-		pt, err := scalingPoint(jobs, w, false)
-		if err != nil {
-			return nil, err
-		}
-		rep.Points = append(rep.Points, pt)
-		if w > maxWorkers {
-			maxWorkers = w
-		}
-	}
-	// One raw (uncapped) point when the sweep asked for more workers than
-	// the host can schedule: the delta versus the capped point at the same
-	// count is the measured oversubscription overhead.
-	if maxWorkers > runtime.GOMAXPROCS(0) {
-		pt, err := scalingPoint(jobs, maxWorkers, true)
+		pt, err := scalingPoint(jobs, w)
 		if err != nil {
 			return nil, err
 		}

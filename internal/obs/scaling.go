@@ -36,13 +36,9 @@ func Host(gitSHA string) HostInfo {
 // ScalingPoint is one worker-count measurement of the campaign fleet.
 type ScalingPoint struct {
 	// Workers is the requested worker count; EffectiveWorkers is what the
-	// fleet actually ran after the oversubscription cap.
+	// fleet actually ran after capping at GOMAXPROCS.
 	Workers          int `json:"workers"`
 	EffectiveWorkers int `json:"effective_workers"`
-	// Oversubscribed marks a raw measurement taken with the cap disabled
-	// (fleet.Config.AllowOversubscription) to quantify the overhead the
-	// cap removes.
-	Oversubscribed bool `json:"oversubscribed,omitempty"`
 	// WallSec is the fleet's wall-clock run time; SimSec the simulated
 	// campaign time it delivered; SimRate their ratio (simsec/s).
 	WallSec float64 `json:"wall_sec"`
@@ -66,8 +62,8 @@ type ScalingPoint struct {
 // Bottleneck is one ranked serialization source.
 type Bottleneck struct {
 	Rank int `json:"rank"`
-	// Kind classifies the source: "host-parallelism", "oversubscription",
-	// "phase", "lock", "gc", "imbalance".
+	// Kind classifies the source: "host-parallelism", "phase", "lock",
+	// "gc", "imbalance".
 	Kind string `json:"kind"`
 	// Detail names the concrete source ("fuzz loop", a lock site, ...).
 	Detail string `json:"detail"`
@@ -90,25 +86,24 @@ type ScalingReport struct {
 	Locks []LockSite `json:"locks,omitempty"`
 }
 
-// baseline returns the workers=1 non-oversubscribed point, or nil.
+// baseline returns the first workers=1 point, or nil.
 func (r *ScalingReport) baseline() *ScalingPoint {
 	for i := range r.Points {
-		if r.Points[i].Workers == 1 && !r.Points[i].Oversubscribed {
+		if r.Points[i].Workers == 1 {
 			return &r.Points[i]
 		}
 	}
 	return nil
 }
 
-// maxPoint returns the highest-worker non-oversubscribed point, or nil.
+// maxPoint returns the first point with the highest worker count, or nil.
+// The first wins a tie: reports written before the worker cap became
+// unconditional end with an extra uncapped point at the top count, and
+// the capped point before it is the one to gate on.
 func (r *ScalingReport) maxPoint() *ScalingPoint {
 	var best *ScalingPoint
 	for i := range r.Points {
-		p := &r.Points[i]
-		if p.Oversubscribed {
-			continue
-		}
-		if best == nil || p.Workers > best.Workers {
+		if p := &r.Points[i]; best == nil || p.Workers > best.Workers {
 			best = p
 		}
 	}
@@ -166,32 +161,6 @@ func (r *ScalingReport) rank() {
 		})
 	}
 
-	// Oversubscription overhead: a raw (cap-disabled) point at the same
-	// worker count that is slower than the capped one is pure scheduler
-	// and cache-interleaving tax.
-	for i := range r.Points {
-		raw := &r.Points[i]
-		if !raw.Oversubscribed {
-			continue
-		}
-		for j := range r.Points {
-			capped := &r.Points[j]
-			if capped.Oversubscribed || capped.Workers != raw.Workers {
-				continue
-			}
-			if capped.SimRate > 0 && raw.SimRate < capped.SimRate {
-				loss := 1 - raw.SimRate/capped.SimRate
-				r.Bottlenecks = append(r.Bottlenecks, Bottleneck{
-					Kind:      "oversubscription",
-					Detail:    fmt.Sprintf("%d worker goroutines on %d-way host", raw.Workers, r.Host.Gomaxprocs),
-					WallShare: loss,
-					Evidence: fmt.Sprintf("uncapped fan-out costs %.1f%% sim-rate (%.0f vs %.0f simsec/s); the fleet now caps workers at GOMAXPROCS",
-						loss*100, raw.SimRate, capped.SimRate),
-				})
-			}
-		}
-	}
-
 	// Idle tail (load imbalance / queue starvation): idle share of the
 	// max-worker point's total worker time.
 	{
@@ -247,10 +216,10 @@ func (r *ScalingReport) rank() {
 		}
 	}
 
-	// Rank true serializers (host limits, oversubscription, locks, GC,
-	// imbalance) by wall share; the dominant-phase entry is attribution —
-	// where healthy busy time goes — so it sorts after them. Ties break by
-	// kind then detail for determinism.
+	// Rank true serializers (host limits, locks, GC, imbalance) by wall
+	// share; the dominant-phase entry is attribution — where healthy busy
+	// time goes — so it sorts after them. Ties break by kind then detail
+	// for determinism.
 	sort.SliceStable(r.Bottlenecks, func(i, j int) bool {
 		bi, bj := r.Bottlenecks[i], r.Bottlenecks[j]
 		if (bi.Kind == "phase") != (bj.Kind == "phase") {
@@ -276,11 +245,7 @@ func (r *ScalingReport) Table() string {
 		Headers: []string{"Workers", "Effective", "Wall", "Sim-rate", "Speedup", "Ideal", "Efficiency", "Idle"},
 	}
 	for _, p := range r.Points {
-		w := fmt.Sprintf("%d", p.Workers)
-		if p.Oversubscribed {
-			w += " (raw)"
-		}
-		pts.AddRow(w, fmt.Sprintf("%d", p.EffectiveWorkers),
+		pts.AddRow(fmt.Sprintf("%d", p.Workers), fmt.Sprintf("%d", p.EffectiveWorkers),
 			fmt.Sprintf("%.2fs", p.WallSec),
 			fmt.Sprintf("%.0f simsec/s", p.SimRate),
 			fmt.Sprintf("%.2fx", p.Speedup),

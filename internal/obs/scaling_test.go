@@ -9,7 +9,7 @@ import (
 )
 
 // report builds a 1-P host report shaped like the committed
-// BENCH_scaling.json: flat capped points plus a slower uncapped one.
+// BENCH_scaling.json: flat points, every worker count capped at one.
 func report() *obs.ScalingReport {
 	return &obs.ScalingReport{
 		Host:     obs.HostInfo{GoVersion: "go1.24.0", Gomaxprocs: 1, NumCPU: 1},
@@ -17,8 +17,6 @@ func report() *obs.ScalingReport {
 		Points: []obs.ScalingPoint{
 			{Workers: 1, EffectiveWorkers: 1, WallSec: 10, SimSec: 4000},
 			{Workers: 8, EffectiveWorkers: 1, WallSec: 10, SimSec: 3960},
-			{Workers: 8, EffectiveWorkers: 8, Oversubscribed: true, WallSec: 10, SimSec: 3700,
-				Phases: []obs.PhaseShare{{Phase: obs.PhaseFuzz, WallSec: 8, Share: 0.8}}},
 		},
 	}
 }
@@ -43,7 +41,7 @@ func TestFinalizeDerivesEfficiency(t *testing.T) {
 	}
 }
 
-func TestRankNamesHostParallelismAndOversubscription(t *testing.T) {
+func TestRankNamesHostParallelism(t *testing.T) {
 	r := report()
 	r.Points[1].Phases = []obs.PhaseShare{{Phase: obs.PhaseFuzz, WallSec: 8, Share: 0.8}}
 	r.Finalize()
@@ -58,7 +56,7 @@ func TestRankNamesHostParallelismAndOversubscription(t *testing.T) {
 		}
 		kinds[b.Kind] = true
 	}
-	for _, want := range []string{"host-parallelism", "oversubscription", "phase"} {
+	for _, want := range []string{"host-parallelism", "phase"} {
 		if !kinds[want] {
 			t.Errorf("missing %q bottleneck: %+v", want, r.Bottlenecks)
 		}
@@ -123,11 +121,39 @@ func TestCheckRegression(t *testing.T) {
 	}
 }
 
+// TestCommittedReportGatesOnCappedPoint pins which point of the committed
+// BENCH_scaling.json the nightly gate holds a fresh sweep to: the capped
+// workers=8 point (efficiency 1.009). The report also ends with an
+// uncapped workers=8 point (0.937) from before the cap became
+// unconditional; it decodes as a second workers=8 point and must not
+// become the bar.
+func TestCommittedReportGatesOnCappedPoint(t *testing.T) {
+	base, err := obs.LoadScalingReport("../../BENCH_scaling.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := func(eff float64) *obs.ScalingReport {
+		return &obs.ScalingReport{Points: []obs.ScalingPoint{
+			{Workers: 1, Efficiency: 1},
+			{Workers: 8, Efficiency: eff},
+		}}
+	}
+	// 10% under 1.009 is 0.908: 0.92 passes, and 0.88 — which a 0.937
+	// bar (floor 0.843) would pass — fails.
+	if err := obs.CheckRegression(base, fresh(0.92), 0.10); err != nil {
+		t.Errorf("efficiency 0.92 against the committed report: %v", err)
+	}
+	err = obs.CheckRegression(base, fresh(0.88), 0.10)
+	if err == nil || !strings.Contains(err.Error(), "baseline 1.009") {
+		t.Errorf("efficiency 0.88 against the committed report: %v, want a regression against baseline 1.009", err)
+	}
+}
+
 func TestScalingTableRenders(t *testing.T) {
 	r := report()
 	r.Finalize()
 	out := r.Table()
-	for _, want := range []string{"Fleet scaling", "Ranked serialization sources", "GOMAXPROCS 1", "(raw)"} {
+	for _, want := range []string{"Fleet scaling", "Ranked serialization sources", "GOMAXPROCS 1"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %q:\n%s", want, out)
 		}

@@ -5,21 +5,20 @@
 #   ./scripts/verify.sh          # short suite (fast)
 #   ./scripts/verify.sh -full    # include the 24h-budget campaign tests
 #   ./scripts/verify.sh -fuzz    # also run the fuzz-smoke burst afterwards
-#   ./scripts/verify.sh -bench   # also ratchet allocs/op vs BENCH_fleet.json
+#
+# Allocations are gated change-against-parent by scripts/bench_gate.sh.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 short="-short"
 fuzz=""
-bench=""
 for arg in "$@"; do
     case "$arg" in
     -full) short="" ;;
     -fuzz) fuzz="yes" ;;
-    -bench) bench="yes" ;;
     *)
-        echo "verify.sh: unknown flag $arg (want -full, -fuzz, and/or -bench)" >&2
+        echo "verify.sh: unknown flag $arg (want -full and/or -fuzz)" >&2
         exit 2
         ;;
     esac
@@ -109,63 +108,6 @@ fi
 if [ -n "$fuzz" ]; then
     echo "== fuzz smoke =="
     ./scripts/fuzz_smoke.sh
-fi
-
-if [ -n "$bench" ]; then
-    echo "== allocs/op ratchet (BenchmarkFleetParallelism/workers=1, BenchmarkCovFuzz) =="
-    # Fail when a hot-path benchmark's allocs/op regresses more than 10%
-    # over the committed BENCH_fleet.json figure. allocs/op is used because
-    # it is iteration-exact — unlike ns/op it does not wobble with machine
-    # load, so a 2-iteration run gates reliably.
-    bench_raw="$(mktemp)"
-    bench_status="$(mktemp)"
-    { go test ./internal/harness -run '^$' -bench 'BenchmarkFleetParallelism/workers=1$|BenchmarkCovFuzz$' \
-        -benchmem -benchtime 2x || echo "$?" > "$bench_status"; } | tee "$bench_raw"
-    if [ -s "$bench_status" ]; then
-        echo "verify: benchmark run failed (exit $(cat "$bench_status"))" >&2
-        rm -f "$bench_raw" "$bench_status"
-        exit 1
-    fi
-    rm -f "$bench_status"
-    awk '
-    NR == FNR {
-        if ($0 ~ /"name":/) {
-            name = $0
-            sub(/.*"name": "/, "", name)
-            sub(/".*/, "", name)
-            for (i = 1; i <= NF; i++) if ($i == "\"allocs_per_op\":") {
-                v = $(i+1)
-                sub(/,/, "", v)
-                base[name] = v
-            }
-        }
-        next
-    }
-    /^Benchmark/ {
-        name = $1
-        sub(/-[0-9]+$/, "", name)  # strip the GOMAXPROCS suffix
-        for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op") now[name] = $i
-    }
-    END {
-        bad = 0
-        checked = 0
-        for (name in now) {
-            if (!(name in base)) continue
-            checked++
-            limit = base[name] * 1.10
-            if (now[name] + 0 > limit) {
-                printf "allocs ratchet: %s: %d allocs/op exceeds baseline %d by more than 10%%\n",
-                    name, now[name], base[name]
-                bad = 1
-            } else {
-                printf "allocs ratchet: %s: %d allocs/op within 10%% of baseline %d\n",
-                    name, now[name], base[name]
-            }
-        }
-        if (!checked) print "allocs ratchet: missing baseline or measurement; skipping"
-        exit bad
-    }' BENCH_fleet.json "$bench_raw"
-    rm -f "$bench_raw"
 fi
 
 echo "verify: OK"
