@@ -93,7 +93,7 @@ func run(args []string) error {
 	attempts := fs.Int("attempts", 0, "attempts per campaign before it is reported failed (0 = fleet default)")
 	progress := fs.Bool("progress", false, "render a live fleet progress ticker on stderr")
 	metricsOut := fs.String("metrics-out", "", "write final metrics to this file (.json = JSON document, else Prometheus text)")
-	traceOut := fs.String("trace-out", "", "write fleet job spans to this file as JSON lines")
+	traceOut := fs.String("trace-out", "", "write each fleet job's span (wall clock) and its phase spans (simulated time) to this file as JSON lines")
 	flightDepth := fs.Int("flight-recorder", 0, "attach a packet flight recorder of this depth to every campaign testbed (0 = off)")
 	chaosProfiles := fs.String("chaos-profiles", "", "comma-separated impairment profiles for -run chaos (empty = burst,noise,jitter)")
 	chaosSeed := fs.Int64("chaos-seed", 1, "deterministic seed for the chaos campaign's fault injectors")

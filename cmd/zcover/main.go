@@ -49,7 +49,7 @@ func run(args []string) error {
 	seed := fs.Int64("seed", 1, "deterministic campaign seed")
 	verbose := fs.Bool("v", false, "stream findings live as they are discovered")
 	metricsOut := fs.String("metrics-out", "", "write final metrics to this file (.json = JSON document, else Prometheus text)")
-	traceOut := fs.String("trace-out", "", "write phase spans to this file as JSON lines")
+	traceOut := fs.String("trace-out", "", "write the campaign's phase spans, on simulated time, to this file as JSON lines")
 	flightDepth := fs.Int("flight-recorder", 0, "attach a packet flight recorder of this depth; findings carry frame traces (0 = off)")
 	chaosProfile := fs.String("chaos-profile", "", "impair the channel with this fault profile, e.g. burst, noise, jitter, lossy:corrupt=0.1 (empty = clean)")
 	chaosSeed := fs.Int64("chaos-seed", 1, "deterministic seed for the fault injector's impairment streams")
@@ -81,10 +81,12 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown fuzz mode %q (want zcover or coverage)", *fuzzMode)
 	}
+	// The campaign's one lane, served at /timeline and traced by -trace-out.
+	timeline := obs.NewTimeline()
 	if *obsAddr != "" {
 		// Binds synchronously: a bad address fails here, before any
 		// campaign work, instead of being printed and swallowed mid-run.
-		srv, err := obs.NewServer(*obsAddr, telemetry.Default(), nil)
+		srv, err := obs.NewServer(*obsAddr, telemetry.Default(), timeline)
 		if err != nil {
 			return err
 		}
@@ -145,16 +147,18 @@ func run(args []string) error {
 			fmt.Printf("  [%8s] pkt %-6d %s\n", f.Elapsed.Round(time.Second), f.Packets, f.Signature)
 		}
 	}
+	var tracer *telemetry.Tracer
 	if *traceOut != "" {
 		tf, err := os.Create(*traceOut)
 		if err != nil {
 			return err
 		}
 		defer tf.Close()
-		opts.Tracer = telemetry.NewTracer(tf, nil)
+		tracer = telemetry.NewTracer(tf, nil)
 	}
 	job := zcover.FleetJob{Device: *target, Strategy: strat, Budget: *duration, Seed: *seed,
 		ChaosProfile: *chaosProfile, ChaosSeed: *chaosSeed}
+	opts.OnPhase = func(phase string) { timeline.Phase(0, job.Label(), phase, tb.Clock.Now()) }
 	if *fuzzMode == "coverage" {
 		job.FuzzMode = zcover.FuzzModeCoverage
 		opts.CorpusDir, opts.ResumeCorpus, opts.Minimize = *corpusDir, *resume, true
@@ -166,6 +170,7 @@ func run(args []string) error {
 	}
 	var out zcover.Outcome
 	resumed := false
+	timeline.StartWorker(0)
 	if *ckptDir != "" {
 		key := zcover.CampaignKey{
 			Target: job.Device, Strategy: job.Strategy, Duration: job.Budget, Seed: job.Seed,
@@ -174,6 +179,11 @@ func run(args []string) error {
 		out.Campaign, resumed, err = zcover.RunResumable(*ckptDir, *resume, key, tb, opts)
 	} else {
 		out, err = zcover.Run(tb, job, opts)
+	}
+	timeline.EndRun(0, tb.Clock.Now(), err)
+	timeline.StopWorker(0)
+	if terr := tracer.Write(obs.SimSpans(timeline.Snapshot().Intervals)...); err == nil {
+		err = terr
 	}
 	if err != nil {
 		return err

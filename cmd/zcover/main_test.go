@@ -1,11 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"zcover/internal/telemetry"
 )
 
 func TestRunShortCampaign(t *testing.T) {
@@ -52,6 +56,39 @@ func TestObservabilityFlags(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Errorf("missing profile snapshot %s: %v", name, err)
 		}
+	}
+}
+
+// TestTraceOutIsTheSimTimeView: -trace-out writes the campaign's three
+// phase spans on simulated time, byte-identical across runs.
+func TestTraceOutIsTheSimTimeView(t *testing.T) {
+	dir := t.TempDir()
+	var traces [2][]byte
+	for i := range traces {
+		path := filepath.Join(dir, fmt.Sprintf("trace%d.jsonl", i))
+		capture(t, func() error { return run([]string{"-target", "D1", "-duration", "2m", "-trace-out", path}) })
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces[i] = b
+	}
+	if !bytes.Equal(traces[0], traces[1]) {
+		t.Fatalf("traces differ:\n%s\n%s", traces[0], traces[1])
+	}
+	events, err := telemetry.ReadTrace(bytes.NewReader(traces[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, ev := range events {
+		names = append(names, ev.Name)
+		if ev.Kind != "phase" || ev.DurSec <= 0 || ev.Attrs["job"] != "D1/zcover-full" {
+			t.Errorf("span %+v, want a positive sim-time span of D1/zcover-full", ev)
+		}
+	}
+	if got := strings.Join(names, ","); got != "scan,discover,fuzz" {
+		t.Errorf("spans = %s, want scan,discover,fuzz", got)
 	}
 }
 

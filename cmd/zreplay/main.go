@@ -123,7 +123,8 @@ func runHunt(target string, duration time.Duration, out string, seed int64, flig
 	return nil
 }
 
-// summariseTrace prints the spans of a -trace-out file in order.
+// summariseTrace prints the spans of a -trace-out file in order, each with
+// its clock: sim for pipeline phases, wall for fleet jobs.
 func summariseTrace(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -136,12 +137,16 @@ func summariseTrace(path string) error {
 	}
 	for _, ev := range events {
 		attrs := ""
-		for _, k := range []string{"device", "strategy", "outcome", "findings", "packets", "attempts"} {
+		for _, k := range []string{"job", "device", "strategy", "outcome", "attempts", "error"} {
 			if v, ok := ev.Attrs[k]; ok {
 				attrs += fmt.Sprintf(" %s=%s", k, v)
 			}
 		}
-		fmt.Printf("%-8s %-24s %12.3fs%s\n", ev.Kind, ev.Name, ev.DurSec, attrs)
+		clock := "wall"
+		if ev.Kind == "phase" {
+			clock = "sim"
+		}
+		fmt.Printf("%-8s %-24s %12.3fs %-4s%s\n", ev.Kind, ev.Name, ev.DurSec, clock, attrs)
 	}
 	fmt.Printf("\n%d spans\n", len(events))
 	return nil

@@ -446,5 +446,17 @@ func recoverJournal(path string) (*Journal, *Replay, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("checkpoint: reopening journal: %w", err)
 	}
+	// A last record written whole but for its newline gets one, so the
+	// next append starts a line of its own instead of corrupting it.
+	st, err := f.Stat()
+	if err == nil && st.Size() < rep.validEnd {
+		if _, err = f.Write([]byte{'\n'}); err == nil {
+			err = f.Sync()
+		}
+	}
+	if err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("checkpoint: reopening journal: %w", err)
+	}
 	return &Journal{f: f, path: path, nextSeq: rep.nextSeq}, rep, nil
 }

@@ -311,6 +311,47 @@ func TestResultsAfterFailureKeepCampaignFailed(t *testing.T) {
 	}
 }
 
+// TestResubmittedBodyMatchesAfterRestart: the coordinator keeps a result
+// body in the form its journal stores it, so a worker re-sending its
+// original non-compact body to a restarted coordinator gets "duplicate",
+// and Records returns the same bytes before and after the restart.
+func TestResubmittedBodyMatchesAfterRestart(t *testing.T) {
+	cfg := Config{Campaign: "prot", Jobs: testJobs(1), SpecHash: "cafe0123", Dir: t.TempDir()}
+	c1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c1.Submit(uploadBody(0, `{"a":`)); err == nil {
+		t.Fatal("malformed body accepted")
+	}
+	req := uploadBody(0, `{ "a": "<x>" }`)
+	if reply, err := c1.Submit(req); err != nil || reply.Status != "accepted" {
+		t.Fatalf("first upload = %+v, %v", reply, err)
+	}
+	before, err := c1.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1.Close()
+
+	cfg.Resume = true
+	c2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if reply, err := c2.Submit(req); err != nil || reply.Status != "duplicate" {
+		t.Fatalf("re-upload after restart = %+v, %v; want duplicate", reply, err)
+	}
+	after, err := c2.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(before) != 1 || len(after) != 1 || !bytes.Equal(before[0].Body, after[0].Body) {
+		t.Errorf("records before restart %+v, after %+v", before, after)
+	}
+}
+
 // TestCoordinatorRestartRecoversJournal is the coordinator half of the
 // crash matrix: a restarted coordinator rebuilds completed jobs from its
 // journal and re-leases only the rest.

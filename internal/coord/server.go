@@ -405,8 +405,14 @@ func (c *Coordinator) Submit(req ResultRequest) (ResultReply, error) {
 	if len(req.Body) == 0 {
 		return reject(http.StatusUnprocessableEntity, "empty result body")
 	}
+	// Compare and keep the body as the journal stores it (json.Marshal's
+	// compact, HTML-escaped form), so a re-sent body matches after a restart.
+	body, err := json.Marshal(req.Body)
+	if err != nil {
+		return reject(http.StatusUnprocessableEntity, "malformed result body: %v", err)
+	}
 	if js.done {
-		if string(js.body) != string(req.Body) {
+		if string(js.body) != string(body) {
 			return reject(http.StatusConflict, "job %s already journaled with different bytes — non-deterministic worker or corrupted upload", js.label)
 		}
 		c.dupes++
@@ -414,13 +420,13 @@ func (c *Coordinator) Submit(req ResultRequest) (ResultReply, error) {
 		return ResultReply{Status: "duplicate"}, nil
 	}
 	if err := c.journal.Append(checkpoint.JobRecord{
-		Index: req.JobIndex, Label: js.label, Attempts: req.Attempts, Body: req.Body,
+		Index: req.JobIndex, Label: js.label, Attempts: req.Attempts, Body: body,
 	}); err != nil {
 		// A result that cannot be made durable must not be acknowledged.
 		return ResultReply{}, err
 	}
 	js.done = true
-	js.body = req.Body
+	js.body = body
 	js.attempts = req.Attempts
 	js.lease = nil
 	c.done++

@@ -174,9 +174,10 @@ type Config struct {
 	// export. Progress snapshots stay exact either way — each fleet tracks
 	// deltas from the registry values it observed at construction.
 	Telemetry *telemetry.Registry
-	// Tracer, if set, emits one JSONL span per job (wall-clock times, with
-	// device/strategy/attempt attributes) — the fleet half of the trace
-	// stream the pipeline phases also write to.
+	// Tracer, if set, receives each finished job as a view of its Timeline
+	// lane: its wall-clock span (device, strategy, attempts, outcome), then
+	// its phase spans on simulated time (obs.SimSpans). A Tracer without a
+	// Timeline records into a private one.
 	Tracer *telemetry.Tracer
 	// Checkpoint, if set, asks the campaign layer to journal completed
 	// jobs crash-safely and to resume across runs. The fleet carries the
@@ -184,9 +185,10 @@ type Config struct {
 	// the journal through WithResume.
 	Checkpoint *CheckpointSpec
 	// Timeline, if set, records per-worker phase intervals (build, the
-	// pipeline phases, persist, idle) for the scaling report and the
-	// /timeline endpoint. Nil disables recording at zero cost; attaching
-	// one never changes campaign results.
+	// pipeline phases, persist, idle) on wall and simulated time for the
+	// scaling report, the /timeline endpoint and the Tracer. Nil disables
+	// recording at zero cost; attaching one never changes campaign
+	// results.
 	Timeline *obs.Timeline
 }
 
@@ -212,6 +214,9 @@ func (c Config) withDefaults() Config {
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = DefaultMaxAttempts
 	}
+	if c.Tracer != nil && c.Timeline == nil {
+		c.Timeline = obs.NewTimeline()
+	}
 	return c
 }
 
@@ -228,8 +233,6 @@ type Result[T any] struct {
 	Attempts int
 	// AttemptErrors records each failed attempt's error text, in order.
 	AttemptErrors []string
-	// Wall is the real time the job spent executing (all attempts).
-	Wall time.Duration
 }
 
 // PanicError wraps a panic recovered from a campaign so one bad run cannot
@@ -325,7 +328,8 @@ func (f *Fleet[T]) Run() []Result[T] {
 			// slice needs no lock; wg.Wait orders the writes before reads.
 			for i := range idx {
 				results[i] = f.execute(w, i, f.jobs[i])
-				f.cfg.Timeline.Phase(w, "", obs.PhaseIdle)
+				f.cfg.Timeline.Phase(w, "", obs.PhaseIdle, time.Time{})
+				f.trace(w, results[i])
 			}
 		}(w)
 	}
@@ -363,10 +367,6 @@ func (f *Fleet[T]) execute(w, i int, job Job) Result[T] {
 	f.notify()
 
 	res := Result[T]{Job: job}
-	span := f.cfg.Tracer.Span(job.Label(), "job", map[string]string{
-		"device": job.Device, "strategy": string(job.Strategy),
-	})
-	wallStart := time.Now()
 	for attempt := 1; attempt <= f.cfg.MaxAttempts; attempt++ {
 		res.Attempts = attempt
 		ob := &Observer{c: &f.c, onChange: f.notify,
@@ -387,20 +387,12 @@ func (f *Fleet[T]) execute(w, i int, job Job) Result[T] {
 			f.notify()
 		}
 	}
-	res.Wall = time.Since(wallStart)
-	span.SetAttr("attempts", strconv.Itoa(res.Attempts))
-	if res.Err != nil {
-		span.SetAttr("outcome", "failed")
-	} else {
-		span.SetAttr("outcome", "done")
-	}
-	_ = span.End()
 
 	if res.Err == nil && f.persist != nil {
 		// Persist is serialized across workers, so with a deep queue this
 		// section shows up on the timeline as contention — phase-attribute
 		// the wait plus the fsync'd append together.
-		f.cfg.Timeline.Phase(w, job.Label(), obs.PhasePersist)
+		f.cfg.Timeline.Phase(w, job.Label(), obs.PhasePersist, time.Time{})
 		f.persistMu.Lock()
 		err := f.persist(i, job, res)
 		f.persistMu.Unlock()
@@ -420,22 +412,52 @@ func (f *Fleet[T]) execute(w, i int, job Job) Result[T] {
 }
 
 // attempt builds a fresh testbed and runs the job once, converting a
-// panic anywhere in the campaign stack into a *PanicError.
+// panic anywhere in the campaign stack into a *PanicError. The lane's
+// open interval ends on the testbed's clock with the attempt's error.
 func (f *Fleet[T]) attempt(w int, job Job, ob *Observer) (val T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Value: r, Stack: string(debug.Stack())}
 		}
+		var sim time.Time
+		if ob.clock != nil {
+			sim = ob.clock.Now()
+		}
+		f.cfg.Timeline.EndRun(w, sim, err)
 	}()
-	f.cfg.Timeline.Phase(w, job.Label(), obs.PhaseBuild)
+	f.cfg.Timeline.Phase(w, job.Label(), obs.PhaseBuild, time.Time{})
 	tb, err := job.build()
 	if err != nil {
 		return val, err
 	}
+	ob.clock = tb.Clock
 	// Runners that report pipeline phases (Observer.Phase) refine this;
 	// anything else is attributed to the catch-all run phase.
-	f.cfg.Timeline.Phase(w, job.Label(), obs.PhaseRun)
+	f.cfg.Timeline.Phase(w, job.Label(), obs.PhaseRun, tb.Clock.Now())
 	return f.runner(tb, job, ob)
+}
+
+// trace writes worker w's finished job to the Tracer: the job's
+// wall-clock span over its lane intervals, then its pipeline phases on
+// simulated time.
+func (f *Fleet[T]) trace(w int, res Result[T]) {
+	if f.cfg.Tracer == nil {
+		return
+	}
+	ivs := f.cfg.Timeline.LastJob(w)
+	if len(ivs) == 0 { // another fleet sharing the Timeline moved the lane on
+		return
+	}
+	outcome := "done"
+	if res.Err != nil {
+		outcome = "failed"
+	}
+	job := telemetry.TraceEvent{Name: res.Job.Label(), Kind: "job",
+		Start: ivs[0].Start, End: ivs[len(ivs)-1].End, Attrs: map[string]string{
+			"device": res.Job.Device, "strategy": string(res.Job.Strategy),
+			"attempts": strconv.Itoa(res.Attempts), "outcome": outcome,
+		}}
+	_ = f.cfg.Tracer.Write(append([]telemetry.TraceEvent{job}, obs.SimSpans(ivs)...)...)
 }
 
 // FirstError returns the first failed job's error in job order, or nil if

@@ -7,6 +7,7 @@ import (
 
 	"zcover/internal/obs"
 	"zcover/internal/telemetry"
+	"zcover/internal/vtime"
 )
 
 // Progress is an atomic snapshot of a running fleet. All counters are
@@ -141,26 +142,27 @@ type Observer struct {
 	c        *counters
 	onChange func()
 
-	// timeline/worker/job route Phase calls to the fleet's worker
-	// timeline; timeline may be nil (no-op).
+	// timeline/worker/job route Phase calls to the worker's lane, stamped
+	// on the attempt's testbed clock; timeline may be nil (no-op).
 	timeline *obs.Timeline
 	worker   int
 	job      string
+	clock    *vtime.SimClock
 
 	findings int64
 	packets  int64
 	simNanos int64
 }
 
-// Phase attributes the worker's wall time to a campaign phase from here
-// until the next transition (one of the obs.Phase* names — the harness
-// reports scan/discover/fuzz as the pipeline advances). No-op without a
-// timeline; never affects campaign results.
+// Phase attributes the worker's time, wall and simulated, to a campaign
+// phase from here until the next transition (one of the obs.Phase* names
+// — the harness reports scan/discover/fuzz as the pipeline advances).
+// No-op without a timeline; never affects campaign results.
 func (o *Observer) Phase(name string) {
-	if o == nil {
+	if o == nil || o.timeline == nil {
 		return
 	}
-	o.timeline.Phase(o.worker, o.job, name)
+	o.timeline.Phase(o.worker, o.job, name, o.clock.Now())
 }
 
 // Finding records one new unique vulnerability (live — call it from the

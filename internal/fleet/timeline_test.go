@@ -1,12 +1,15 @@
 package fleet_test
 
 import (
+	"bytes"
+	"errors"
 	"runtime"
 	"testing"
 	"time"
 
 	"zcover/internal/fleet"
 	"zcover/internal/obs"
+	"zcover/internal/telemetry"
 	"zcover/internal/testbed"
 )
 
@@ -84,5 +87,52 @@ func TestFleetNilTimeline(t *testing.T) {
 	}
 	if results[0].Value != 7 {
 		t.Fatalf("value = %d", results[0].Value)
+	}
+}
+
+// TestFleetTraceIsATimelineView: a Tracer without a Timeline gets a
+// private one, and each finished job is written as its wall-clock span
+// followed by every attempt's pipeline phases on the testbed's simulated
+// clock, a failed attempt's last phase carrying its error.
+func TestFleetTraceIsATimelineView(t *testing.T) {
+	attempts := 0
+	runner := func(tb *testbed.Testbed, job fleet.Job, obs *fleet.Observer) (int, error) {
+		attempts++
+		obs.Phase("scan")
+		tb.Clock.Advance(time.Minute)
+		if attempts == 1 {
+			return 0, errors.New("dead channel")
+		}
+		obs.Phase("fuzz")
+		tb.Clock.Advance(2 * time.Minute)
+		return 1, nil
+	}
+	var buf bytes.Buffer
+	res := fleet.Run([]fleet.Job{zcoverJob("a", "D1", 1)}, runner,
+		fleet.Config{Workers: 1, MaxAttempts: 2, Tracer: telemetry.NewTracer(&buf, nil)})
+	if err := fleet.FirstError(res); err != nil {
+		t.Fatal(err)
+	}
+	events, err := telemetry.ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 4 {
+		t.Fatalf("trace = %+v, want a job span and three phase spans", events)
+	}
+	job := events[0]
+	if job.Name != "a" || job.Kind != "job" || job.Attrs["attempts"] != "2" || job.Attrs["outcome"] != "done" {
+		t.Errorf("job span = %+v", job)
+	}
+	want := []struct {
+		name string
+		dur  float64
+		err  string
+	}{{"scan", 60, "dead channel"}, {"scan", 60, ""}, {"fuzz", 120, ""}}
+	for i, w := range want {
+		ev := events[i+1]
+		if ev.Name != w.name || ev.Kind != "phase" || ev.DurSec != w.dur || ev.Attrs["error"] != w.err || ev.Attrs["job"] != "a" {
+			t.Errorf("span %d = %+v, want %s over %vs sim, error %q", i+1, ev, w.name, w.dur, w.err)
+		}
 	}
 }

@@ -29,8 +29,8 @@ const PassiveScanWindow = 2 * time.Minute
 
 // Options attaches optional observability, and for coverage-guided jobs
 // the corpus side, to a campaign run. The zero value runs the campaign
-// exactly as the fleet does: no callback, no recorder, no trace, an
-// in-memory corpus. The observers cannot change what the campaign finds,
+// exactly as the fleet does: no callback, no recorder, an in-memory
+// corpus. The observers cannot change what the campaign finds,
 // only what it records along the way.
 type Options struct {
 	// OnFinding is invoked live for each unique finding.
@@ -40,14 +40,10 @@ type Options struct {
 	// each finding carries a snapshot of the last frames on the air at the
 	// moment of discovery (Finding.Trace).
 	FlightRecorderDepth int
-	// Tracer, when non-nil, receives one "phase" span per pipeline stage
-	// (scan, discover, fuzz), timestamped on the testbed's simulated clock
-	// so traces are deterministic. A phase that aborts the run still writes
-	// its span, with an "error" attribute.
-	Tracer *telemetry.Tracer
 	// OnPhase, when non-nil, is invoked at the start of each pipeline
-	// phase ("scan", "discover", "fuzz") on the campaign goroutine —
-	// the hook the fleet's worker timeline attributes wall time through.
+	// phase ("scan", "discover", "fuzz") on the campaign goroutine: the
+	// hook an obs.Timeline lane records phases through, on wall and
+	// simulated time. A phase lasts until the next call or the run's end.
 	OnPhase func(phase string)
 	// CorpusDir, for coverage-guided jobs, journals every admitted seed to
 	// a crash-safe corpus journal under this directory
@@ -134,24 +130,19 @@ func Run(tb *testbed.Testbed, job fleet.Job, opts Options) (out FleetOutcome, er
 		defer tb.Medium.SetFlightRecorder(nil)
 	}
 	// Coverage mode runs the full pipeline whatever the job's strategy.
-	strategy, label := job.Strategy, job.Strategy
-	switch {
-	case coverage:
-		strategy, label = fuzz.StrategyFull, fuzz.StrategyCoverage
-	case baseline:
-		label = vfuzz.StrategyVFuzz
+	strategy := job.Strategy
+	if coverage {
+		strategy = fuzz.StrategyFull
 	}
 	discovers := strategy == fuzz.StrategyFull && !baseline
-	ph := &phase{opts: opts, tb: tb, attrs: map[string]string{"device": device, "strategy": string(label)}}
-	defer func() {
-		if err != nil {
-			ph.fail(err)
-		}
-	}()
+	onPhase := opts.OnPhase
+	if onPhase == nil {
+		onPhase = func(string) {}
+	}
 
 	// Phase 1: known-properties fingerprinting over live traffic; VFuzz,
 	// too, scans for the home and controller IDs, passively.
-	ph.start("scan")
+	onPhase("scan")
 	tb.ScheduleTraffic(12, 10*time.Second)
 	var fp scan.Fingerprint
 	var net scan.Network
@@ -165,23 +156,15 @@ func Run(tb *testbed.Testbed, job fleet.Job, opts Options) (out FleetOutcome, er
 		if fp, err = scan.FingerprintTarget(d, PassiveScanWindow, 0); err != nil {
 			return out, fmt.Errorf("harness: fingerprinting: %w", err)
 		}
-		ph.span.SetAttr("nodes", fmt.Sprint(len(fp.Nodes)))
-	}
-	if err = ph.end(); err != nil {
-		return out, err
 	}
 
 	// Phase 2: unknown-properties discovery (full strategy only — the β
 	// ablation deliberately ignores unknown classes, γ ignores both).
 	var disc discover.Result
 	if discovers {
-		ph.start("discover")
+		onPhase("discover")
 		if disc, err = discover.Run(d, reg, fp); err != nil {
 			return out, fmt.Errorf("harness: discovery: %w", err)
-		}
-		ph.span.SetAttr("confirmed", fmt.Sprint(len(disc.ConfirmedCommands)))
-		if err = ph.end(); err != nil {
-			return out, err
 		}
 	}
 
@@ -215,7 +198,7 @@ func Run(tb *testbed.Testbed, job fleet.Job, opts Options) (out FleetOutcome, er
 		}
 		queue = fuzz.BuildQueue(strategy, reg, listed, disc.Prioritized, job.Seed)
 	}
-	ph.start("fuzz")
+	onPhase("fuzz")
 	var res *fuzz.Result
 	switch {
 	case baseline:
@@ -236,7 +219,6 @@ func Run(tb *testbed.Testbed, job fleet.Job, opts Options) (out FleetOutcome, er
 			return FleetOutcome{}, err
 		}
 		res = &out.CovFuzz.Result
-		ph.span.SetAttr("features", fmt.Sprint(out.CovFuzz.Coverage.Features))
 	default:
 		var engine *fuzz.Engine
 		if engine, err = fuzz.New(d, fp, queue, mut, strategy, device, fcfg); err != nil {
@@ -252,11 +234,6 @@ func Run(tb *testbed.Testbed, job fleet.Job, opts Options) (out FleetOutcome, er
 		// count stands rather than being clobbered by the zero-value
 		// Discovery.
 		res.CommandsCovered = len(disc.ConfirmedCommands)
-	}
-	ph.span.SetAttr("findings", fmt.Sprint(len(res.Findings)))
-	ph.span.SetAttr("packets", fmt.Sprint(res.PacketsSent))
-	if err = ph.end(); err != nil {
-		return FleetOutcome{}, err
 	}
 	return out, nil
 }
@@ -297,36 +274,4 @@ type covFuzzKey struct {
 	Duration time.Duration `json:"duration"`
 	Frames   int           `json:"frames,omitempty"`
 	Seed     int64         `json:"seed"`
-}
-
-// phase tracks the pipeline's open span. start fires OnPhase and opens a
-// span on the simulated timeline, so span emission and wall-time
-// attribution stay in lockstep at every phase boundary; end writes the
-// span; fail writes it with an "error" attribute, so a phase that aborts
-// the run still leaves its span in the trace.
-type phase struct {
-	opts  Options
-	tb    *testbed.Testbed
-	attrs map[string]string
-	span  *telemetry.Span // nil without a tracer, or between phases
-}
-
-func (p *phase) start(name string) {
-	if p.opts.OnPhase != nil {
-		p.opts.OnPhase(name)
-	}
-	p.span = p.opts.Tracer.SpanAt(name, "phase", p.attrs, p.tb.Clock.Now())
-}
-
-func (p *phase) end() error {
-	s := p.span
-	p.span = nil
-	return s.EndAt(p.tb.Clock.Now())
-}
-
-func (p *phase) fail(err error) {
-	if p.span != nil {
-		p.span.SetAttr("error", err.Error())
-		_ = p.end() // the run already fails with err
-	}
 }

@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
-	"zcover/internal/chaos"
 	"zcover/internal/fleet"
 	"zcover/internal/telemetry"
 	"zcover/internal/testbed"
@@ -60,44 +58,34 @@ func TestRunReproducesParentOutcomes(t *testing.T) {
 }
 
 // TestFailedPhaseStillWritesItsSpan: a scan that finds nothing on a dead
-// channel aborts the run, and the aborted phase still writes its span,
-// marked with the error.
+// channel aborts the run, and the fleet's trace still holds the aborted
+// phase's span, carrying the attempt's error, after the failed job's span.
 func TestFailedPhaseStillWritesItsSpan(t *testing.T) {
-	dead, err := chaos.ParseProfile("lossy:goodloss=1,badloss=1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	const dead = "lossy:goodloss=1,badloss=1"
 	for _, job := range []fleet.Job{
-		{Name: "zcover", Device: "D1", Strategy: fuzz.StrategyFull, Seed: 41, Budget: time.Minute},
-		{Name: "vfuzz", Device: "D1", Baseline: true, Seed: 41, Budget: time.Minute},
+		{Name: "zcover", Device: "D1", Strategy: fuzz.StrategyFull, Seed: 41, Budget: time.Minute, ChaosProfile: dead, ChaosSeed: 1},
+		{Name: "vfuzz", Device: "D1", Baseline: true, Seed: 41, Budget: time.Minute, ChaosProfile: dead, ChaosSeed: 1},
 	} {
 		t.Run(job.Name, func(t *testing.T) {
-			tb, err := testbed.New(job.Device, job.Seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tb.ApplyChaos(dead, 1)
 			var trace bytes.Buffer
-			var phases []string
-			_, runErr := Run(tb, job, Options{
-				Tracer:  telemetry.NewTracer(&trace, nil),
-				OnPhase: func(p string) { phases = append(phases, p) },
-			})
-			if runErr == nil {
+			res := fleet.Run([]fleet.Job{job}, RunFleetJob, fleet.Config{
+				Workers: 1, MaxAttempts: 1, Tracer: telemetry.NewTracer(&trace, nil),
+			})[0]
+			if res.Err == nil {
 				t.Fatal("campaign on a dead channel succeeded")
-			}
-			if strings.Join(phases, ",") != "scan" {
-				t.Errorf("phases = %v, want [scan]", phases)
 			}
 			events, err := telemetry.ReadTrace(&trace)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(events) != 1 || events[0].Name != "scan" {
-				t.Fatalf("trace = %+v, want one scan span", events)
+			if len(events) != 2 || events[0].Attrs["outcome"] != "failed" || events[1].Name != "scan" {
+				t.Fatalf("trace = %+v, want the failed job's span and one scan span", events)
 			}
-			if got := events[0].Attrs["error"]; got != runErr.Error() {
-				t.Errorf("scan span error = %q, want %q", got, runErr.Error())
+			if got, want := events[1].Attrs["error"], res.AttemptErrors[0]; got != want {
+				t.Errorf("scan span error = %q, want %q", got, want)
+			}
+			if !events[1].End.After(events[1].Start) {
+				t.Errorf("scan span has no sim duration: %+v", events[1])
 			}
 		})
 	}

@@ -3,11 +3,14 @@ package harness
 import (
 	"bytes"
 	"io"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"zcover/internal/fleet"
+	"zcover/internal/obs"
 	"zcover/internal/telemetry"
 	"zcover/internal/testbed"
 	"zcover/internal/zcover/fuzz"
@@ -24,10 +27,12 @@ func fullTelemetryConfig(workers int, traceSink io.Writer) fleet.Config {
 	}
 }
 
-// TestTable5ByteIdenticalWithTelemetryAcrossWorkers asserts the ISSUE's
+// TestTable5ByteIdenticalWithTelemetryAcrossWorkers asserts the
 // determinism hard constraint: enabling the whole observability stack —
-// metrics registry, flight recorder, span tracer — must not perturb
-// Table V by a single byte, at any worker count.
+// metrics registry, flight recorder, trace — must not perturb Table V by
+// a single byte, at any worker count. The trace's sim-time view is
+// itself deterministic: sorted by job, the phase spans are equal at
+// workers=1 and 8.
 func TestTable5ByteIdenticalWithTelemetryAcrossWorkers(t *testing.T) {
 	baseTbl, _, err := Table5(fleetTestBudget, fleet.Config{Workers: 1})
 	if err != nil {
@@ -36,6 +41,7 @@ func TestTable5ByteIdenticalWithTelemetryAcrossWorkers(t *testing.T) {
 
 	SetFleetRecorderDepth(telemetry.DefaultFlightDepth)
 	defer SetFleetRecorderDepth(0)
+	var simSpans [][]telemetry.TraceEvent
 	for _, workers := range []int{1, 8} {
 		var traces bytes.Buffer
 		tbl, _, err := Table5(fleetTestBudget, fullTelemetryConfig(workers, &traces))
@@ -50,9 +56,32 @@ func TestTable5ByteIdenticalWithTelemetryAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: reading job trace: %v", workers, err)
 		}
-		if len(events) != 10 {
-			t.Errorf("workers=%d: %d job spans, want 10 (one per Table V campaign)", workers, len(events))
+		var jobs int
+		var phases []telemetry.TraceEvent
+		for _, ev := range events {
+			switch ev.Kind {
+			case "job":
+				jobs++
+			case "phase":
+				if !ev.End.After(ev.Start) {
+					t.Errorf("workers=%d: %s span of %s has no sim duration (%v → %v)",
+						workers, ev.Name, ev.Attrs["job"], ev.Start, ev.End)
+				}
+				phases = append(phases, ev)
+			}
 		}
+		if jobs != 10 {
+			t.Errorf("workers=%d: %d job spans, want 10 (one per Table V campaign)", workers, jobs)
+		}
+		// Five VFuzz campaigns scan and fuzz; five ZCover ones also discover.
+		if len(phases) != 25 {
+			t.Errorf("workers=%d: %d phase spans, want 25", workers, len(phases))
+		}
+		sort.SliceStable(phases, func(i, j int) bool { return phases[i].Attrs["job"] < phases[j].Attrs["job"] })
+		simSpans = append(simSpans, phases)
+	}
+	if !reflect.DeepEqual(simSpans[0], simSpans[1]) {
+		t.Errorf("sim-time phase spans differ between workers=1 and 8:\n%+v\n%+v", simSpans[0], simSpans[1])
 	}
 }
 
@@ -140,27 +169,32 @@ func TestFlightRecorderAttachesTracesToFindings(t *testing.T) {
 
 // TestRecorderAndTracerDoNotPerturbFindings pins the observer-purity
 // contract at single-campaign granularity: the same seed yields the same
-// findings with and without every attachment enabled.
+// findings with and without every attachment enabled — a flight recorder,
+// and a timeline lane fed through OnPhase as cmd/zcover feeds its trace.
 func TestRecorderAndTracerDoNotPerturbFindings(t *testing.T) {
-	run := func(opts Options) *fuzz.Result {
+	run := func(tb *testbed.Testbed, opts Options) *fuzz.Result {
+		t.Helper()
+		out, err := Run(tb, fleet.Job{Strategy: fuzz.StrategyFull, Budget: fleetTestBudget, Seed: 7}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.Campaign.Fuzz
+	}
+	newTestbed := func() *testbed.Testbed {
 		t.Helper()
 		tb, err := testbed.New("D4", 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := Run(tb, fleet.Job{Strategy: fuzz.StrategyFull, Budget: fleetTestBudget, Seed: 7}, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := out.Campaign
-		return c.Fuzz
+		return tb
 	}
 
-	plain := run(Options{})
-	var traces strings.Builder
-	traced := run(Options{
+	plain := run(newTestbed(), Options{})
+	tb := newTestbed()
+	tl := obs.NewTimeline()
+	traced := run(tb, Options{
 		FlightRecorderDepth: 32,
-		Tracer:              telemetry.NewTracer(&traces, nil),
+		OnPhase:             func(p string) { tl.Phase(0, "D4", p, tb.Clock.Now()) },
 	})
 
 	if len(plain.Findings) != len(traced.Findings) {
@@ -177,15 +211,11 @@ func TestRecorderAndTracerDoNotPerturbFindings(t *testing.T) {
 		t.Errorf("packet count changed: %d vs %d", plain.PacketsSent, traced.PacketsSent)
 	}
 
-	events, err := telemetry.ReadTrace(strings.NewReader(traces.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tl.EndRun(0, tb.Clock.Now(), nil)
+	events := obs.SimSpans(tl.Snapshot().Intervals)
 	var phases []string
 	for _, ev := range events {
-		if ev.Kind == "phase" {
-			phases = append(phases, ev.Name)
-		}
+		phases = append(phases, ev.Name)
 	}
 	if want := []string{"scan", "discover", "fuzz"}; strings.Join(phases, ",") != strings.Join(want, ",") {
 		t.Errorf("phase spans = %v, want %v", phases, want)

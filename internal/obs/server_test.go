@@ -33,7 +33,7 @@ func TestServerEndpoints(t *testing.T) {
 	reg.Counter("campaign_packets_total").Add(42)
 	tl := obs.NewTimeline()
 	tl.StartWorker(0)
-	tl.Phase(0, "job", obs.PhaseFuzz)
+	tl.Phase(0, "job", obs.PhaseFuzz, time.Time{})
 
 	srv, err := obs.NewServer("127.0.0.1:0", reg, tl)
 	if err != nil {

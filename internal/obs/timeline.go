@@ -1,13 +1,16 @@
 // Package obs is the campaign execution profiler: it turns "the fleet
 // doesn't scale" into a ranked, reproducible bottleneck report.
 //
-// The package layers four pieces on the telemetry registry and span
-// tracer from internal/telemetry:
+// The package layers four pieces on the telemetry registry from
+// internal/telemetry:
 //
-//   - Worker timelines (Timeline): per-worker wall-clock intervals
-//     attributed to campaign phases (testbed build, scan, discovery, the
-//     fuzz loop, checkpoint persist, idle). Serialization shows up as
-//     idle gaps; phase dominance shows up as wall share.
+//   - Worker timelines (Timeline): the one recorder of what ran. Each
+//     worker lane holds wall-clock intervals attributed to campaign
+//     phases (testbed build, scan, discovery, the fuzz loop, checkpoint
+//     persist, idle), stamped on the testbed's simulated clock while a
+//     testbed runs and carrying the error that aborted a run.
+//     Serialization shows up as idle gaps; phase dominance shows up as
+//     wall share; SimSpans turns a lane into the -trace-out view.
 //   - Contention capture (StartProfiling, SnapshotProfiles,
 //     TopContendedLocks, SampleRuntimeMetrics): opt-in runtime mutex and
 //     block profiling, pprof-format snapshots at campaign end, and
@@ -35,6 +38,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"zcover/internal/telemetry"
 )
 
 // Phase names the fleet and harness attribute worker wall time to. A
@@ -75,6 +80,13 @@ type Interval struct {
 	// Start and End bound the interval on the wall clock.
 	Start time.Time `json:"start"`
 	End   time.Time `json:"end"`
+	// SimStart and SimEnd bound the interval on the simulated clock of
+	// the testbed running in it; both are zero outside a testbed's run
+	// (idle, build, persist).
+	SimStart time.Time `json:"sim_start,omitzero"`
+	SimEnd   time.Time `json:"sim_end,omitzero"`
+	// Err is the error that aborted the run during this interval.
+	Err string `json:"error,omitempty"`
 }
 
 // Dur returns the interval's length.
@@ -84,13 +96,11 @@ func (iv Interval) Dur() time.Duration { return iv.End.Sub(iv.Start) }
 type lane struct {
 	intervals []Interval
 	open      Interval // open.Phase == "" means no interval in flight
-	active    bool
 }
 
 // Timeline records per-worker phase intervals. All methods are safe for
 // concurrent use and safe on a nil receiver (a nil *Timeline is a valid
-// no-op recorder, mirroring telemetry.Tracer), so the fleet and harness
-// call sites need no guards.
+// no-op recorder), so the fleet and harness call sites need no guards.
 //
 // Recording cost is one mutex acquisition per phase transition — a
 // handful per job, nowhere near the per-frame hot path.
@@ -129,33 +139,65 @@ func (t *Timeline) StartWorker(w int) {
 	if t.start.IsZero() || now.Before(t.start) {
 		t.start = now
 	}
-	ln := t.lane(w)
-	ln.active = true
-	t.transition(ln, w, "", PhaseIdle, now)
+	t.transition(t.lane(w), w, "", PhaseIdle, now, time.Time{})
 }
 
-// StopWorker closes worker w's open interval and marks the lane drained.
+// StopWorker closes worker w's open interval.
 func (t *Timeline) StopWorker(w int) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ln := t.lane(w)
-	t.closeOpen(ln, t.now())
-	ln.active = false
+	t.closeOpen(t.lane(w), t.now())
 }
 
 // Phase transitions worker w into the given phase of the given job,
-// closing whatever interval was open. Use job "" with PhaseIdle for
+// closing whatever interval was open. sim is the running testbed's
+// simulated clock, zero when no testbed runs: it ends the closed interval
+// and starts the new one on simulated time. Use job "" with PhaseIdle for
 // between-job waits.
-func (t *Timeline) Phase(w int, job, phase string) {
+func (t *Timeline) Phase(w int, job, phase string, sim time.Time) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.transition(t.lane(w), w, job, phase, t.now())
+	t.transition(t.lane(w), w, job, phase, t.now(), sim)
+}
+
+// EndRun stamps worker w's open interval with the simulated instant the
+// testbed's run ended and the error, if any, that aborted it. The wall
+// end comes with the next transition.
+func (t *Timeline) EndRun(w int, sim time.Time, err error) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	open := &t.lane(w).open
+	if !open.SimStart.IsZero() {
+		open.SimEnd = sim
+	}
+	if err != nil {
+		open.Err = err.Error()
+	}
+}
+
+// LastJob returns the intervals of the last job worker w finished: the
+// closed intervals after the lane's previous idle one.
+func (t *Timeline) LastJob(w int) []Interval {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	ivs := t.lane(w).intervals
+	i := len(ivs)
+	for i > 0 && ivs[i-1].Phase != PhaseIdle {
+		i--
+	}
+	return append([]Interval(nil), ivs[i:]...)
 }
 
 // lane returns worker w's lane, creating it. Callers hold t.mu.
@@ -179,9 +221,32 @@ func (t *Timeline) closeOpen(ln *lane, now time.Time) {
 }
 
 // transition closes the open interval and opens a new one. Callers hold t.mu.
-func (t *Timeline) transition(ln *lane, w int, job, phase string, now time.Time) {
+func (t *Timeline) transition(ln *lane, w int, job, phase string, now, sim time.Time) {
+	if !ln.open.SimStart.IsZero() && ln.open.SimEnd.IsZero() {
+		ln.open.SimEnd = sim
+	}
 	t.closeOpen(ln, now)
-	ln.open = Interval{Worker: w, Job: job, Phase: phase, Start: now}
+	ln.open = Interval{Worker: w, Job: job, Phase: phase, Start: now, SimStart: sim}
+}
+
+// SimSpans is the trace view of a lane's intervals: one "phase" event per
+// scan, discover or fuzz interval, on the testbed's simulated clock, so
+// the view is identical at any worker count. Each event carries its job
+// and the error that aborted the run in it.
+func SimSpans(ivs []Interval) []telemetry.TraceEvent {
+	var out []telemetry.TraceEvent
+	for _, iv := range ivs {
+		if iv.Phase != PhaseScan && iv.Phase != PhaseDiscover && iv.Phase != PhaseFuzz {
+			continue
+		}
+		attrs := map[string]string{"job": iv.Job}
+		if iv.Err != "" {
+			attrs["error"] = iv.Err
+		}
+		out = append(out, telemetry.TraceEvent{Name: iv.Phase, Kind: "phase",
+			Start: iv.SimStart, End: iv.SimEnd, Attrs: attrs})
+	}
+	return out
 }
 
 // WorkerStats is one worker's aggregate over a timeline snapshot.
@@ -193,15 +258,6 @@ type WorkerStats struct {
 	IdleSec float64 `json:"idle_sec"`
 	// Jobs is how many distinct job labels the worker executed.
 	Jobs int `json:"jobs"`
-}
-
-// BusyShare is the busy fraction of the worker's recorded time.
-func (w WorkerStats) BusyShare() float64 {
-	total := w.BusySec + w.IdleSec
-	if total <= 0 {
-		return 0
-	}
-	return w.BusySec / total
 }
 
 // Snapshot is a consistent copy of a timeline with aggregates.
@@ -217,14 +273,6 @@ type Snapshot struct {
 	// Intervals is every completed interval plus in-flight ones truncated
 	// at the snapshot instant, ordered by worker then start time.
 	Intervals []Interval `json:"intervals"`
-}
-
-// WallSec is the snapshot's elapsed wall clock (Start to At).
-func (s Snapshot) WallSec() float64 {
-	if s.Start.IsZero() {
-		return 0
-	}
-	return s.At.Sub(s.Start).Seconds()
 }
 
 // PhaseShares returns phases sorted by descending wall share of the

@@ -2,12 +2,15 @@ package obs_test
 
 import (
 	"encoding/json"
+	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"zcover/internal/obs"
+	"zcover/internal/telemetry"
 )
 
 // fakeClock is a deterministic timeline clock tests advance by hand.
@@ -39,11 +42,11 @@ func TestTimelinePhaseAttribution(t *testing.T) {
 
 	tl.StartWorker(0)
 	clk.advance(2 * time.Second) // idle
-	tl.Phase(0, "job-a", obs.PhaseBuild)
+	tl.Phase(0, "job-a", obs.PhaseBuild, time.Time{})
 	clk.advance(1 * time.Second)
-	tl.Phase(0, "job-a", obs.PhaseFuzz)
+	tl.Phase(0, "job-a", obs.PhaseFuzz, time.Time{})
 	clk.advance(5 * time.Second)
-	tl.Phase(0, "", obs.PhaseIdle)
+	tl.Phase(0, "", obs.PhaseIdle, time.Time{})
 	clk.advance(3 * time.Second)
 	tl.StopWorker(0)
 
@@ -67,9 +70,6 @@ func TestTimelinePhaseAttribution(t *testing.T) {
 	if got := snap.PhaseWallSec[obs.PhaseBuild]; got != 1 {
 		t.Errorf("build wall = %v, want 1", got)
 	}
-	if got := ws.BusyShare(); got < 0.54 || got > 0.55 {
-		t.Errorf("BusyShare = %v, want 6/11", got)
-	}
 
 	// fuzz and idle tie at 5s; the deterministic tie-break is by name.
 	shares := snap.PhaseShares()
@@ -91,7 +91,7 @@ func TestTimelineSnapshotTruncatesInFlight(t *testing.T) {
 	tl.SetNow(clk.now)
 
 	tl.StartWorker(3)
-	tl.Phase(3, "j", obs.PhaseScan)
+	tl.Phase(3, "j", obs.PhaseScan, time.Time{})
 	clk.advance(4 * time.Second)
 
 	snap := tl.Snapshot() // scan interval still open
@@ -107,14 +107,69 @@ func TestTimelineSnapshotTruncatesInFlight(t *testing.T) {
 	}
 }
 
+// TestTimelineSimTimeTraceView: intervals stamped on a testbed's
+// simulated clock come back from LastJob with their sim bounds, and
+// SimSpans turns the pipeline phases among them into trace events, the
+// aborting error on the phase it hit.
+func TestTimelineSimTimeTraceView(t *testing.T) {
+	clk := newFakeClock()
+	tl := obs.NewTimeline()
+	tl.SetNow(clk.now)
+	sim := time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC)
+
+	tl.StartWorker(0)
+	tl.Phase(0, "j", obs.PhaseBuild, time.Time{})
+	tl.Phase(0, "j", obs.PhaseRun, sim)
+	tl.Phase(0, "j", obs.PhaseScan, sim)
+	tl.Phase(0, "j", obs.PhaseFuzz, sim.Add(2*time.Minute))
+	clk.advance(time.Second)
+	tl.EndRun(0, sim.Add(5*time.Minute), errors.New("boom"))
+	tl.Phase(0, "j", obs.PhasePersist, time.Time{})
+	tl.Phase(0, "", obs.PhaseIdle, time.Time{})
+
+	ivs := tl.LastJob(0)
+	var phases []string
+	for _, iv := range ivs {
+		phases = append(phases, iv.Phase)
+	}
+	if got := strings.Join(phases, ","); got != "build,run,scan,fuzz,persist" {
+		t.Fatalf("LastJob phases = %s", got)
+	}
+	if fz := ivs[3]; fz.Dur() != time.Second || !fz.SimStart.Equal(sim.Add(2*time.Minute)) {
+		t.Errorf("fuzz interval = %+v", fz)
+	}
+	if b := ivs[0]; !b.SimStart.IsZero() || !b.SimEnd.IsZero() {
+		t.Errorf("build interval carries sim time: %+v", b)
+	}
+	want := []telemetry.TraceEvent{
+		{Name: "scan", Kind: "phase", Start: sim, End: sim.Add(2 * time.Minute),
+			Attrs: map[string]string{"job": "j"}},
+		{Name: "fuzz", Kind: "phase", Start: sim.Add(2 * time.Minute), End: sim.Add(5 * time.Minute),
+			Attrs: map[string]string{"job": "j", "error": "boom"}},
+	}
+	if got := obs.SimSpans(ivs); !reflect.DeepEqual(got, want) {
+		t.Errorf("SimSpans = %+v\nwant %+v", got, want)
+	}
+
+	tl.Phase(0, "k", obs.PhaseBuild, time.Time{})
+	tl.Phase(0, "", obs.PhaseIdle, time.Time{})
+	if got := tl.LastJob(0); len(got) != 1 || got[0].Job != "k" {
+		t.Errorf("LastJob after a second job = %+v, want k's build only", got)
+	}
+}
+
 func TestTimelineNilSafe(t *testing.T) {
 	var tl *obs.Timeline
 	tl.StartWorker(0) // must not panic
-	tl.Phase(0, "j", obs.PhaseFuzz)
+	tl.Phase(0, "j", obs.PhaseFuzz, time.Time{})
+	tl.EndRun(0, time.Time{}, errors.New("x"))
 	tl.StopWorker(0)
+	if ivs := tl.LastJob(0); ivs != nil {
+		t.Errorf("nil timeline LastJob = %v", ivs)
+	}
 	tl.SetNow(time.Now)
 	snap := tl.Snapshot()
-	if len(snap.Workers) != 0 || snap.WallSec() != 0 {
+	if len(snap.Workers) != 0 || !snap.Start.IsZero() {
 		t.Errorf("nil timeline snapshot not empty: %+v", snap)
 	}
 	if err := snap.WriteJSON(&strings.Builder{}); err != nil {
@@ -127,7 +182,7 @@ func TestTimelineSnapshotJSONRoundTrip(t *testing.T) {
 	tl := obs.NewTimeline()
 	tl.SetNow(clk.now)
 	tl.StartWorker(0)
-	tl.Phase(0, "job", obs.PhaseFuzz)
+	tl.Phase(0, "job", obs.PhaseFuzz, time.Time{})
 	clk.advance(time.Second)
 	tl.StopWorker(0)
 
@@ -155,8 +210,8 @@ func TestTimelineRace(t *testing.T) {
 			defer wg.Done()
 			tl.StartWorker(w)
 			for i := 0; i < 200; i++ {
-				tl.Phase(w, "j", obs.PhaseFuzz)
-				tl.Phase(w, "", obs.PhaseIdle)
+				tl.Phase(w, "j", obs.PhaseFuzz, time.Time{})
+				tl.Phase(w, "", obs.PhaseIdle, time.Time{})
 			}
 			tl.StopWorker(w)
 		}(w)

@@ -1,7 +1,7 @@
 // Package telemetry is the process-wide observability layer of the ZCover
 // reproduction: a metrics registry (named atomic counters, gauges, and
 // fixed-bucket histograms), a bounded packet flight recorder, and a
-// span-style tracer.
+// JSONL span writer.
 //
 // The paper's evaluation is made of derived metrics — packets per campaign,
 // detection latencies, outage durations, coverage counts (Tables V/VI,

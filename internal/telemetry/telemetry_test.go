@@ -231,34 +231,34 @@ func TestFlightRecorderDefaultDepth(t *testing.T) {
 
 func TestTracerRoundTripAndNilSafety(t *testing.T) {
 	var nilTracer *Tracer
-	sp := nilTracer.Span("x", "phase", nil)
-	sp.SetAttr("k", "v")
-	if err := sp.End(); err != nil {
-		t.Fatalf("nil tracer span End: %v", err)
+	if err := nilTracer.Write(TraceEvent{Name: "x"}); err != nil {
+		t.Fatalf("nil tracer Write: %v", err)
 	}
 
 	var buf bytes.Buffer
 	start := time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC)
 	tr := NewTracer(&buf, nil)
-	s := tr.SpanAt("scan", "phase", map[string]string{"device": "D1"}, start)
-	s.SetAttr("strategy", "zcover-full")
-	if err := s.EndAt(start.Add(2 * time.Minute)); err != nil {
+	err := tr.Write(
+		TraceEvent{Name: "D1/full", Kind: "job", Start: start, End: start.Add(time.Second)},
+		TraceEvent{Name: "scan", Kind: "phase", Start: start, End: start.Add(2 * time.Minute),
+			Attrs: map[string]string{"job": "D1/full"}},
+	)
+	if err != nil {
 		t.Fatal(err)
-	}
-	if tr.Events() != 1 {
-		t.Fatalf("Events = %d, want 1", tr.Events())
 	}
 
 	evs, err := ReadTrace(strings.NewReader(buf.String() + "\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(evs) != 1 {
-		t.Fatalf("ReadTrace returned %d events, want 1", len(evs))
+	if len(evs) != 2 {
+		t.Fatalf("ReadTrace returned %d events, want 2", len(evs))
 	}
-	ev := evs[0]
-	if ev.Name != "scan" || ev.Kind != "phase" || ev.DurSec != 120 ||
-		ev.Attrs["device"] != "D1" || ev.Attrs["strategy"] != "zcover-full" {
+	if job := evs[0]; job.Kind != "job" || job.DurSec != 1 {
+		t.Errorf("job event = %+v", job)
+	}
+	ev := evs[1]
+	if ev.Name != "scan" || ev.Kind != "phase" || ev.DurSec != 120 || ev.Attrs["job"] != "D1/full" {
 		t.Errorf("event = %+v", ev)
 	}
 	if !ev.Start.Equal(start) || !ev.End.Equal(start.Add(2*time.Minute)) {

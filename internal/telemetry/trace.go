@@ -9,20 +9,22 @@ import (
 	"time"
 )
 
-// TraceEvent is one completed span, serialised as a JSON line. The three
-// ZCover phases (scan → discover → fuzz) and fleet jobs each emit one.
+// TraceEvent is one completed span, serialised as a JSON line: a fleet job
+// on the wall clock, or one of the three ZCover phases (scan → discover →
+// fuzz) on the testbed's simulated clock.
 type TraceEvent struct {
 	// Name identifies the span ("scan", "discover", "fuzz", a job label).
 	Name string `json:"name"`
-	// Kind groups spans: "phase" for pipeline stages, "job" for fleet work.
+	// Kind groups spans and names their clock: "phase" spans (pipeline
+	// stages) are on the testbed's simulated clock, "job" spans (fleet
+	// work) on the wall clock.
 	Kind string `json:"kind,omitempty"`
-	// Start and End bound the span. Pipeline phases run on simulated time;
-	// fleet jobs on wall time (the attrs say which).
+	// Start and End bound the span on the clock Kind names.
 	Start time.Time `json:"start"`
 	End   time.Time `json:"end"`
 	// DurSec is End−Start in seconds, precomputed for plotting.
 	DurSec float64 `json:"dur_sec"`
-	// Attrs carries span labels (device, strategy, outcome, ...).
+	// Attrs carries span labels (job, device, outcome, error, ...).
 	Attrs map[string]string `json:"attrs,omitempty"`
 }
 
@@ -30,87 +32,31 @@ type TraceEvent struct {
 // mutex; spans from concurrent fleet jobs appear in completion order. A
 // nil *Tracer is a valid no-op tracer, so call sites need no guards.
 type Tracer struct {
-	mu  sync.Mutex
-	w   io.Writer
-	now func() time.Time
-	n   int
+	mu sync.Mutex
+	w  io.Writer
 }
 
-// NewTracer writes spans to w, stamping them with now (nil = wall clock).
-// Point now at a vtime.SimClock's Now for deterministic traces.
-func NewTracer(w io.Writer, now func() time.Time) *Tracer {
-	if now == nil {
-		now = time.Now
-	}
-	return &Tracer{w: w, now: now}
+// NewTracer writes spans to w. Every span carries its own instants, so
+// the clock argument is not consulted.
+func NewTracer(w io.Writer, _ func() time.Time) *Tracer {
+	return &Tracer{w: w}
 }
 
-// Events reports how many spans have been written.
-func (t *Tracer) Events() int {
+// Write appends the events as consecutive JSON lines, filling in each
+// DurSec. Safe on a nil tracer.
+func (t *Tracer) Write(evs ...TraceEvent) error {
 	if t == nil {
-		return 0
+		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.n
-}
-
-// Span starts a span stamped with the tracer's clock. Safe on nil tracers.
-func (t *Tracer) Span(name, kind string, attrs map[string]string) *Span {
-	if t == nil {
-		return nil
+	enc := json.NewEncoder(t.w)
+	for _, ev := range evs {
+		ev.DurSec = ev.End.Sub(ev.Start).Seconds()
+		if err := enc.Encode(ev); err != nil {
+			return fmt.Errorf("telemetry: writing trace event: %w", err)
+		}
 	}
-	return t.SpanAt(name, kind, attrs, t.now())
-}
-
-// SpanAt starts a span at an explicit instant — campaign code uses the
-// testbed's simulated clock here so traces are deterministic.
-func (t *Tracer) SpanAt(name, kind string, attrs map[string]string, start time.Time) *Span {
-	if t == nil {
-		return nil
-	}
-	return &Span{t: t, ev: TraceEvent{Name: name, Kind: kind, Start: start, Attrs: attrs}}
-}
-
-// Span is one in-flight span. End (or EndAt) completes and writes it.
-type Span struct {
-	t  *Tracer
-	ev TraceEvent
-}
-
-// SetAttr attaches a label to the span. Safe on nil spans.
-func (s *Span) SetAttr(k, v string) {
-	if s == nil {
-		return
-	}
-	if s.ev.Attrs == nil {
-		s.ev.Attrs = map[string]string{}
-	}
-	s.ev.Attrs[k] = v
-}
-
-// End completes the span at the tracer's clock and writes it.
-func (s *Span) End() error {
-	if s == nil {
-		return nil
-	}
-	return s.EndAt(s.t.now())
-}
-
-// EndAt completes the span at an explicit instant and writes it.
-func (s *Span) EndAt(end time.Time) error {
-	if s == nil {
-		return nil
-	}
-	s.ev.End = end
-	s.ev.DurSec = end.Sub(s.ev.Start).Seconds()
-	s.t.mu.Lock()
-	defer s.t.mu.Unlock()
-	enc := json.NewEncoder(s.t.w)
-	if err := enc.Encode(s.ev); err != nil {
-		return fmt.Errorf("telemetry: writing trace event: %w", err)
-	}
-	s.t.n++
 	return nil
 }
 

@@ -24,12 +24,17 @@ FuzzReadLog ./internal/zcover/fuzz
 FuzzDecodeSerial ./internal/serialapi
 FuzzDecodeOutcome ./internal/harness
 FuzzCoordHandlers ./internal/coord
+FuzzRecover ./internal/checkpoint
+FuzzCorpusReplay ./internal/corpus
 "
 
+# Minimisation of each new input is capped at 1s: the journal targets
+# fsync on every record, and minimising a multi-kilobyte journal at the
+# default 60s would spend the whole burst on one input.
 echo "$targets" | while read -r name pkg; do
     [ -n "$name" ] || continue
     echo "== go test -fuzz=$name -fuzztime=$fuzztime $pkg =="
-    go test -fuzz="^${name}\$" -fuzztime="$fuzztime" -run '^$' "$pkg"
+    go test -fuzz="^${name}\$" -fuzztime="$fuzztime" -fuzzminimizetime=1s -run '^$' "$pkg"
 done
 
 echo "fuzz-smoke: OK"

@@ -82,7 +82,7 @@ type (
 	// returns the fuzzing result of any kind.
 	Outcome = harness.FleetOutcome
 	// Options attaches observability (finding callback, packet flight
-	// recorder, phase tracer) to a campaign run, plus the corpus journal
+	// recorder, phase hook) to a campaign run, plus the corpus journal
 	// of a coverage-guided one.
 	Options = harness.Options
 	// TraceFrame is one serialised flight-recorder frame in a bug log.
