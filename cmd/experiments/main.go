@@ -112,6 +112,9 @@ func run(args []string) error {
 	if *resume && *ckptDir == "" {
 		return fmt.Errorf("-resume needs -checkpoint-dir")
 	}
+	if *fuzzBudget <= 0 || *ablation <= 0 {
+		return fmt.Errorf("-fuzz and -ablation must be positive, got %s and %s", *fuzzBudget, *ablation)
+	}
 	// Fleet counters publish into the process registry; the drivers run one
 	// fleet at a time, so per-fleet Progress deltas stay exact while the
 	// registry accumulates process totals for -metrics-out. The worker
@@ -361,7 +364,7 @@ func run(args []string) error {
 			}
 		}
 		rep, err := harness.ScalingSweep(harness.ScalingConfig{
-			Workers: ws, Budget: *fuzzBudget, GitSHA: *gitSHA, Contention: true,
+			Workers: ws, Budget: *fuzzBudget, GitSHA: *gitSHA,
 		})
 		tick.clear()
 		if err != nil {

@@ -113,6 +113,10 @@ func TestCheckpointFlagValidation(t *testing.T) {
 		{"-run", "table4", "-checkpoint-dir", t.TempDir(), "-shard", "1/2"},
 		{"-run", "table4", "-checkpoint-dir", t.TempDir(), "-merge"},
 		{"-run", "fig1", "-pprof", "127.0.0.1:0"},
+		// Budgets must be positive: a non-positive one is not "the default".
+		{"-run", "table5", "-fuzz", "-1h"},
+		{"-run", "table5", "-fuzz", "0s"},
+		{"-run", "table6", "-ablation", "-1h"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("%v: accepted", args)

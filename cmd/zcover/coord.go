@@ -50,6 +50,9 @@ func runCoordinate(args []string) error {
 	if *ckptDir == "" {
 		return fmt.Errorf("coordinate needs -checkpoint-dir — the journal is what survives a coordinator restart")
 	}
+	if *budget < 0 {
+		return fmt.Errorf("-fuzz must not be negative (0 = campaign default), got %s", *budget)
+	}
 	jobs, err := harness.CampaignJobs(*campaign, *budget)
 	if err != nil {
 		return err

@@ -72,6 +72,10 @@ func TestCoordinateAndWorkRejectBadInputs(t *testing.T) {
 		"-checkpoint-dir", t.TempDir()}); err == nil {
 		t.Fatal("accepted unknown campaign")
 	}
+	if err := run([]string{"coordinate", "-fuzz", "-1h",
+		"-checkpoint-dir", t.TempDir()}); err == nil || !strings.Contains(err.Error(), "-fuzz") {
+		t.Fatalf("coordinate -fuzz -1h: %v", err)
+	}
 	if err := run([]string{"work"}); err == nil ||
 		!strings.Contains(err.Error(), "-coordinator") {
 		t.Fatalf("work without -coordinator: %v", err)

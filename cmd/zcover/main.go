@@ -63,6 +63,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *duration <= 0 {
+		return fmt.Errorf("-duration must be positive, got %s", *duration)
+	}
 	if *resume && *ckptDir == "" && *corpusDir == "" {
 		return fmt.Errorf("-resume needs -checkpoint-dir or -corpus-dir")
 	}

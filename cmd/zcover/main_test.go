@@ -36,6 +36,11 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	if err := run([]string{"-resume"}); err == nil {
 		t.Fatal("accepted -resume without -checkpoint-dir")
 	}
+	for _, d := range []string{"0s", "-1h"} {
+		if err := run([]string{"-target", "D1", "-duration", d}); err == nil || !strings.Contains(err.Error(), "-duration") {
+			t.Errorf("-duration %s: err = %v", d, err)
+		}
+	}
 	// The obs server binds synchronously: a bad address must fail before
 	// any campaign work, not print-and-swallow from a goroutine.
 	if err := run([]string{"-target", "D1", "-duration", "5m", "-obs-addr", "256.0.0.1:bad"}); err == nil {

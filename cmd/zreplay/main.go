@@ -51,6 +51,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *duration <= 0 {
+		return fmt.Errorf("-duration must be positive, got %s", *duration)
+	}
 
 	switch {
 	case *hunt:

@@ -37,6 +37,12 @@ func TestRunRequiresAMode(t *testing.T) {
 	if err := run([]string{"-log", "/nonexistent/x.jsonl"}); err == nil {
 		t.Fatal("accepted missing log file")
 	}
+	out := filepath.Join(t.TempDir(), "bugs.jsonl")
+	for _, d := range []string{"0s", "-1h"} {
+		if err := run([]string{"-hunt", "-duration", d, "-out", out}); err == nil || !strings.Contains(err.Error(), "-duration") {
+			t.Errorf("-hunt -duration %s: err = %v", d, err)
+		}
+	}
 }
 
 func TestHuntMinimizeReplay(t *testing.T) {

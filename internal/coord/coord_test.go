@@ -540,7 +540,6 @@ func TestWorkerRetriesTransientErrors(t *testing.T) {
 	defer flaky.Close()
 	stats, err := RunWorker(context.Background(), WorkerConfig{
 		Coordinator: flaky.URL, ID: "w1", Runner: fakeRunner,
-		Backoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -555,7 +554,6 @@ func TestWorkerRetriesTransientErrors(t *testing.T) {
 	defer terminal.Close()
 	if _, err := RunWorker(context.Background(), WorkerConfig{
 		Coordinator: terminal.URL, ID: "w1", Runner: fakeRunner,
-		Backoff: time.Millisecond,
 	}); err == nil {
 		t.Fatal("terminal 404 retried forever (or swallowed)")
 	}
@@ -566,7 +564,6 @@ func TestWorkerRetriesTransientErrors(t *testing.T) {
 	gone.Close()
 	_, err = RunWorker(context.Background(), WorkerConfig{
 		Coordinator: gone.URL, ID: "w1", Runner: fakeRunner,
-		Backoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond,
 		RetryBudget: 20 * time.Millisecond,
 	})
 	if err == nil || !strings.Contains(err.Error(), "unreachable") {

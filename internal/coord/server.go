@@ -32,11 +32,10 @@ type Config struct {
 	// Resume permits recovering an existing journal; without it an
 	// existing journal is an error, exactly like the CLI -resume rule.
 	Resume bool
-	// LeaseTTL is the lease deadline; zero means DefaultLeaseTTL.
+	// LeaseTTL is the lease deadline; zero means DefaultLeaseTTL. When
+	// every remaining job is leased, /lease answers with a retry-after
+	// hint of one tenth of it.
 	LeaseTTL time.Duration
-	// RetryAfter is the backoff hint returned when every remaining job
-	// is leased; zero means one tenth of LeaseTTL.
-	RetryAfter time.Duration
 	// now is the test clock hook; nil means time.Now.
 	now func() time.Time
 }
@@ -93,9 +92,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = DefaultLeaseTTL
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = cfg.LeaseTTL / 10
 	}
 	if cfg.now == nil {
 		cfg.now = time.Now
@@ -306,7 +302,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, LeaseReply{RetryAfter: c.cfg.RetryAfter})
+	writeJSON(w, http.StatusOK, LeaseReply{RetryAfter: c.cfg.LeaseTTL / 10})
 }
 
 // handleHeartbeat answers POST /heartbeat: extends a live lease, or 410

@@ -21,6 +21,14 @@ import (
 // like a local campaign would.
 type Runner func(job fleet.Job) (json.RawMessage, int, error)
 
+// Retry delays while the coordinator is unreachable: the first retry
+// waits retryBackoff, and the delay doubles per consecutive failure up to
+// maxRetryBackoff.
+const (
+	retryBackoff    = 100 * time.Millisecond
+	maxRetryBackoff = 5 * time.Second
+)
+
 // WorkerConfig tunes RunWorker.
 type WorkerConfig struct {
 	// Coordinator is the coordinator's base URL ("http://host:port").
@@ -37,15 +45,6 @@ type WorkerConfig struct {
 	Dir string
 	// Resume permits continuing an existing local journal.
 	Resume bool
-	// Heartbeat is the keep-alive interval while a job runs; zero means
-	// a third of the lease TTL the coordinator granted.
-	Heartbeat time.Duration
-	// Backoff is the initial retry delay when the coordinator is
-	// unreachable; it doubles per consecutive failure up to MaxBackoff.
-	// Zero means 100ms.
-	Backoff time.Duration
-	// MaxBackoff caps the retry delay; zero means 5s.
-	MaxBackoff time.Duration
 	// RetryBudget bounds how long one request keeps retrying. A worker
 	// that cannot reach the coordinator for this long is orphaned — the
 	// coordinator is gone for good, not restarting — and exits with the
@@ -93,12 +92,6 @@ type worker struct {
 func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 	if cfg.Coordinator == "" || cfg.ID == "" || cfg.Runner == nil {
 		return WorkerStats{}, fmt.Errorf("coord: worker needs a coordinator URL, an ID, and a runner")
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 100 * time.Millisecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 5 * time.Second
 	}
 	if cfg.RetryBudget <= 0 {
 		cfg.RetryBudget = time.Minute
@@ -166,17 +159,15 @@ func (w *worker) execute(ctx context.Context, lease LeaseReply) error {
 		})
 	}
 
-	// Keep the lease alive while the job runs. Stale heartbeats (the
-	// coordinator restarted, or the lease expired under a long pause)
-	// are ignored: the result is idempotent either way.
+	// Keep the lease alive while the job runs, heartbeating three times
+	// per lease TTL. Stale heartbeats (the coordinator restarted, or the
+	// lease expired under a long pause) are ignored: the result is
+	// idempotent either way.
 	hbCtx, stopHB := context.WithCancel(ctx)
 	hbDone := make(chan struct{})
 	go func() {
 		defer close(hbDone)
-		interval := w.cfg.Heartbeat
-		if interval <= 0 {
-			interval = lease.TTL / 3
-		}
+		interval := lease.TTL / 3
 		if interval <= 0 {
 			interval = DefaultLeaseTTL / 3
 		}
@@ -269,7 +260,7 @@ func retryable(err error) bool {
 // post sends one JSON request with retry/backoff on transient failures,
 // bounded by the retry budget.
 func (w *worker) post(ctx context.Context, path string, req, reply any) error {
-	backoff := w.cfg.Backoff
+	backoff := retryBackoff
 	var waited time.Duration
 	for {
 		err := w.postOnce(path, req, reply)
@@ -289,8 +280,8 @@ func (w *worker) post(ctx context.Context, path string, req, reply any) error {
 			return fmt.Errorf("coord: giving up on %s: %w (last error: %v)", path, serr, err)
 		}
 		waited += backoff
-		if backoff *= 2; backoff > w.cfg.MaxBackoff {
-			backoff = w.cfg.MaxBackoff
+		if backoff *= 2; backoff > maxRetryBackoff {
+			backoff = maxRetryBackoff
 		}
 	}
 }

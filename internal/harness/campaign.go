@@ -116,6 +116,8 @@ func Run(tb *testbed.Testbed, job fleet.Job, opts Options) (out FleetOutcome, er
 		return out, fmt.Errorf("harness: job targets %s but the testbed is %s", job.Device, device)
 	case opts.CorpusDir != "" && !coverage:
 		return out, fmt.Errorf("harness: a corpus directory needs a coverage-guided job")
+	case job.Budget <= 0:
+		return out, fmt.Errorf("harness: budget %s is not positive", job.Budget)
 	}
 	reg, err := cmdclass.Load()
 	if err != nil {
@@ -202,9 +204,10 @@ func Run(tb *testbed.Testbed, job fleet.Job, opts Options) (out FleetOutcome, er
 	var res *fuzz.Result
 	switch {
 	case baseline:
-		engine := vfuzz.New(d, net.Home, net.Controller, vfuzz.Config{
-			Duration: fcfg.Duration, Seed: job.Seed, OnFinding: fcfg.OnFinding,
-		})
+		var engine *vfuzz.Engine
+		if engine, err = vfuzz.New(d, net.Home, net.Controller, job.Seed, fcfg); err != nil {
+			return out, fmt.Errorf("harness: %w", err)
+		}
 		sub := tb.Bus.Subscribe(engine.Observe)
 		defer sub.Unsubscribe()
 		res = engine.Run()

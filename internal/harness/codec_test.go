@@ -5,13 +5,25 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
+	"reflect"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"zcover/internal/checkpoint"
+	"zcover/internal/cmdclass"
 	"zcover/internal/coord"
+	"zcover/internal/coverage"
+	"zcover/internal/device"
 	"zcover/internal/fleet"
+	"zcover/internal/oracle"
+	"zcover/internal/protocol"
+	"zcover/internal/telemetry"
+	"zcover/internal/zcover/discover"
+	"zcover/internal/zcover/fuzz"
+	"zcover/internal/zcover/scan"
 )
 
 // TestDecodeOutcomeRejectsGarbage: a body that does not set exactly one
@@ -106,4 +118,126 @@ func postResult(t *testing.T, base string, req coord.ResultRequest) (int, string
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(resp.Body)
 	return resp.StatusCode, string(body)
+}
+
+// quickOutcome is a random FleetOutcome of one of the three kinds, drawn
+// for testing/quick: findings carry oracle events and flight-recorder
+// traces, and campaigns carry fingerprints and discovery results.
+type quickOutcome struct{ FleetOutcome }
+
+// Generate implements quick.Generator.
+func (quickOutcome) Generate(r *rand.Rand, size int) reflect.Value {
+	value := func(v any) reflect.Value {
+		out, _ := quick.Value(reflect.TypeOf(v), r) // strings and byte slices always generate
+		return out
+	}
+	str := func() string { return value("").String() }
+	raw := func() []byte { return value([]byte(nil)).Bytes() }
+	at := func() time.Time { return time.Unix(r.Int63n(1<<34), r.Int63n(1e9)).UTC() }
+	dur := func() time.Duration { return time.Duration(r.Int63()) }
+	n := func() int { return r.Intn(size + 1) }
+	ids := func() []cmdclass.ClassID {
+		out := make([]cmdclass.ClassID, n())
+		for i := range out {
+			out[i] = cmdclass.ClassID(r.Intn(256))
+		}
+		return out
+	}
+	result := func() *fuzz.Result {
+		res := &fuzz.Result{
+			Strategy: fuzz.Strategy(str()), Device: str(), Duplicates: n(), PacketsSent: n(),
+			ClassesCovered: n(), CommandsCovered: n(), Elapsed: dur(),
+		}
+		for i := n(); i > 0; i-- {
+			f := fuzz.Finding{
+				Signature: str(),
+				Event: oracle.Event{At: at(), Device: str(), Kind: oracle.Kind(r.Intn(16)),
+					Class: byte(r.Intn(256)), Cmd: byte(r.Intn(256)), Duration: dur(), Detail: str(),
+					Confidence: oracle.Confidence(r.Intn(3))},
+				TriggerPayload: raw(), Packets: n(), Elapsed: dur(), MeasuredOutage: dur(),
+			}
+			for j := r.Intn(4); j > 0; j-- {
+				f.Trace = append(f.Trace, telemetry.FrameRecord{
+					Seq: r.Uint64(), At: at(), From: str(), Raw: raw(), Airtime: dur(),
+					Security: telemetry.SecurityClass(str()), Targets: n(), Lost: n(), Corrupted: n(),
+				})
+			}
+			res.Findings = append(res.Findings, f)
+		}
+		for i := n(); i > 0; i-- {
+			res.Timeline = append(res.Timeline, fuzz.Sample{Elapsed: dur(), Packets: n(), Unique: n()})
+		}
+		return res
+	}
+	var o FleetOutcome
+	switch r.Intn(3) {
+	case 0:
+		o.Baseline = result()
+	case 1:
+		o.CovFuzz = &fuzz.CovResult{
+			Result:     *result(),
+			Coverage:   coverage.Stats{Features: n(), Density: r.Float64(), Inputs: r.Uint64(), NovelInputs: r.Uint64()},
+			CorpusSize: n(), SeedsMinimized: n(), Rounds: n(),
+		}
+	default:
+		reg := cmdclass.MustLoad()
+		c := &Campaign{Fuzz: result()}
+		c.Fingerprint = scan.Fingerprint{
+			Home: protocol.HomeID(r.Uint32()), Controller: protocol.NodeID(r.Intn(256)),
+			Listed: ids(),
+			Identity: device.Identity{Basic: byte(r.Intn(256)), Generic: byte(r.Intn(256)),
+				Security: byte(r.Intn(256)), Classes: ids()},
+		}
+		for i := n(); i > 0; i-- {
+			c.Fingerprint.Nodes = append(c.Fingerprint.Nodes, protocol.NodeID(r.Intn(256)))
+			c.Discovery.ConfirmedCommands = append(c.Discovery.ConfirmedCommands,
+				discover.CmdRef{Class: cmdclass.ClassID(r.Intn(256)), Cmd: cmdclass.CommandID(r.Intn(256))})
+		}
+		c.Discovery.ListedClasses = resolveClasses(reg, ids())
+		c.Discovery.UnlistedSpec = resolveClasses(reg, ids())
+		c.Discovery.HiddenConfirmed = resolveClasses(reg, ids())
+		c.Discovery.Prioritized = resolveClasses(reg, ids())
+		c.Discovery.ProbesSent = n()
+		o.Campaign = c
+	}
+	return reflect.ValueOf(quickOutcome{o})
+}
+
+// TestOutcomeCodecRoundTripsQuick: for random outcomes of every kind,
+// findings with traces included, decoding an encoded outcome and encoding
+// it again reproduces the first encoding byte for byte.
+func TestOutcomeCodecRoundTripsQuick(t *testing.T) {
+	kinds := map[string]int{}
+	prop := func(q quickOutcome) bool {
+		first, err := EncodeOutcome(q.FleetOutcome)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		decoded, err := DecodeOutcome(first)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		second, err := EncodeOutcome(decoded)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		switch {
+		case q.Baseline != nil:
+			kinds["baseline"]++
+		case q.CovFuzz != nil:
+			kinds["covfuzz"]++
+		default:
+			kinds["campaign"]++
+		}
+		return bytes.Equal(first, second)
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(kinds) != 3 {
+		t.Fatalf("outcome kinds drawn: %v, want all three", kinds)
+	}
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"zcover/internal/fleet"
+	"zcover/internal/oracle"
 	"zcover/internal/telemetry"
 	"zcover/internal/testbed"
 	"zcover/internal/zcover/fuzz"
@@ -88,5 +90,97 @@ func TestFailedPhaseStillWritesItsSpan(t *testing.T) {
 				t.Errorf("scan span has no sim duration: %+v", events[1])
 			}
 		})
+	}
+}
+
+// TestRunRejectsNonPositiveBudget: a zero or negative budget is an error
+// before the scan phase, not a silent 24 h campaign.
+func TestRunRejectsNonPositiveBudget(t *testing.T) {
+	for _, job := range []fleet.Job{
+		{Strategy: fuzz.StrategyFull, Seed: 41},
+		{Strategy: fuzz.StrategyFull, Seed: 41, Budget: -time.Hour},
+		{Baseline: true, Seed: 41, Budget: -time.Hour},
+		{FuzzMode: fleet.ModeCoverage, Seed: 41, Budget: -time.Hour},
+	} {
+		tb, err := testbed.New("D1", 41)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := tb.Clock.Now()
+		if _, err := Run(tb, job, Options{}); err == nil || !strings.Contains(err.Error(), "budget") {
+			t.Errorf("budget %s: err = %v, want a budget error", job.Budget, err)
+		}
+		if !tb.Clock.Now().Equal(start) {
+			t.Errorf("budget %s: the run advanced the clock before failing", job.Budget)
+		}
+	}
+}
+
+// vfuzzJob is a one-hour VFuzz campaign on D2, whose MAC-layer bugs it
+// finds within the hour.
+var vfuzzJob = fleet.Job{Device: "D2", Baseline: true, Seed: 41, Budget: time.Hour}
+
+// TestRunVFuzzFindingsCarryTraces: with a flight recorder attached, VFuzz
+// findings carry the frames around their trigger, as ZCover's do.
+func TestRunVFuzzFindingsCarryTraces(t *testing.T) {
+	tb, err := testbed.New(vfuzzJob.Device, vfuzzJob.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Run(tb, vfuzzJob, Options{FlightRecorderDepth: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Baseline.Findings) == 0 {
+		t.Fatal("VFuzz found nothing on D2")
+	}
+	for _, f := range out.Baseline.Findings {
+		if len(f.Trace) == 0 {
+			t.Errorf("%s: no trace", f.Signature)
+		}
+	}
+}
+
+// TestRunVFuzzStopsAtFrameBudget: a job's frame cap binds VFuzz too.
+func TestRunVFuzzStopsAtFrameBudget(t *testing.T) {
+	job := vfuzzJob
+	job.Frames = 50
+	tb, err := testbed.New(job.Device, job.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Run(tb, job, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := out.Baseline; res.PacketsSent != job.Frames || res.Elapsed >= job.Budget {
+		t.Fatalf("sent %d frames in %s, want %d frames before the %s budget", res.PacketsSent, res.Elapsed, job.Frames, job.Budget)
+	}
+}
+
+// TestRunVFuzzGradesFindingsUnderChaos: on an impaired channel VFuzz
+// findings whose observation window overlaps injected faults are graded
+// suspect, and the triple liveness probe keeps lost pings from reading
+// as outages, so VFuzz keeps most of its clean-channel test rate.
+func TestRunVFuzzGradesFindingsUnderChaos(t *testing.T) {
+	job := vfuzzJob
+	job.ChaosProfile, job.ChaosSeed = "lossy", 7
+	res := fleet.Run([]fleet.Job{job}, RunFleetJob, fleet.Config{Workers: 1, MaxAttempts: 1})[0]
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	suspect := 0
+	for _, f := range res.Value.Baseline.Findings {
+		if f.Event.Confidence == oracle.ConfidenceSuspect {
+			suspect++
+		}
+	}
+	if suspect == 0 {
+		t.Errorf("no suspect finding among %d on a lossy channel", len(res.Value.Baseline.Findings))
+	}
+	// A clean VFuzz test cycle is 1.1 s; each lost single probe would add
+	// a 5 s recovery wait.
+	if sent := res.Value.Baseline.PacketsSent; sent < 1700 {
+		t.Errorf("sent %d frames in %s on a lossy channel, want >= 1700", sent, job.Budget)
 	}
 }

@@ -21,10 +21,6 @@ type ScalingConfig struct {
 	// GitSHA stamps the report's host info (passed in by scripts; empty is
 	// fine).
 	GitSHA string
-	// Contention enables mutex/block profiling for the duration of the
-	// sweep so the report can rank lock sites. The profiling tax applies
-	// equally to every point, keeping the points comparable.
-	Contention bool
 }
 
 // scalingJobs is the measured workload: the 7-device Table V-style sweep
@@ -97,10 +93,11 @@ func ScalingSweep(cfg ScalingConfig) (*obs.ScalingReport, error) {
 	if cfg.Budget <= 0 {
 		cfg.Budget = time.Hour
 	}
-	if cfg.Contention {
-		restore := obs.StartProfiling(obs.ProfileConfig{})
-		defer restore()
-	}
+	// Mutex/block profiling stays on for the whole sweep so the report
+	// can rank lock sites. The profiling tax applies equally to every
+	// point, keeping the points comparable.
+	restore := obs.StartProfiling(obs.ProfileConfig{})
+	defer restore()
 
 	jobs := scalingJobs(cfg.Budget)
 	rep := &obs.ScalingReport{
@@ -114,9 +111,7 @@ func ScalingSweep(cfg ScalingConfig) (*obs.ScalingReport, error) {
 		}
 		rep.Points = append(rep.Points, pt)
 	}
-	if cfg.Contention {
-		rep.Locks = obs.TopContendedLocks(10)
-	}
+	rep.Locks = obs.TopContendedLocks(10)
 	rep.Finalize()
 	return rep, nil
 }

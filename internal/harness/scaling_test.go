@@ -53,7 +53,7 @@ func TestTable5ByteIdenticalWithProfiling(t *testing.T) {
 // sweep asks for more workers than GOMAXPROCS — a ranked bottleneck list.
 func TestScalingSweepShort(t *testing.T) {
 	rep, err := ScalingSweep(ScalingConfig{
-		Workers: []int{1, 2}, Budget: 10 * time.Minute, GitSHA: "test", Contention: true,
+		Workers: []int{1, 2}, Budget: 10 * time.Minute, GitSHA: "test",
 	})
 	if err != nil {
 		t.Fatal(err)

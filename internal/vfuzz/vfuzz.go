@@ -14,11 +14,8 @@ package vfuzz
 
 import (
 	"math/rand"
-	"time"
 
-	"zcover/internal/oracle"
 	"zcover/internal/protocol"
-	"zcover/internal/vtime"
 	"zcover/internal/zcover/dongle"
 	"zcover/internal/zcover/fuzz"
 	"zcover/internal/zcover/scan"
@@ -27,54 +24,15 @@ import (
 // StrategyVFuzz labels VFuzz results in shared reporting.
 const StrategyVFuzz fuzz.Strategy = "vfuzz"
 
-// Config tunes a VFuzz campaign.
-type Config struct {
-	// Duration is the fuzzing budget.
-	Duration time.Duration
-	// Seed drives the mutation stream.
-	Seed int64
-	// ResponseWindow, InterTestGap, PingRetry mirror the ZCover engine's
-	// pacing so Table V compares equal wall-clock budgets.
-	ResponseWindow time.Duration
-	InterTestGap   time.Duration
-	PingRetry      time.Duration
-	// SamplePeriod spaces timeline samples.
-	SamplePeriod time.Duration
-	// OnFinding, if set, is invoked synchronously for each new unique
-	// finding — live progress for interactive callers.
-	OnFinding func(fuzz.Finding)
-}
-
-func (c Config) withDefaults() Config {
-	if c.Duration <= 0 {
-		c.Duration = 24 * time.Hour
-	}
-	if c.ResponseWindow <= 0 {
-		c.ResponseWindow = dongle.DefaultResponseWindow
-	}
-	if c.InterTestGap <= 0 {
-		c.InterTestGap = 100 * time.Millisecond
-	}
-	if c.PingRetry <= 0 {
-		c.PingRetry = 5 * time.Second
-	}
-	if c.SamplePeriod <= 0 {
-		c.SamplePeriod = 20 * time.Second
-	}
-	return c
-}
-
-// Engine drives one VFuzz campaign.
+// Engine drives one VFuzz campaign on the fuzz package's test cycle, which
+// keeps its budgets, findings, timeline and recovery wait exactly as it
+// does ZCover's, so Table V compares equal simulated budgets.
 type Engine struct {
+	*fuzz.Cycle
 	dongle *dongle.Dongle
-	clock  *vtime.SimClock
 	home   protocol.HomeID
 	target protocol.NodeID
-	cfg    Config
 	rng    *rand.Rand
-
-	pending []oracle.Event
-	seen    map[string]bool
 
 	// Per-iteration scratch: nextFrame's result is consumed within one test
 	// cycle (findings copy the trigger payload), so the payload and encode
@@ -83,96 +41,45 @@ type Engine struct {
 	frameBuf   []byte
 }
 
-// New builds a VFuzz engine against the target controller. Like ZCover,
-// VFuzz learns the home ID and node ID by scanning first; the caller
-// passes them in.
-func New(d *dongle.Dongle, home protocol.HomeID, target protocol.NodeID, cfg Config) *Engine {
+// New builds a VFuzz engine against the target controller; seed drives
+// its frame stream. Like ZCover, VFuzz learns the home ID and node ID by
+// scanning first; the caller passes them in.
+func New(d *dongle.Dongle, home protocol.HomeID, target protocol.NodeID, seed int64, cfg fuzz.Config) (*Engine, error) {
+	c, err := fuzz.NewCycle(d, home, target, cfg)
+	if err != nil {
+		return nil, err
+	}
 	return &Engine{
+		Cycle:  c,
 		dongle: d,
-		clock:  d.Clock(),
 		home:   home,
 		target: target,
-		cfg:    cfg.withDefaults(),
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		seen:   make(map[string]bool),
+		rng:    rand.New(rand.NewSource(seed)),
 
 		payloadBuf: make([]byte, 9),
 		frameBuf:   make([]byte, 0, protocol.MaxFrameSize),
-	}
+	}, nil
 }
 
-// Observe receives oracle events; subscribe it to the testbed bus before
-// Run (bus.Subscribe(engine.Observe)).
-func (e *Engine) Observe(ev oracle.Event) { e.pending = append(e.pending, ev) }
-
-// Run executes the campaign.
+// Run executes the campaign. Unlike ZCover, VFuzz pings after every test,
+// keeps no log of crashing commands, and takes no final timeline sample.
 func (e *Engine) Run() *fuzz.Result {
-	res := &fuzz.Result{
-		Strategy:        StrategyVFuzz,
-		ClassesCovered:  256,
-		CommandsCovered: 256,
-	}
-	start := e.clock.Now()
-	elapsed := func() time.Duration { return e.clock.Now().Sub(start) }
-	nextSample := e.cfg.SamplePeriod
-
-	for elapsed() < e.cfg.Duration {
+	e.Begin(&fuzz.Result{Strategy: StrategyVFuzz, ClassesCovered: 256, CommandsCovered: 256})
+	for !e.Exhausted() {
 		raw := e.nextFrame()
+		e.Inject()
 		_ = e.dongle.SendRaw(raw)
-		res.PacketsSent++
-		e.clock.Advance(e.cfg.ResponseWindow)
 		// VFuzz's device-behaviour fingerprinting sends a state probe
-		// after every test case, making its cycle slower than ZCover's.
-		e.clock.Advance(e.cfg.ResponseWindow)
-
-		for _, ev := range e.pending {
-			sig := ev.Signature()
-			if e.seen[sig] {
-				res.Duplicates++
-				continue
-			}
-			e.seen[sig] = true
-			finding := fuzz.Finding{
-				Signature:      sig,
-				Event:          ev,
-				TriggerPayload: append([]byte{}, raw...),
-				Packets:        res.PacketsSent,
-				Elapsed:        elapsed(),
-			}
-			res.Findings = append(res.Findings, finding)
-			if e.cfg.OnFinding != nil {
-				e.cfg.OnFinding(finding)
-			}
-			res.Timeline = append(res.Timeline, fuzz.Sample{
-				Elapsed: elapsed(), Packets: res.PacketsSent, Unique: len(res.Findings),
-			})
+		// after every test case: two response windows make its cycle
+		// slower than ZCover's.
+		e.dongle.Clock().Advance(2 * dongle.DefaultResponseWindow)
+		e.Drain(raw)
+		if !e.Ping() {
+			e.AwaitRecovery()
 		}
-		e.pending = e.pending[:0]
-
-		if !e.dongle.Ping(e.home, scan.AttackerNodeID, e.target) {
-			e.awaitRecovery(start)
-		}
-		e.clock.Advance(e.cfg.InterTestGap)
-
-		for elapsed() >= nextSample {
-			res.Timeline = append(res.Timeline, fuzz.Sample{
-				Elapsed: nextSample, Packets: res.PacketsSent, Unique: len(res.Findings),
-			})
-			nextSample += e.cfg.SamplePeriod
-		}
+		e.Pace()
 	}
-	res.Elapsed = elapsed()
-	return res
-}
-
-// awaitRecovery pings until the target answers or the budget runs out.
-func (e *Engine) awaitRecovery(start time.Time) {
-	for e.clock.Now().Sub(start) < e.cfg.Duration {
-		e.clock.Advance(e.cfg.PingRetry)
-		if e.dongle.Ping(e.home, scan.AttackerNodeID, e.target) {
-			return
-		}
-	}
+	return e.End()
 }
 
 // nextFrame builds one VFuzz test frame: a valid base frame with a random

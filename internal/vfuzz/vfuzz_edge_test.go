@@ -12,23 +12,17 @@ import (
 	"zcover/internal/zcover/fuzz"
 )
 
-func TestVFuzzZeroConfigGetsDefaults(t *testing.T) {
-	// An empty mutation budget must not mean "no fuzzing": the zero Config
-	// falls back to the paper's 24h budget and the engine's pacing.
-	c := Config{}.withDefaults()
-	if c.Duration != 24*time.Hour {
-		t.Errorf("default duration = %s, want 24h", c.Duration)
+func TestVFuzzRejectsNonPositiveBudget(t *testing.T) {
+	// A non-positive budget is an error, not a silent 24 h campaign.
+	tb, err := testbed.New("D3", 5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c.ResponseWindow != dongle.DefaultResponseWindow {
-		t.Errorf("default response window = %s", c.ResponseWindow)
-	}
-	if c.InterTestGap <= 0 || c.PingRetry <= 0 || c.SamplePeriod <= 0 {
-		t.Errorf("pacing defaults missing: %+v", c)
-	}
-	// Negative values are treated like zero, not honoured.
-	n := Config{Duration: -time.Hour, InterTestGap: -1}.withDefaults()
-	if n.Duration != 24*time.Hour || n.InterTestGap <= 0 {
-		t.Errorf("negative config not defaulted: %+v", n)
+	d := dongle.New(tb.Medium, tb.Region)
+	for _, budget := range []time.Duration{0, -time.Hour} {
+		if _, err := New(d, tb.Home(), testbed.ControllerID, 5, fuzz.Config{Duration: budget}); err == nil {
+			t.Errorf("New accepted budget %s", budget)
+		}
 	}
 }
 
@@ -40,7 +34,7 @@ func TestVFuzzTinyBudgetStillSendsOneFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := dongle.New(tb.Medium, tb.Region)
-	eng := New(d, tb.Home(), testbed.ControllerID, Config{Duration: time.Nanosecond, Seed: 5})
+	eng := mustNew(t, d, tb.Home(), 5, time.Nanosecond)
 	tb.Bus.Subscribe(eng.Observe)
 	res := eng.Run()
 	if res.PacketsSent != 1 {
@@ -61,7 +55,7 @@ func TestVFuzzTruncationToZeroLengthPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := dongle.New(tb.Medium, tb.Region)
-	eng := New(d, tb.Home(), testbed.ControllerID, Config{Seed: 11})
+	eng := mustNew(t, d, tb.Home(), 11, time.Hour)
 
 	headerOnly := 0
 	const trials = 5000
@@ -92,7 +86,7 @@ func TestVFuzzRNGStreamIsDeterministicPerSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := New(dongle.New(tb.Medium, tb.Region), tb.Home(), testbed.ControllerID, Config{Seed: seed})
+		eng := mustNew(t, dongle.New(tb.Medium, tb.Region), tb.Home(), seed, time.Hour)
 		out := make([][]byte, 500)
 		for i := range out {
 			out[i] = append([]byte{}, eng.nextFrame()...)
@@ -128,7 +122,7 @@ func TestVFuzzCampaignsAreDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := dongle.New(tb.Medium, tb.Region)
-		eng := New(d, tb.Home(), testbed.ControllerID, Config{Duration: 30 * time.Minute, Seed: 3})
+		eng := mustNew(t, d, tb.Home(), 3, 30*time.Minute)
 		tb.Bus.Subscribe(eng.Observe)
 		b, err := json.Marshal(eng.Run())
 		if err != nil {

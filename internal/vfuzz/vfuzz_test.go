@@ -8,7 +8,18 @@ import (
 	"zcover/internal/protocol"
 	"zcover/internal/testbed"
 	"zcover/internal/zcover/dongle"
+	"zcover/internal/zcover/fuzz"
 )
+
+// mustNew builds a VFuzz engine with the given seed and budget.
+func mustNew(t *testing.T, d *dongle.Dongle, home protocol.HomeID, seed int64, budget time.Duration) *Engine {
+	t.Helper()
+	eng, err := New(d, home, testbed.ControllerID, seed, fuzz.Config{Duration: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
 
 func newVFuzzRig(t *testing.T, index string, seed int64) (*Engine, *testbed.Testbed) {
 	t.Helper()
@@ -17,7 +28,7 @@ func newVFuzzRig(t *testing.T, index string, seed int64) (*Engine, *testbed.Test
 		t.Fatal(err)
 	}
 	d := dongle.New(tb.Medium, tb.Region)
-	eng := New(d, tb.Home(), testbed.ControllerID, Config{Duration: time.Hour, Seed: seed})
+	eng := mustNew(t, d, tb.Home(), seed, time.Hour)
 	tb.Bus.Subscribe(eng.Observe)
 	return eng, tb
 }
@@ -67,7 +78,7 @@ func TestVFuzzFrameMutationsAreMACFocused(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := dongle.New(tb.Medium, tb.Region)
-	eng := New(d, tb.Home(), testbed.ControllerID, Config{Seed: 9})
+	eng := mustNew(t, d, tb.Home(), 9, time.Hour)
 
 	clean := protocol.NewDataFrame(tb.Home(), 0x0F, testbed.ControllerID, []byte{0, 0}).MustEncode()
 	mutatedHeaders := 0
@@ -106,7 +117,7 @@ func TestVFuzzFramesNeverExceedMACLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := dongle.New(tb.Medium, tb.Region)
-	eng := New(d, tb.Home(), testbed.ControllerID, Config{Seed: 10})
+	eng := mustNew(t, d, tb.Home(), 10, time.Hour)
 	for i := 0; i < 5000; i++ {
 		if raw := eng.nextFrame(); len(raw) > protocol.MaxFrameSize {
 			t.Fatalf("frame %d is %d bytes", i, len(raw))

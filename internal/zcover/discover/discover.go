@@ -9,7 +9,6 @@ package discover
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"zcover/internal/cmdclass"
 	"zcover/internal/zcover/dongle"
@@ -206,6 +205,6 @@ func waitRecovery(d *dongle.Dongle, fp scan.Fingerprint) {
 		if d.Ping(fp.Home, scan.AttackerNodeID, fp.Controller) {
 			return
 		}
-		d.Clock().Advance(5 * time.Second)
+		d.Clock().Advance(dongle.PingRetry)
 	}
 }

@@ -15,15 +15,22 @@ import (
 	"zcover/internal/vtime"
 )
 
-// Timing defaults for exchanges. Real Z-Wave application responses arrive
-// well under these windows; they bound how long the attacker waits, and
-// they are what makes a fuzzing test cycle cost ~0.7 s of simulated time,
-// matching the paper's ~800 packets per ~600 s.
+// Timing of exchanges and of the fuzzing test cycle. Real Z-Wave
+// application responses arrive well under these windows; they bound how
+// long the attacker waits, and they are what makes a fuzzing test cycle
+// (response window, liveness ping, inter-test gap) cost ~0.7 s of
+// simulated time, matching the paper's ~800 packets per ~600 s.
 const (
 	// DefaultResponseWindow is how long an exchange waits for responses.
 	DefaultResponseWindow = 400 * time.Millisecond
 	// DefaultPingWindow is how long a liveness ping waits for the MAC ack.
 	DefaultPingWindow = 200 * time.Millisecond
+	// InterTestGap is the idle time between fuzzing tests (radio
+	// turnaround, logging).
+	InterTestGap = 100 * time.Millisecond
+	// PingRetry is the liveness re-probe interval while the target is
+	// unresponsive.
+	PingRetry = 5 * time.Second
 )
 
 // Dongle is the attacker's transceiver. Like a campaign's other actors it

@@ -94,31 +94,11 @@ func (e *CovEngine) Corpus() *corpus.Manager { return e.corp }
 // mutation stream, repeating), until the time or frame budget runs out.
 func (e *CovEngine) Run() (*CovResult, error) {
 	mCovCampaigns.Inc()
-	res := &Result{
-		Strategy:       e.strategy,
-		Device:         e.device,
-		ClassesCovered: len(e.queue),
-	}
-	e.start = e.clock.Now()
-	e.res = res
-	e.nextSample = e.cfg.SamplePeriod
-	e.pending = nil
-
-	streams := make([]*mutate.Stream, len(e.queue))
-	for i, cls := range e.queue {
-		streams[i] = e.mut.Stream(cls)
-	}
+	streams := e.begin()
 
 	// Stage 1: spec-driven quick pass (identical coverage of the queue).
-	for _, stream := range streams {
-		if e.budgetExhausted() {
-			break
-		}
-		for n := stream.QuickSize(); n > 0 && !e.budgetExhausted(); n-- {
-			if err := e.covTest(e.drawFiltered(stream)); err != nil {
-				return nil, err
-			}
-		}
+	if err := e.quickPass(streams, e.covTest); err != nil {
+		return nil, err
 	}
 
 	// Stage 2: coverage-guided corpus exploitation with an exploration
@@ -127,11 +107,11 @@ func (e *CovEngine) Run() (*CovResult, error) {
 	// mutations), then walks the corpus in admission order spending each
 	// seed's energy budget on variants.
 	rounds := 0
-	for !e.budgetExhausted() {
-		sentBefore := res.PacketsSent
+	for !e.Exhausted() {
+		sentBefore := e.res.PacketsSent
 
 		for _, stream := range streams {
-			if e.budgetExhausted() {
+			if e.Exhausted() {
 				break
 			}
 			if stream.Exhausted() {
@@ -142,9 +122,9 @@ func (e *CovEngine) Run() (*CovResult, error) {
 			}
 		}
 
-		for i := 0; i < e.corp.Len() && !e.budgetExhausted(); i++ {
+		for i := 0; i < e.corp.Len() && !e.Exhausted(); i++ {
 			s := e.corp.Seed(i)
-			for k := 0; k < s.Energy && !e.budgetExhausted(); k++ {
+			for k := 0; k < s.Energy && !e.Exhausted(); k++ {
 				for len(e.visits) <= s.ID {
 					e.visits = append(e.visits, 0)
 				}
@@ -158,21 +138,16 @@ func (e *CovEngine) Run() (*CovResult, error) {
 
 		rounds++
 		mCovRounds.Inc()
-		if res.PacketsSent == sentBefore {
+		if e.res.PacketsSent == sentBefore {
 			// The whole round deduplicated away (exhausted streams, tiny
 			// corpus): charge an idle gap so the time budget still drains
 			// instead of spinning.
-			e.clock.Advance(e.cfg.InterTestGap)
+			e.clock.Advance(dongle.InterTestGap)
 		}
 	}
 
-	res.Elapsed = e.elapsed()
-	res.Timeline = append(res.Timeline, Sample{
-		Elapsed: res.Elapsed, Packets: res.PacketsSent, Unique: len(res.Findings),
-	})
-
 	out := &CovResult{
-		Result:     *res,
+		Result:     *e.finish(),
 		Coverage:   e.cov.Stats(),
 		CorpusSize: e.corp.Len(),
 		Rounds:     rounds,

@@ -3,6 +3,7 @@ package fuzz
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -152,7 +153,6 @@ func TestCovEngineResumesFromCorpusJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j2.Close()
 	if j2.Replayed() != res1.CorpusSize {
 		t.Fatalf("journal holds %d seeds, campaign admitted %d", j2.Replayed(), res1.CorpusSize)
 	}
@@ -162,6 +162,7 @@ func TestCovEngineResumesFromCorpusJournal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replay validation failed: %v", err)
 	}
+	j2.Close()
 	if res2.CorpusSize != res1.CorpusSize {
 		t.Fatalf("resumed corpus = %d seeds, original = %d", res2.CorpusSize, res1.CorpusSize)
 	}
@@ -170,6 +171,19 @@ func TestCovEngineResumesFromCorpusJournal(t *testing.T) {
 	b2, _ := json.Marshal(res2)
 	if !bytes.Equal(b1, b2) {
 		t.Fatalf("resumed campaign result diverged:\n%s\n%s", b1, b2)
+	}
+
+	// A campaign over another queue diverges from the journal at its first
+	// admission, in the quick pass, and fails rather than mix two corpora.
+	j3, err := corpus.OpenJournal(dir, "covfuzz-D1", spec, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j3.Close()
+	eng3, _ := newCovEngine(t, "D1", classes[1:], cfg)
+	eng3.Corpus().AttachJournal(j3)
+	if _, err := eng3.Run(); err == nil || !strings.Contains(err.Error(), "divergence") {
+		t.Fatalf("divergent campaign against the journal: err = %v", err)
 	}
 }
 

@@ -12,20 +12,9 @@ import (
 	"zcover/internal/cmdclass"
 	"zcover/internal/oracle"
 	"zcover/internal/telemetry"
-	"zcover/internal/vtime"
 	"zcover/internal/zcover/dongle"
 	"zcover/internal/zcover/mutate"
 	"zcover/internal/zcover/scan"
-)
-
-// Process-wide fuzzing metrics. Detection latency is the simulated time
-// between injecting the trigger packet and the oracle observing its effect
-// — the black-box analogue of the paper's human verification delay.
-var (
-	mPackets         = telemetry.Default().Counter("fuzz_packets_total")
-	mFindings        = telemetry.Default().Counter("fuzz_findings_total")
-	mDuplicates      = telemetry.Default().Counter("fuzz_duplicates_total")
-	mDetectLatencyMS = telemetry.Default().Histogram("oracle_detect_latency_ms", 1, 10, 100, 1000, 10000)
 )
 
 // Strategy names the engine configuration (Table VI's three rows).
@@ -46,24 +35,16 @@ const (
 	StrategyCoverage Strategy = "zcover-cov"
 )
 
-// Config tunes a campaign.
+// Config tunes a campaign. Every engine — generational, coverage-guided
+// and VFuzz — is built from one Config; the pacing of the test cycle is
+// fixed (dongle.DefaultResponseWindow, dongle.InterTestGap,
+// dongle.PingRetry, SamplePeriod).
 type Config struct {
-	// Duration is the fuzzing budget (Testing_T of Algorithm 1).
+	// Duration is the fuzzing budget (Testing_T of Algorithm 1); it must
+	// be positive. The generational engine gives each queued class a
+	// window (C_T) of Duration/len(queue); a new unique finding restarts
+	// the window, as crashes keep Algorithm 1 on the current class.
 	Duration time.Duration
-	// PerClass is the per-class window (C_T). Zero derives
-	// Duration/len(queue). A new unique finding restarts the window, as
-	// crashes keep Algorithm 1 on the current class.
-	PerClass time.Duration
-	// ResponseWindow bounds the wait after each test packet.
-	ResponseWindow time.Duration
-	// InterTestGap is idle time between tests (radio turnaround, logging).
-	InterTestGap time.Duration
-	// PingRetry is the liveness re-probe interval while the target is
-	// unresponsive.
-	PingRetry time.Duration
-	// SamplePeriod spaces the timeline samples for Fig. 12. Zero means
-	// one sample per 20 s of simulated time.
-	SamplePeriod time.Duration
 	// OnFinding, if set, is invoked synchronously for each new unique
 	// finding — live progress for interactive callers.
 	OnFinding func(Finding)
@@ -96,32 +77,6 @@ type Config struct {
 // after a given simulated instant.
 type ImpairmentMonitor interface {
 	ImpairedSince(t time.Time) bool
-}
-
-// withDefaults fills unset fields.
-func (c Config) withDefaults(queueLen int) Config {
-	if c.Duration <= 0 {
-		c.Duration = 24 * time.Hour
-	}
-	if c.PerClass <= 0 && queueLen > 0 {
-		c.PerClass = c.Duration / time.Duration(queueLen)
-	}
-	if c.ResponseWindow <= 0 {
-		c.ResponseWindow = dongle.DefaultResponseWindow
-	}
-	if c.InterTestGap <= 0 {
-		c.InterTestGap = 100 * time.Millisecond
-	}
-	if c.PingRetry <= 0 {
-		c.PingRetry = 5 * time.Second
-	}
-	if c.SamplePeriod <= 0 {
-		c.SamplePeriod = 20 * time.Second
-	}
-	if c.PingAttempts <= 0 {
-		c.PingAttempts = 1
-	}
-	return c
 }
 
 // Finding is one unique vulnerability discovery.
@@ -182,28 +137,17 @@ func (r *Result) UniqueVulnerabilities() int { return len(r.Findings) }
 
 // Engine drives one campaign against one target.
 type Engine struct {
-	dongle *dongle.Dongle
-	clock  *vtime.SimClock
-	fp     scan.Fingerprint
-	queue  []*cmdclass.Class
-	mut    *mutate.Mutator
-	cfg    Config
+	*Cycle
+	queue []*cmdclass.Class
+	mut   *mutate.Mutator
 
 	strategy Strategy
 	device   string
-
-	pending []oracle.Event
-	seen    map[string]bool
 
 	// crashedCmds records (class, command) pairs that made the target
 	// unresponsive. The engine consults its own log and stops re-sending
 	// them: re-triggering a known hang only burns campaign time.
 	crashedCmds map[[2]byte]bool
-
-	// campaign state while Run is active
-	start      time.Time
-	res        *Result
-	nextSample time.Duration
 }
 
 // New builds an engine. The caller wires the oracle bus subscription via
@@ -215,24 +159,18 @@ func New(d *dongle.Dongle, fp scan.Fingerprint, queue []*cmdclass.Class, mut *mu
 	if len(queue) == 0 {
 		return nil, fmt.Errorf("fuzz: empty class queue")
 	}
+	c, err := NewCycle(d, fp.Home, fp.Controller, cfg)
+	if err != nil {
+		return nil, err
+	}
 	return &Engine{
-		dongle:      d,
-		clock:       d.Clock(),
-		fp:          fp,
+		Cycle:       c,
 		queue:       queue,
 		mut:         mut,
-		cfg:         cfg.withDefaults(len(queue)),
 		strategy:    strategy,
 		device:      device,
-		seen:        make(map[string]bool),
 		crashedCmds: make(map[[2]byte]bool),
 	}, nil
-}
-
-// Observe receives oracle events; subscribe it to the testbed bus before
-// Run. Events observed while no campaign is active are dropped.
-func (e *Engine) Observe(ev oracle.Event) {
-	e.pending = append(e.pending, ev)
 }
 
 // Run executes the campaign and returns the result.
@@ -247,43 +185,27 @@ func (e *Engine) Observe(ev oracle.Event) {
 // hang-recovery time is compensated — C_T measures mutation time, not time
 // spent waiting for the controller to come back.
 func (e *Engine) Run() *Result {
-	res := &Result{
-		Strategy:       e.strategy,
-		Device:         e.device,
-		ClassesCovered: len(e.queue),
-	}
-	e.start = e.clock.Now()
-	e.res = res
-	e.nextSample = e.cfg.SamplePeriod
-	e.pending = nil
-
-	streams := make([]*mutate.Stream, len(e.queue))
-	for i, cls := range e.queue {
-		streams[i] = e.mut.Stream(cls)
-	}
+	streams := e.begin()
 
 	// Stage 1: quick pass across the whole prioritised queue.
-	for _, stream := range streams {
-		if e.budgetExhausted() {
-			break
-		}
-		for n := stream.QuickSize(); n > 0 && !e.budgetExhausted(); n-- {
-			e.oneTest(stream)
-		}
-	}
+	_ = e.quickPass(streams, func(payload []byte) error {
+		e.runPayload(payload)
+		return nil
+	})
 
 	// Stage 2: deep pass, C_T per class (Algorithm 1 lines 4-15).
+	perClass := e.cfg.Duration / time.Duration(len(e.queue))
 	for _, stream := range streams {
-		if e.budgetExhausted() {
+		if e.Exhausted() {
 			break
 		}
 		windowUsed := time.Duration(0)
 		windowStart := e.clock.Now()
-		for !e.budgetExhausted() {
-			if windowUsed+e.clock.Now().Sub(windowStart) >= e.cfg.PerClass {
+		for !e.Exhausted() {
+			if windowUsed+e.clock.Now().Sub(windowStart) >= perClass {
 				break
 			}
-			newFinding, recovery := e.oneTest(stream)
+			newFinding, recovery := e.runPayload(e.drawFiltered(stream))
 			if newFinding {
 				// Line 14's contrapositive: a crash keeps the fuzzer here.
 				windowUsed = 0
@@ -292,24 +214,41 @@ func (e *Engine) Run() *Result {
 			windowStart = windowStart.Add(recovery) // C_T counts mutation time only
 		}
 	}
-
-	res.Elapsed = e.elapsed()
-	res.Timeline = append(res.Timeline, Sample{
-		Elapsed: res.Elapsed, Packets: res.PacketsSent, Unique: len(res.Findings),
-	})
-	return res
+	return e.finish()
 }
 
-// elapsed reports campaign time.
-func (e *Engine) elapsed() time.Duration { return e.clock.Now().Sub(e.start) }
-
-// budgetExhausted reports whether either campaign budget — simulated time
-// or, when configured, the frame cap — has run out.
-func (e *Engine) budgetExhausted() bool {
-	if e.cfg.FrameBudget > 0 && e.res.PacketsSent >= e.cfg.FrameBudget {
-		return true
+// begin starts the campaign and opens one mutation stream per queued
+// class.
+func (e *Engine) begin() []*mutate.Stream {
+	e.Begin(&Result{Strategy: e.strategy, Device: e.device, ClassesCovered: len(e.queue)})
+	streams := make([]*mutate.Stream, len(e.queue))
+	for i, cls := range e.queue {
+		streams[i] = e.mut.Stream(cls)
 	}
-	return e.elapsed() >= e.cfg.Duration
+	return streams
+}
+
+// quickPass sends every class's cheap class-wide sweeps in priority
+// order through test, stopping at the first error.
+func (e *Engine) quickPass(streams []*mutate.Stream, test func(payload []byte) error) error {
+	for _, stream := range streams {
+		if e.Exhausted() {
+			break
+		}
+		for n := stream.QuickSize(); n > 0 && !e.Exhausted(); n-- {
+			if err := test(e.drawFiltered(stream)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// finish closes the campaign with a final timeline sample at its end.
+func (e *Engine) finish() *Result {
+	res := e.End()
+	e.sample(res.Elapsed)
+	return res
 }
 
 // maxFilteredDraws bounds how many consecutive known-crash payloads the
@@ -326,26 +265,18 @@ func (e *Engine) drawFiltered(stream *mutate.Stream) []byte {
 	return payload
 }
 
-// oneTest runs one send/observe/liveness cycle. It reports whether a new
-// unique finding was logged and how long recovery waiting took.
-func (e *Engine) oneTest(stream *mutate.Stream) (newFinding bool, recovery time.Duration) {
-	return e.runPayload(e.drawFiltered(stream))
-}
-
 // runPayload injects one application payload and runs the observe /
-// liveness / recovery cycle on it — the engine-independent half of a test.
-// The coverage-guided engine calls it directly with corpus variants.
+// liveness / recovery cycle on it. It reports whether a new unique finding
+// was logged and how long recovery waiting took. The coverage-guided
+// engine calls it directly with corpus variants.
 func (e *Engine) runPayload(payload []byte) (newFinding bool, recovery time.Duration) {
-	txAt := e.clock.Now()
-	ex, err := e.dongle.SendAndObserve(e.fp.Home, scan.AttackerNodeID, e.fp.Controller,
-		payload, e.cfg.ResponseWindow)
-	e.res.PacketsSent++
-	mPackets.Inc()
+	e.Inject()
+	ex, err := e.dongle.SendAndObserve(e.home, scan.AttackerNodeID, e.target,
+		payload, dongle.DefaultResponseWindow)
 	if err != nil {
 		return false, 0 // unencodable mutant: skip, as a dongle would
 	}
-
-	newFinding = e.drainEvents(e.res, payload, e.elapsed(), txAt)
+	newFinding = e.Drain(payload)
 
 	// Feedback loop: liveness check via NOP ping; wait out hangs. A hang
 	// marks the (class, command) pair as crashing so it is not re-sent,
@@ -354,92 +285,17 @@ func (e *Engine) runPayload(payload []byte) (newFinding bool, recovery time.Dura
 	// (The MAC ack is sent before the application layer executes, so a
 	// frame that hangs the controller still gets acked — every new finding
 	// is therefore liveness-checked explicitly.)
-	if (!ex.Acked || newFinding) && !e.ping() {
+	if (!ex.Acked || newFinding) && !e.Ping() {
 		if len(payload) >= 2 {
 			e.crashedCmds[[2]byte{payload[0], payload[1]}] = true
 		}
-		before := e.clock.Now()
-		e.awaitRecovery(e.start)
-		recovery = e.clock.Now().Sub(before)
-		if newFinding && len(e.res.Findings) > 0 {
+		recovery = e.AwaitRecovery()
+		if newFinding {
 			e.res.Findings[len(e.res.Findings)-1].MeasuredOutage = recovery
 		}
 	}
-	e.clock.Advance(e.cfg.InterTestGap)
-
-	for e.elapsed() >= e.nextSample {
-		e.res.Timeline = append(e.res.Timeline, Sample{
-			Elapsed: e.nextSample, Packets: e.res.PacketsSent, Unique: len(e.res.Findings),
-		})
-		e.nextSample += e.cfg.SamplePeriod
-	}
+	e.Pace()
 	return newFinding, recovery
-}
-
-// drainEvents folds pending oracle observations into the result. It
-// reports whether a new unique finding was logged. txAt is the simulated
-// instant the trigger went on the air (detection-latency metric origin).
-func (e *Engine) drainEvents(res *Result, payload []byte, elapsed time.Duration, txAt time.Time) bool {
-	found := false
-	for _, ev := range e.pending {
-		sig := ev.Signature()
-		if e.seen[sig] {
-			res.Duplicates++
-			mDuplicates.Inc()
-			continue
-		}
-		e.seen[sig] = true
-		found = true
-		mFindings.Inc()
-		if lat := ev.At.Sub(txAt); lat >= 0 {
-			mDetectLatencyMS.Observe(float64(lat) / float64(time.Millisecond))
-		}
-		if e.cfg.Impairment != nil && ev.Confidence == oracle.ConfidenceConfirmed &&
-			e.cfg.Impairment.ImpairedSince(txAt) {
-			ev.Confidence = oracle.ConfidenceSuspect
-		}
-		finding := Finding{
-			Signature:      sig,
-			Event:          ev,
-			TriggerPayload: append([]byte{}, payload...), // payload is a reused stream buffer
-			Packets:        res.PacketsSent,
-			Elapsed:        elapsed,
-		}
-		if e.cfg.Recorder != nil {
-			finding.Trace = e.cfg.Recorder.Snapshot()
-		}
-		res.Findings = append(res.Findings, finding)
-		if e.cfg.OnFinding != nil {
-			e.cfg.OnFinding(finding)
-		}
-		res.Timeline = append(res.Timeline, Sample{
-			Elapsed: elapsed, Packets: res.PacketsSent, Unique: len(res.Findings),
-		})
-	}
-	e.pending = e.pending[:0]
-	return found
-}
-
-// ping is one liveness check: up to PingAttempts NOP probes, so a single
-// lost probe on an impaired channel does not read as a controller hang.
-func (e *Engine) ping() bool {
-	for i := 0; i < e.cfg.PingAttempts; i++ {
-		if e.dongle.Ping(e.fp.Home, scan.AttackerNodeID, e.fp.Controller) {
-			return true
-		}
-	}
-	return false
-}
-
-// awaitRecovery pings until the target answers again or the campaign
-// budget runs out — the "controller hangs" handling of the feedback loop.
-func (e *Engine) awaitRecovery(start time.Time) {
-	for e.clock.Now().Sub(start) < e.cfg.Duration {
-		e.clock.Advance(e.cfg.PingRetry)
-		if e.ping() {
-			return
-		}
-	}
 }
 
 // BuildQueue assembles the class queue for a strategy:

@@ -149,8 +149,15 @@ func TestEngineValidation(t *testing.T) {
 	}
 	d := dongle.New(tb.Medium, tb.Region)
 	mut := mutate.New(mutate.Semantics{}, 1)
-	if _, err := New(d, scan.Fingerprint{}, nil, mut, StrategyFull, "D1", Config{}); err == nil {
+	if _, err := New(d, scan.Fingerprint{}, nil, mut, StrategyFull, "D1", Config{Duration: time.Hour}); err == nil {
 		t.Fatal("New accepted an empty queue")
+	}
+	// A non-positive budget is an error, not a silent 24 h campaign.
+	queue := []*cmdclass.Class{cmdclass.MustLoad().ControllerCluster()[0]}
+	for _, budget := range []time.Duration{0, -time.Hour} {
+		if _, err := New(d, scan.Fingerprint{}, queue, mut, StrategyFull, "D1", Config{Duration: budget}); err == nil {
+			t.Errorf("New accepted budget %s", budget)
+		}
 	}
 }
 
@@ -167,19 +174,6 @@ func TestBuildQueueShapes(t *testing.T) {
 	}
 	if q := BuildQueue(StrategyFull, reg, listed, prioritized, 1); len(q) != len(prioritized) {
 		t.Fatalf("full queue = %d classes", len(q))
-	}
-}
-
-func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults(45)
-	if c.Duration != 24*time.Hour {
-		t.Errorf("default duration = %s", c.Duration)
-	}
-	if c.PerClass != 24*time.Hour/45 {
-		t.Errorf("default per-class = %s", c.PerClass)
-	}
-	if c.ResponseWindow <= 0 || c.InterTestGap <= 0 || c.PingRetry <= 0 || c.SamplePeriod <= 0 {
-		t.Error("defaults left zero fields")
 	}
 }
 
