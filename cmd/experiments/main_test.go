@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -144,22 +145,38 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestScalingCLI drives -run scaling end to end at a tiny budget: the
-// report file must gate cleanly against itself, and the printed table must
-// carry the ranked bottleneck section.
+// stampedFixture copies a scaling fixture into a temporary file stamped
+// with this process's GOMAXPROCS plus skew: the gate only compares reports
+// from one host shape, and the fixtures must gate the same on any host.
+func stampedFixture(t *testing.T, name string, skew int) string {
+	t.Helper()
+	rep, err := obs.LoadScalingReport(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.Host.Gomaxprocs = runtime.GOMAXPROCS(0) + skew
+	path := filepath.Join(t.TempDir(), name)
+	if err := rep.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // TestScalingCLI checks the sweep's wiring: the table and ranking are
 // printed, -scaling-out writes a readable report, and -scaling-baseline
 // gates. The gate runs against fixtures whose top point has efficiency
 // 0.01 and 100, which any sweep passes and fails, so host load cannot
-// flip the result; obs TestCheckRegression covers the 10% arithmetic.
+// flip the result; obs TestCheckRegression covers the 10% arithmetic. A
+// fixture from another host shape is refused outright.
 func TestScalingCLI(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "scaling.json")
+	pass := stampedFixture(t, "scaling-pass.json", 0)
 	printed := captureStdout(t, func() error {
 		return run([]string{"-run", "scaling", "-fuzz", "30m", "-scaling-workers", "1,2",
-			"-scaling-baseline", "testdata/scaling-pass.json", "-scaling-out", out, "-git-sha", "test"})
+			"-scaling-baseline", pass, "-scaling-out", out, "-git-sha", "test"})
 	})
 	for _, want := range []string{"Fleet scaling", "Ranked serialization sources",
-		"scaling gate: efficiency within 10% of baseline testdata/scaling-pass.json"} {
+		"scaling gate: efficiency within 10% of baseline " + pass} {
 		if !strings.Contains(printed, want) {
 			t.Errorf("scaling output missing %q:\n%s", want, printed)
 		}
@@ -168,14 +185,20 @@ func TestScalingCLI(t *testing.T) {
 		t.Errorf("-scaling-out report: %v, %+v", err, rep)
 	}
 
-	var gateErr error
-	captureStdout(t, func() error {
-		gateErr = run([]string{"-run", "scaling", "-fuzz", "30m", "-scaling-workers", "1,2",
-			"-scaling-baseline", "testdata/scaling-fail.json"})
-		return nil
-	})
-	if gateErr == nil || !strings.Contains(gateErr.Error(), "regressed") {
-		t.Errorf("sweep against an efficiency-100 baseline: %v, want a regression error", gateErr)
+	gate := func(baseline string) error {
+		var err error
+		captureStdout(t, func() error {
+			err = run([]string{"-run", "scaling", "-fuzz", "30m", "-scaling-workers", "1,2",
+				"-scaling-baseline", baseline})
+			return nil
+		})
+		return err
+	}
+	if err := gate(stampedFixture(t, "scaling-fail.json", 0)); err == nil || !strings.Contains(err.Error(), "regressed") {
+		t.Errorf("sweep against an efficiency-100 baseline: %v, want a regression error", err)
+	}
+	if err := gate(stampedFixture(t, "scaling-pass.json", 1)); err == nil || !strings.Contains(err.Error(), "refresh the baseline") {
+		t.Errorf("sweep against another host shape's baseline: %v, want a host-shape error", err)
 	}
 }
 

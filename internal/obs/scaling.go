@@ -309,12 +309,19 @@ func LoadScalingReport(path string) (*ScalingReport, error) {
 // CheckRegression compares a fresh report's parallel efficiency at its
 // highest worker count against a committed baseline and errors when it
 // dropped by more than maxDrop (relative: 0.10 = 10%). Efficiency is
-// normalized to each host's own ideal speedup, so a 1-core container and
-// an 8-core CI runner gate against the same bar.
+// normalized to the host's ideal speedup, min(workers, GOMAXPROCS), which
+// does not make hosts of different shapes comparable: at GOMAXPROCS=1
+// every point runs one worker and efficiency is about 1 by construction.
+// Reports stamped with different GOMAXPROCS are therefore an error, not a
+// regression; refresh the baseline on the runner shape that gates on it.
 func CheckRegression(baseline, fresh *ScalingReport, maxDrop float64) error {
 	bp, fp := baseline.maxPoint(), fresh.maxPoint()
 	if bp == nil || fp == nil {
 		return fmt.Errorf("obs: scaling report missing measurement points")
+	}
+	if b, f := baseline.Host.Gomaxprocs, fresh.Host.Gomaxprocs; b != f {
+		return fmt.Errorf("obs: scaling baseline was measured at GOMAXPROCS=%d but this sweep ran at GOMAXPROCS=%d; "+
+			"efficiency only compares on one host shape, so refresh the baseline report on a GOMAXPROCS=%d runner", b, f, f)
 	}
 	if bp.Efficiency <= 0 {
 		return fmt.Errorf("obs: baseline efficiency is zero; refresh the committed BENCH_scaling.json")

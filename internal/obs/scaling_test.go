@@ -1,6 +1,7 @@
 package obs_test
 
 import (
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -121,6 +122,33 @@ func TestCheckRegression(t *testing.T) {
 	}
 }
 
+// TestCheckRegressionRejectsHostShapeMismatch: efficiency is normalised to
+// min(workers, GOMAXPROCS), so a GOMAXPROCS=1 baseline (efficiency ~1 by
+// construction) and a 2-P sweep are not comparable. The gate must say so,
+// naming both shapes, instead of reporting a regression — in either
+// direction, and even when the fresh efficiency would clear the bar.
+func TestCheckRegressionRejectsHostShapeMismatch(t *testing.T) {
+	base := report()
+	base.Finalize()
+	for _, procs := range []int{2, 8} {
+		fresh := report()
+		fresh.Host.Gomaxprocs = procs
+		fresh.Finalize()
+		err := obs.CheckRegression(base, fresh, 0.10)
+		if err == nil || strings.Contains(err.Error(), "regressed") {
+			t.Fatalf("GOMAXPROCS 1 baseline vs %d sweep: %v, want a host-shape error", procs, err)
+		}
+		for _, want := range []string{"GOMAXPROCS=1", fmt.Sprintf("GOMAXPROCS=%d", procs), "refresh"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("host-shape error %q does not mention %q", err, want)
+			}
+		}
+		if err := obs.CheckRegression(fresh, base, 0.10); err == nil {
+			t.Errorf("GOMAXPROCS %d baseline vs 1 sweep accepted", procs)
+		}
+	}
+}
+
 // TestCommittedReportGatesOnCappedPoint pins which point of the committed
 // BENCH_scaling.json the nightly gate holds a fresh sweep to: the capped
 // workers=8 point (efficiency 1.009). The report also ends with an
@@ -133,7 +161,7 @@ func TestCommittedReportGatesOnCappedPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := func(eff float64) *obs.ScalingReport {
-		return &obs.ScalingReport{Points: []obs.ScalingPoint{
+		return &obs.ScalingReport{Host: base.Host, Points: []obs.ScalingPoint{
 			{Workers: 1, Efficiency: 1},
 			{Workers: 8, Efficiency: eff},
 		}}

@@ -21,6 +21,10 @@
 // Receiver callbacks must not mutate Capture.Raw and must copy it before
 // retaining it. The interceptor hook is the exception — it receives a
 // private copy it may mutate or retain, as documented on InterceptFunc.
+//
+// Each Transceiver caches its fan-out (attached same-region in-range peers,
+// in attach order). Attach, Place, SetRange and Detach bump the medium's
+// generation, and the sender's next transmission rebuilds a stale cache.
 package radio
 
 import (
@@ -146,6 +150,7 @@ type Medium struct {
 	txLog     int
 	rangeLim  float64
 	recorder  *telemetry.FlightRecorder
+	gen       atomic.Uint64 // bumped when any fan-out cache goes stale
 }
 
 // NewMedium creates an empty air over the given simulated clock.
@@ -213,6 +218,7 @@ func (m *Medium) SetRange(r float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.rangeLim = r
+	m.gen.Add(1)
 }
 
 // SetFlightRecorder attaches a packet flight recorder: every transmission
@@ -239,13 +245,26 @@ func (m *Medium) Attach(name string, region Region) *Transceiver {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.nodes = append(m.nodes, t)
+	m.gen.Add(1)
 	return t
 }
 
-// targetPool recycles the per-transmission target list. Delivery is
-// synchronous, so the slice is done with by the time transmit returns and
-// can go straight back to the pool.
-var targetPool = sync.Pool{New: func() any { return new([]*Transceiver) }}
+// peersOf returns from's fan-out cache, rebuilt if stale. The slice is
+// never written again, so it outlives m.mu. Callers hold m.mu.
+func (m *Medium) peersOf(from *Transceiver) []*Transceiver {
+	gen := m.gen.Load()
+	if from.peersGen == gen {
+		return from.peers
+	}
+	peers := make([]*Transceiver, 0, len(m.nodes))
+	for _, t := range m.nodes {
+		if t != from && t.region == from.region && !t.detached.Load() && m.inRange(from, t) {
+			peers = append(peers, t)
+		}
+	}
+	from.peers, from.peersGen = peers, gen
+	return peers
+}
 
 // transmit delivers raw to all other transceivers in region.
 //
@@ -262,13 +281,7 @@ func (m *Medium) transmit(from *Transceiver, raw []byte) error {
 	}
 	m.mu.Lock()
 	m.txLog++
-	targetsp := targetPool.Get().(*[]*Transceiver)
-	targets := (*targetsp)[:0]
-	for _, t := range m.nodes {
-		if t != from && t.region == from.region && !t.detached.Load() && m.inRange(from, t) {
-			targets = append(targets, t)
-		}
-	}
+	targets := m.peersOf(from)
 	lossP, noiseP := m.lossP, m.noiseP
 	// Each receiver's loss/noise outcomes come from its own seeded stream,
 	// drawn in a fixed per-frame order (loss, noise, then corruption
@@ -358,9 +371,6 @@ func (m *Medium) transmit(from *Transceiver, raw []byte) error {
 			})
 		}
 	}
-	nTargets := len(targets)
-	*targetsp = targets[:0]
-	targetPool.Put(targetsp)
 	mLost.Add(int64(lost))
 	mCorrupted.Add(int64(corrupted))
 	if recorder != nil {
@@ -371,7 +381,7 @@ func (m *Medium) transmit(from *Transceiver, raw []byte) error {
 			Raw:       raw,
 			Airtime:   airtime,
 			Security:  securityClassOf(raw),
-			Targets:   nTargets,
+			Targets:   len(targets),
 			Lost:      lost,
 			Corrupted: corrupted,
 		})
@@ -406,10 +416,10 @@ func (m *Medium) inRange(a, b *Transceiver) bool {
 }
 
 // Transceiver is one radio endpoint: a device chipset, the attacker's
-// dongle, or a passive sniffer. It is safe for concurrent use: the counters
-// and the detach flag are atomics, so Stats, Transmit, Detach, and frame
-// delivery may race freely across goroutines (the fleet hammers exactly
-// that pattern); x/y/placed are guarded by the medium's lock.
+// dongle, or a passive sniffer. It is safe for concurrent use: handler,
+// counters and detach flag are atomics, so every method and frame delivery
+// may race freely across goroutines (the fleet hammers that pattern);
+// x/y/placed and the peers cache are guarded by the medium's lock.
 type Transceiver struct {
 	medium   *Medium
 	name     string
@@ -417,9 +427,10 @@ type Transceiver struct {
 	detached atomic.Bool
 	x, y     float64
 	placed   bool
+	peers    []*Transceiver
+	peersGen uint64
 
-	mu      sync.Mutex
-	handler func(Capture)
+	handler atomic.Pointer[func(Capture)]
 	txCount atomic.Int64
 	rxCount atomic.Int64
 }
@@ -432,11 +443,7 @@ func (t *Transceiver) Region() Region { return t.region }
 
 // SetReceiver installs the frame-delivery callback. Passing nil silences
 // the transceiver (frames still count as received).
-func (t *Transceiver) SetReceiver(fn func(Capture)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.handler = fn
-}
+func (t *Transceiver) SetReceiver(fn func(Capture)) { t.handler.Store(&fn) }
 
 // Transmit puts a raw frame on the air.
 func (t *Transceiver) Transmit(raw []byte) error {
@@ -450,7 +457,10 @@ func (t *Transceiver) Transmit(raw []byte) error {
 // Detach removes the transceiver from the air; it no longer receives and
 // can no longer transmit. Safe to call from any goroutine, concurrently
 // with in-flight transmissions.
-func (t *Transceiver) Detach() { t.detached.Store(true) }
+func (t *Transceiver) Detach() {
+	t.detached.Store(true)
+	t.medium.gen.Add(1)
+}
 
 // Place assigns the transceiver a position (metres) for the geometric
 // propagation model. Unplaced transceivers are always in range.
@@ -458,6 +468,7 @@ func (t *Transceiver) Place(x, y float64) {
 	t.medium.mu.Lock()
 	defer t.medium.mu.Unlock()
 	t.x, t.y, t.placed = x, y, true
+	t.medium.gen.Add(1)
 }
 
 // Stats reports frames transmitted and received by this transceiver.
@@ -473,10 +484,7 @@ func (t *Transceiver) deliver(c Capture) {
 	}
 	t.rxCount.Add(1)
 	mRxFrames.Inc()
-	t.mu.Lock()
-	fn := t.handler
-	t.mu.Unlock()
-	if fn != nil {
-		fn(c)
+	if fn := t.handler.Load(); fn != nil && *fn != nil {
+		(*fn)(c)
 	}
 }

@@ -3,11 +3,13 @@ package radio
 import (
 	"bytes"
 	"errors"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"zcover/internal/protocol"
+	"zcover/internal/telemetry"
 	"zcover/internal/vtime"
 )
 
@@ -266,30 +268,81 @@ func TestSnifferIgnoresBroadcastAndRunts(t *testing.T) {
 	}
 }
 
-// Property: every attached same-region transceiver other than the sender
-// receives exactly one copy per transmission under a clean medium.
+// bruteForceFanout scans every node of the medium for the peers a frame
+// from tx must reach: attached, same region, in range, not tx itself.
+func bruteForceFanout(m *Medium, tx *Transceiver) []*Transceiver {
+	var out []*Transceiver
+	for _, t := range m.nodes {
+		if t == tx || t.region != tx.region || t.detached.Load() {
+			continue
+		}
+		if m.rangeLim > 0 && tx.placed && t.placed {
+			dx, dy := tx.x-t.x, tx.y-t.y
+			if dx*dx+dy*dy > m.rangeLim*m.rangeLim {
+				continue
+			}
+		}
+		out = append(out, t)
+	}
+	return out
+}
+
+// Property: with Attach, Place, SetRange and Detach interleaved between
+// transmissions, every frame reaches exactly the peers a brute-force scan
+// of the medium's nodes selects, once each and in attach order, and the
+// flight recorder's Targets counts them. This is what the per-sender
+// fan-out cache must never get wrong when the topology changes.
 func TestDeliveryFanoutProperty(t *testing.T) {
-	prop := func(nPeers uint8, payloadLen uint8) bool {
-		peers := int(nPeers%8) + 1
+	prop := func(ops []uint16, payloadLen uint8) bool {
 		m := newTestMedium()
-		tx := m.Attach("tx", RegionEU)
-		counts := make([]int, peers)
-		for i := 0; i < peers; i++ {
-			i := i
-			m.Attach("rx", RegionEU).SetReceiver(func(Capture) { counts[i]++ })
+		rec := telemetry.NewFlightRecorder(1)
+		m.SetFlightRecorder(rec)
+		var nodes, got []*Transceiver
+		attach := func(region Region) {
+			tr := m.Attach("n"+strconv.Itoa(len(nodes)), region)
+			tr.SetReceiver(func(Capture) { got = append(got, tr) })
+			nodes = append(nodes, tr)
 		}
+		for i := 0; i < 3; i++ {
+			attach(RegionEU)
+		}
+		m.SetRange(30)
 		raw := make([]byte, int(payloadLen%50)+10)
-		if err := tx.Transmit(raw); err != nil {
-			return false
-		}
-		for _, c := range counts {
-			if c != 1 {
-				return false
+		for _, op := range ops {
+			pick, arg := nodes[int(op>>3)%len(nodes)], int(op>>8)
+			switch op % 8 {
+			case 0:
+				attach(RegionEU)
+			case 1:
+				attach(RegionUS)
+			case 2, 3:
+				pick.Place(float64(arg%8*10), float64(arg/8%4*10))
+			case 4:
+				m.SetRange(float64(arg % 4 * 25)) // 0 turns the model off
+			case 5:
+				pick.Detach()
+			default:
+				if pick.detached.Load() {
+					continue
+				}
+				want := bruteForceFanout(m, pick)
+				got = got[:0]
+				if err := pick.Transmit(raw); err != nil {
+					return false
+				}
+				if len(got) != len(want) || rec.Snapshot()[0].Targets != len(want) {
+					return false
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						return false
+					}
+				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

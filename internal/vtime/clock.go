@@ -10,17 +10,17 @@
 // SystemClock; simulations and tests use SimClock, which only advances when
 // told to (directly or through its event queue).
 //
-// # Concurrency and pooling
+// # Concurrency
 //
-// SimClock is internally locked and safe for concurrent use, but the
-// simulations in this repository deliberately drive each clock from a
-// single goroutine — determinism comes from the event queue's total order,
-// which concurrent Advance calls would destroy. Parallel fleet campaigns
-// therefore hold one private SimClock each and never share one. Event
-// scheduling is the simulator's busiest allocation site, so fired event
-// structs are recycled on a small per-clock freelist (guarded by the same
-// mutex, bounded so bursts cannot pin memory); callbacks passed to
-// Schedule must not assume identity of the event that carried them.
+// SimClock keeps simulated time as int64 nanoseconds since SimEpoch in an
+// atomic, so Now is a lock-free load that is safe from any goroutine and
+// never observes time moving backwards. Queue operations (Schedule,
+// Advance, AdvanceTo, Sleep, RunUntilIdle, PendingEvents) are serialised
+// by a mutex around the event heap. Each clock is nevertheless driven by
+// one goroutine: determinism comes from the queue's (instant, scheduling
+// order) total order, which concurrent Advance calls would destroy, so
+// parallel fleet campaigns hold one private SimClock each. Events live by
+// value in a typed binary heap: scheduling allocates only to grow it.
 package vtime
 
 import "time"

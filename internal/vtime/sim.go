@@ -1,32 +1,27 @@
 package vtime
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // SimClock is a deterministic simulated clock with an event queue.
 //
-// The zero value is not usable; construct with NewSimClock. SimClock is safe
-// for concurrent use, although the simulation in this repository is
-// deliberately single-goroutine for determinism.
+// The zero value is not usable; construct with NewSimClock. Now is a
+// lock-free load and safe from any goroutine; queue operations are
+// serialised by a mutex (see the package doc for the driving contract).
 type SimClock struct {
-	mu     sync.Mutex
-	now    time.Time
-	queue  eventQueue
-	nextID uint64
-	// free recycles fired event structs. Event scheduling is the simulator's
-	// single busiest allocation site (every frame airtime, ack timeout, and
-	// retry books an event), so spent events return here instead of to the
-	// garbage collector. Guarded by mu; bounded so an event burst cannot pin
-	// memory forever.
-	free []*event
-}
+	// now is nanoseconds since SimEpoch. Only ever raised, and only under
+	// mu, so lock-free readers never see simulated time move backwards.
+	now atomic.Int64
 
-// maxFreeEvents bounds the recycled-event freelist.
-const maxFreeEvents = 256
+	mu     sync.Mutex
+	queue  []event // binary min-heap ordered by (at, seq)
+	nextID uint64
+}
 
 var _ Clock = (*SimClock)(nil)
 
@@ -36,63 +31,56 @@ var _ Clock = (*SimClock)(nil)
 var SimEpoch = time.Date(2025, time.January, 1, 0, 0, 0, 0, time.UTC)
 
 // NewSimClock returns a SimClock starting at SimEpoch.
-func NewSimClock() *SimClock {
-	return &SimClock{now: SimEpoch}
-}
+func NewSimClock() *SimClock { return new(SimClock) }
 
-// Now implements Clock.
+// Now implements Clock; time.Unix builds SimEpoch.Add(now) at half the cost.
 func (c *SimClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
+	ns := c.now.Load()
+	return time.Unix(SimEpoch.Unix()+ns/1e9, ns%1e9).UTC()
 }
 
 // Sleep implements Clock by advancing simulated time, firing any events
 // scheduled inside the interval in timestamp order.
 func (c *SimClock) Sleep(d time.Duration) {
-	if d <= 0 {
-		return
+	if d > 0 {
+		c.advanceTo(addSat(c.now.Load(), d))
 	}
-	c.AdvanceTo(c.Now().Add(d))
 }
 
 // Advance moves simulated time forward by d, firing due events in order.
-func (c *SimClock) Advance(d time.Duration) {
-	c.Sleep(d)
-}
+func (c *SimClock) Advance(d time.Duration) { c.Sleep(d) }
 
 // AdvanceTo moves simulated time forward to instant t, firing due events in
 // order. Moving backwards is a no-op.
 func (c *SimClock) AdvanceTo(t time.Time) {
-	var spent *event
-	for {
-		c.mu.Lock()
-		c.recycle(spent)
-		if len(c.queue) == 0 || c.queue[0].at.After(t) {
-			if t.After(c.now) {
-				c.now = t
-			}
-			c.mu.Unlock()
-			return
-		}
-		ev := heap.Pop(&c.queue).(*event)
-		if ev.at.After(c.now) {
-			c.now = ev.at
-		}
-		c.mu.Unlock()
-		ev.fn()
-		spent = ev
-	}
+	c.advanceTo(int64(t.Sub(SimEpoch)))
 }
 
-// recycle returns a fired event to the freelist, dropping its callback
-// reference so pooled events never pin closures. Callers hold c.mu.
-func (c *SimClock) recycle(ev *event) {
-	if ev == nil || len(c.free) >= maxFreeEvents {
-		return
+// advanceTo fires every event due at or before t (nanoseconds since
+// SimEpoch), then moves the clock to t if it is still behind.
+func (c *SimClock) advanceTo(t int64) {
+	c.fireDue(t, math.MaxInt)
+	if t > c.now.Load() {
+		c.now.Store(t)
 	}
-	ev.fn = nil
-	c.free = append(c.free, ev)
+	c.mu.Unlock()
+}
+
+// fireDue locks c.mu and fires the events due at or before t in (at,
+// seq) order, unlocking around each callback. It returns with c.mu held,
+// and panics after budget events (only RunUntilIdle sets one).
+func (c *SimClock) fireDue(t int64, budget int) {
+	c.mu.Lock()
+	for i := 0; len(c.queue) > 0 && c.queue[0].at <= t; i++ {
+		if i >= budget {
+			c.mu.Unlock()
+			panic(fmt.Sprintf("vtime: RunUntilIdle exceeded %d events; self-rescheduling loop?", budget))
+		}
+		fn := c.pop()
+		c.mu.Unlock()
+		fn()
+		c.mu.Lock()
+	}
 }
 
 // Elapsed reports how much simulated time has passed since the given origin.
@@ -111,22 +99,10 @@ func (c *SimClock) Schedule(delay time.Duration, fn func()) {
 		delay = 0
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.nextID++
-	ev := c.newEvent()
-	ev.at, ev.seq, ev.fn = c.now.Add(delay), c.nextID, fn
-	heap.Push(&c.queue, ev)
-}
-
-// newEvent takes an event from the freelist, or allocates. Callers hold c.mu.
-func (c *SimClock) newEvent() *event {
-	if n := len(c.free); n > 0 {
-		ev := c.free[n-1]
-		c.free[n-1] = nil
-		c.free = c.free[:n-1]
-		return ev
-	}
-	return new(event)
+	c.queue = append(c.queue, event{at: addSat(c.now.Load(), delay), seq: c.nextID, fn: fn})
+	c.up(len(c.queue) - 1)
+	c.mu.Unlock()
 }
 
 // PendingEvents reports the number of scheduled events not yet fired.
@@ -140,59 +116,75 @@ func (c *SimClock) PendingEvents() int {
 // fired events), advancing time as needed, and returns the final instant.
 // It guards against runaway self-rescheduling with a generous event budget.
 func (c *SimClock) RunUntilIdle() time.Time {
-	const budget = 10_000_000
-	var spent *event
-	for i := 0; ; i++ {
-		if i >= budget {
-			panic(fmt.Sprintf("vtime: RunUntilIdle exceeded %d events; self-rescheduling loop?", budget))
-		}
-		c.mu.Lock()
-		c.recycle(spent)
-		if len(c.queue) == 0 {
-			now := c.now
-			c.mu.Unlock()
-			return now
-		}
-		ev := heap.Pop(&c.queue).(*event)
-		if ev.at.After(c.now) {
-			c.now = ev.at
-		}
-		c.mu.Unlock()
-		ev.fn()
-		spent = ev
-	}
+	c.fireDue(math.MaxInt64, 10_000_000)
+	c.mu.Unlock()
+	return c.Now()
 }
 
-// event is a single scheduled callback.
+// addSat returns now+d, saturating instead of wrapping past the int64
+// range so far-future events still sort last.
+func addSat(now int64, d time.Duration) int64 {
+	if at := now + int64(d); at >= now {
+		return at
+	}
+	return math.MaxInt64
+}
+
+// event is a single scheduled callback, at nanoseconds since SimEpoch.
 type event struct {
-	at  time.Time
+	at  int64
 	seq uint64 // tiebreak: FIFO among equal timestamps
 	fn  func()
 }
 
-// eventQueue is a min-heap of events ordered by (at, seq).
-type eventQueue []*event
-
-var _ heap.Interface = (*eventQueue)(nil)
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if !q[i].at.Equal(q[j].at) {
-		return q[i].at.Before(q[j].at)
-	}
-	return q[i].seq < q[j].seq
+func (e *event) before(o *event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+// pop removes the earliest event, moves the clock to its instant, and
+// returns its callback. Callers hold c.mu and a non-empty queue.
+func (c *SimClock) pop() func() {
+	q := c.queue
+	ev, n := q[0], len(q)-1
+	q[0] = q[n]
+	q[n] = event{} // drop the callback reference
+	c.queue = q[:n]
+	c.down(0)
+	if ev.at > c.now.Load() {
+		c.now.Store(ev.at)
+	}
+	return ev.fn
+}
 
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(*event)) }
+// up restores the heap order after appending at index i.
+func (c *SimClock) up(i int) {
+	q := c.queue
+	for i > 0 {
+		p := (i - 1) / 2
+		if !q[i].before(&q[p]) {
+			return
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+}
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+// down restores the heap order after replacing the root.
+func (c *SimClock) down(i int) {
+	q := c.queue
+	for {
+		l := 2*i + 1
+		if l >= len(q) {
+			return
+		}
+		m := l
+		if r := l + 1; r < len(q) && q[r].before(&q[l]) {
+			m = r
+		}
+		if !q[m].before(&q[i]) {
+			return
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
 }
