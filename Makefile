@@ -16,11 +16,11 @@ build:
 test:
 	go test ./...
 
-# Runs the fleet worker-scaling sweep at 24 h budgets and gates it: fails
-# when parallel efficiency at the top worker count fell more than 10% below
-# the committed BENCH_scaling.json. The fresh report (sim-rate, efficiency,
-# per-phase wall share, ranked bottlenecks) lands in .bench_build/; copy it
-# over BENCH_scaling.json to refresh the committed bar.
+# Runs the fleet scaling sweep at 24 h budgets (three interleaved
+# workers=1/workers=2 pairs; needs GOMAXPROCS >= 2) and gates it: fails when
+# the CPU inflation at workers=2, busy CPU over the workers=1 run's, rose
+# more than 10% above the committed BENCH_scaling.json's. The fresh report
+# lands in .bench_build/; copy it over BENCH_scaling.json to refresh the bar.
 bench-scaling:
 	mkdir -p .bench_build
 	go run ./cmd/experiments -run scaling -scaling-baseline BENCH_scaling.json \

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -98,10 +97,8 @@ func run(args []string) error {
 	chaosProfiles := fs.String("chaos-profiles", "", "comma-separated impairment profiles for -run chaos (empty = burst,noise,jitter)")
 	chaosSeed := fs.Int64("chaos-seed", 1, "deterministic seed for the chaos campaign's fault injectors")
 	obsAddr := fs.String("obs-addr", "", "serve the observability endpoints (/debug/pprof, /metrics, /healthz, /timeline) on this address, e.g. localhost:6060")
-	profileDir := fs.String("profile-dir", "", "enable mutex/block contention profiling and write pprof-format snapshots into this directory at run end")
 	scalingOut := fs.String("scaling-out", "", "scaling: also write the report to this file as JSON (BENCH_scaling.json)")
-	scalingWorkers := fs.String("scaling-workers", "1,2,4,8", "scaling: comma-separated worker counts to sweep")
-	scalingBaseline := fs.String("scaling-baseline", "", "scaling: compare against this committed report and fail if parallel efficiency at the top worker count regressed >10%")
+	scalingBaseline := fs.String("scaling-baseline", "", "scaling: compare against this committed report and fail if CPU inflation at workers=2 rose >10%")
 	gitSHA := fs.String("git-sha", "", "stamp bench reports with this commit (scripts pass it; empty omits)")
 	ckptDir := fs.String("checkpoint-dir", "", "journal completed campaign jobs into this directory (crash-safe; resume with -resume)")
 	resume := fs.Bool("resume", false, "continue existing journals in -checkpoint-dir instead of refusing to overwrite them; a complete journal (a coordinator's included) renders with nothing executed")
@@ -163,18 +160,6 @@ func run(args []string) error {
 		defer func() {
 			if err := telemetry.Default().WriteFile(*metricsOut); err != nil {
 				fmt.Fprintln(os.Stderr, "experiments:", err)
-			}
-		}()
-	}
-	if *profileDir != "" {
-		restore := obs.StartProfiling(obs.ProfileConfig{})
-		defer restore()
-		// Registered after the -metrics-out defer so the runtime sample
-		// (obs_* gauges) lands in the exported metrics file too.
-		defer func() {
-			obs.SampleRuntimeMetrics(telemetry.Default())
-			if err := obs.SnapshotProfiles(*profileDir); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments: profile snapshots:", err)
 			}
 		}()
 	}
@@ -340,32 +325,26 @@ func run(args []string) error {
 		fmt.Println(tbl.String())
 	}
 	// The scaling sweep also runs only on request: it is a bench, not a
-	// paper table. It measures the fleet across worker counts, prints the
-	// ranked bottleneck report, and optionally gates against a committed
-	// baseline (the nightly CI leg).
+	// paper table. It measures busy CPU at workers=1 and workers=2, prints
+	// the table, and optionally gates the CPU inflation against a
+	// committed baseline (the nightly CI leg).
 	if *which == "scaling" {
 		ran = true
-		var ws []int
-		for _, s := range strings.Split(*scalingWorkers, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n < 1 {
-				return fmt.Errorf("bad -scaling-workers entry %q", s)
-			}
-			ws = append(ws, n)
-		}
-		// Load the baseline before sweeping: a missing file fails fast, and
-		// gating against the -scaling-out file being refreshed compares
-		// old-versus-new instead of new-vs-new.
+		// Load and check the baseline before sweeping: a missing or
+		// old-format file fails fast, and gating against the -scaling-out
+		// file being refreshed compares old-versus-new instead of
+		// new-vs-new.
 		var base *obs.ScalingReport
 		if *scalingBaseline != "" {
 			var err error
 			if base, err = obs.LoadScalingReport(*scalingBaseline); err != nil {
 				return err
 			}
+			if _, err := base.CPUInflation(); err != nil {
+				return err
+			}
 		}
-		rep, err := harness.ScalingSweep(harness.ScalingConfig{
-			Workers: ws, Budget: *fuzzBudget, GitSHA: *gitSHA,
-		})
+		rep, err := harness.ScalingSweep(harness.ScalingConfig{Budget: *fuzzBudget, GitSHA: *gitSHA})
 		tick.clear()
 		if err != nil {
 			return err
@@ -380,7 +359,7 @@ func run(args []string) error {
 			if err := obs.CheckRegression(base, rep, 0.10); err != nil {
 				return err
 			}
-			fmt.Printf("scaling gate: efficiency within 10%% of baseline %s\n", *scalingBaseline)
+			fmt.Printf("scaling gate: CPU inflation within 10%% of baseline %s\n", *scalingBaseline)
 		}
 	}
 	if !ran {

@@ -145,67 +145,55 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
-// stampedFixture copies a scaling fixture into a temporary file stamped
-// with this process's GOMAXPROCS plus skew: the gate only compares reports
-// from one host shape, and the fixtures must gate the same on any host.
-func stampedFixture(t *testing.T, name string, skew int) string {
-	t.Helper()
-	rep, err := obs.LoadScalingReport(filepath.Join("testdata", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep.Host.Gomaxprocs = runtime.GOMAXPROCS(0) + skew
-	path := filepath.Join(t.TempDir(), name)
-	if err := rep.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestScalingCLI checks the sweep's wiring: the table and ranking are
-// printed, -scaling-out writes a readable report, and -scaling-baseline
-// gates. The gate runs against fixtures whose top point has efficiency
-// 0.01 and 100, which any sweep passes and fails, so host load cannot
-// flip the result; obs TestCheckRegression covers the 10% arithmetic. A
-// fixture from another host shape is refused outright.
+// TestScalingCLI checks the sweep's wiring: the workers=1/2 table is
+// printed, -scaling-out writes a gateable report, and -scaling-baseline
+// gates. The gate runs against fixtures whose workers=2 CPU inflation is
+// 100 and 0.5, which any sweep passes and fails, so host load cannot flip
+// the result; obs TestCheckRegression covers the 10% arithmetic. An
+// old-format baseline is refused before the sweep runs. GOMAXPROCS is 2
+// for the test, so the sweep runs on any host.
 func TestScalingCLI(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
 	out := filepath.Join(t.TempDir(), "scaling.json")
-	pass := stampedFixture(t, "scaling-pass.json", 0)
+	pass := filepath.Join("testdata", "scaling-pass.json")
 	printed := captureStdout(t, func() error {
-		return run([]string{"-run", "scaling", "-fuzz", "30m", "-scaling-workers", "1,2",
+		return run([]string{"-run", "scaling", "-fuzz", "1m",
 			"-scaling-baseline", pass, "-scaling-out", out, "-git-sha", "test"})
 	})
-	for _, want := range []string{"Fleet scaling", "Ranked serialization sources",
-		"scaling gate: efficiency within 10% of baseline " + pass} {
+	for _, want := range []string{"Fleet scaling", "Busy CPU", "CPU inflation",
+		"scaling gate: CPU inflation within 10% of baseline " + pass} {
 		if !strings.Contains(printed, want) {
 			t.Errorf("scaling output missing %q:\n%s", want, printed)
 		}
 	}
-	if rep, err := obs.LoadScalingReport(out); err != nil || len(rep.Points) != 2 {
+	if rep, err := obs.LoadScalingReport(out); err != nil {
+		t.Errorf("-scaling-out report: %v", err)
+	} else if _, err := rep.CPUInflation(); err != nil || len(rep.Points) != 2 {
 		t.Errorf("-scaling-out report: %v, %+v", err, rep)
 	}
 
 	gate := func(baseline string) error {
 		var err error
 		captureStdout(t, func() error {
-			err = run([]string{"-run", "scaling", "-fuzz", "30m", "-scaling-workers", "1,2",
-				"-scaling-baseline", baseline})
+			err = run([]string{"-run", "scaling", "-fuzz", "1m", "-scaling-baseline", baseline})
 			return nil
 		})
 		return err
 	}
-	if err := gate(stampedFixture(t, "scaling-fail.json", 0)); err == nil || !strings.Contains(err.Error(), "regressed") {
-		t.Errorf("sweep against an efficiency-100 baseline: %v, want a regression error", err)
+	if err := gate(filepath.Join("testdata", "scaling-fail.json")); err == nil || !strings.Contains(err.Error(), "regressed") {
+		t.Errorf("sweep against an inflation-0.5 baseline: %v, want a regression error", err)
 	}
-	if err := gate(stampedFixture(t, "scaling-pass.json", 1)); err == nil || !strings.Contains(err.Error(), "refresh the baseline") {
-		t.Errorf("sweep against another host shape's baseline: %v, want a host-shape error", err)
+	old := filepath.Join(t.TempDir(), "old.json")
+	if err := os.WriteFile(old, []byte(`{"points": [{"workers": 1, "efficiency": 1}, {"workers": 2, "efficiency": 0.6}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := gate(old); err == nil || !strings.Contains(err.Error(), "refresh the baseline") {
+		t.Errorf("sweep against an old-format baseline: %v, want a refresh error", err)
 	}
 }
 
 func TestScalingFlagValidation(t *testing.T) {
-	if err := run([]string{"-run", "scaling", "-scaling-workers", "1,zero"}); err == nil {
-		t.Error("bad -scaling-workers accepted")
-	}
 	if err := run([]string{"-run", "scaling", "-scaling-baseline", "/no/such/file.json"}); err == nil {
 		t.Error("missing -scaling-baseline file accepted")
 	}

@@ -54,7 +54,6 @@ func run(args []string) error {
 	chaosProfile := fs.String("chaos-profile", "", "impair the channel with this fault profile, e.g. burst, noise, jitter, lossy:corrupt=0.1 (empty = clean)")
 	chaosSeed := fs.Int64("chaos-seed", 1, "deterministic seed for the fault injector's impairment streams")
 	obsAddr := fs.String("obs-addr", "", "serve the observability endpoints (/debug/pprof, /metrics, /healthz, /timeline) on this address, e.g. localhost:6060")
-	profileDir := fs.String("profile-dir", "", "enable mutex/block contention profiling and write pprof-format snapshots into this directory at campaign end")
 	ckptDir := fs.String("checkpoint-dir", "", "journal the campaign outcome into this directory (crash-safe; replay with -resume)")
 	resume := fs.Bool("resume", false, "continue an existing journal in -checkpoint-dir or -corpus-dir instead of refusing to overwrite it")
 	fuzzMode := fs.String("fuzz-mode", "zcover", "fuzzing engine: zcover (generational Algorithm 1) or coverage (behavioral-coverage-guided)")
@@ -101,16 +100,6 @@ func run(args []string) error {
 			}
 		}()
 		fmt.Fprintf(os.Stderr, "zcover: observability on http://%s\n", srv.Addr())
-	}
-	if *profileDir != "" {
-		restore := obs.StartProfiling(obs.ProfileConfig{})
-		defer restore()
-		defer func() {
-			obs.SampleRuntimeMetrics(telemetry.Default())
-			if err := obs.SnapshotProfiles(*profileDir); err != nil {
-				fmt.Fprintln(os.Stderr, "zcover: profile snapshots:", err)
-			}
-		}()
 	}
 
 	var strat zcover.Strategy

@@ -48,19 +48,11 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	}
 }
 
-// TestObservabilityFlags drives -obs-addr plus -profile-dir through a
-// short campaign: the run must succeed and leave pprof-format contention
-// snapshots behind.
+// TestObservabilityFlags drives -obs-addr through a short campaign: the
+// server binds an ephemeral port, the run succeeds, and the server closes.
 func TestObservabilityFlags(t *testing.T) {
-	dir := t.TempDir()
-	if err := run([]string{"-target", "D1", "-duration", "5m",
-		"-obs-addr", "127.0.0.1:0", "-profile-dir", dir}); err != nil {
+	if err := run([]string{"-target", "D1", "-duration", "5m", "-obs-addr", "127.0.0.1:0"}); err != nil {
 		t.Fatal(err)
-	}
-	for _, name := range []string{"mutex.pb.gz", "block.pb.gz", "heap.pb.gz"} {
-		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
-			t.Errorf("missing profile snapshot %s: %v", name, err)
-		}
 	}
 }
 

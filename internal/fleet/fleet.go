@@ -155,10 +155,10 @@ type Config struct {
 	// Campaigns are CPU-bound (the simulation never blocks on real I/O
 	// apart from the serialized checkpoint append), so worker goroutines
 	// beyond GOMAXPROCS cannot add throughput — they only add scheduler
-	// churn and cache interleaving. The 1→8 worker sweep in
-	// BENCH_scaling.json measured that oversubscription tax at ~7% sim-rate
-	// on a 1-P host, so Run caps the pool at GOMAXPROCS. Results are
-	// byte-identical at any worker count.
+	// churn and cache interleaving. A 1→8 worker sweep on a 1-P host
+	// measured that oversubscription tax at ~7% sim-rate (PERFORMANCE.md,
+	// "Diagnosing scaling"), so Run caps the pool at GOMAXPROCS. Results
+	// are byte-identical at any worker count.
 	Workers int
 	// MaxAttempts is how many times a failing job is run (each attempt on
 	// a fresh testbed) before it is reported failed. Zero or negative

@@ -17,7 +17,7 @@ import (
 // Experiment seeds. Fixed for reproducibility; each device gets a distinct
 // seed derived from its testbed index. The ablation's γ seed is chosen so
 // the representative run sits at random fuzzing's ceiling (the six bugs
-// reachable without structure; over seeds 1–8 γ finds 2–6).
+// reachable without structure; over seeds 1–8 γ finds 1–6, mean ≈ 2.9).
 const (
 	baseSeed          = 40
 	ablationGammaSeed = 4

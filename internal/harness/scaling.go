@@ -10,11 +10,15 @@ import (
 	"zcover/internal/zcover/fuzz"
 )
 
+// scalingPairs is how many interleaved workers=1/workers=2 pairs the sweep
+// runs. On a 2-vCPU host one pair's CPU ratio has a standard deviation of
+// about 9%, mostly from the single-worker run; the median of eleven keeps
+// repeated sweeps within the gate's 10% (PERFORMANCE.md, "Diagnosing
+// scaling").
+const scalingPairs = 11
+
 // ScalingConfig tunes the bench-scaling sweep.
 type ScalingConfig struct {
-	// Workers is the worker counts to measure, e.g. [1, 2, 4, 8]. Empty
-	// means exactly that default.
-	Workers []int
 	// Budget is each campaign's simulated fuzzing duration. Zero means one
 	// hour.
 	Budget time.Duration
@@ -39,79 +43,65 @@ func scalingJobs(budget time.Duration) []fleet.Job {
 	return jobs
 }
 
-// scalingPoint runs the workload once at the given worker count with a
-// timeline attached and converts the run into one report point.
-func scalingPoint(jobs []fleet.Job, workers int) (obs.ScalingPoint, error) {
-	tl := obs.NewTimeline()
-	cfg := fleet.Config{Workers: workers, Timeline: tl}
-
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
+// scalingRun runs the workload once at the given worker count and
+// measures its wall time, busy CPU and delivered simulated time.
+func scalingRun(jobs []fleet.Job, workers int) (obs.ScalingRun, error) {
+	cpu := obs.BusyCPUSeconds()
 	start := time.Now()
-	results := fleet.Run(jobs, RunFleetJob, cfg)
+	results := fleet.Run(jobs, RunFleetJob, fleet.Config{Workers: workers})
 	wall := time.Since(start)
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-
+	cpu = obs.BusyCPUSeconds() - cpu
 	if err := fleet.FirstError(results); err != nil {
-		return obs.ScalingPoint{}, fmt.Errorf("harness: scaling sweep at workers=%d: %w", workers, err)
+		return obs.ScalingRun{}, fmt.Errorf("harness: scaling sweep at workers=%d: %w", workers, err)
 	}
-	var simSec float64
+	run := obs.ScalingRun{WallSec: wall.Seconds(), CPUSec: cpu}
 	for _, r := range results {
 		if f := r.Value.Fuzz(); f != nil {
-			simSec += f.Elapsed.Seconds()
+			run.SimSec += f.Elapsed.Seconds()
 		}
 	}
-	snap := tl.Snapshot()
-	pt := obs.ScalingPoint{
-		Workers:          workers,
-		EffectiveWorkers: cfg.EffectiveWorkers(len(jobs)),
-		WallSec:          wall.Seconds(),
-		SimSec:           simSec,
-		Phases:           snap.PhaseShares(),
-		GCPauseNs:        int64(after.PauseTotalNs - before.PauseTotalNs),
-	}
-	for _, ws := range snap.Workers {
-		pt.IdleSec += ws.IdleSec
-	}
-	return pt, nil
+	return run, nil
 }
 
-// ScalingSweep measures the fleet's parallel scaling: it runs the
-// 14-campaign Table V workload at each requested worker count with a
-// worker timeline attached. The returned report has derived efficiencies
-// computed and bottlenecks ranked (Finalize already called);
-// cmd/experiments -run scaling renders it.
+// ScalingSweep measures what a second fleet worker costs: it runs the
+// 14-campaign Table V workload at workers=1 and workers=2 in scalingPairs
+// interleaved pairs, alternating which side runs first, and reduces them
+// to a report whose workers=2 point carries the median CPU inflation;
+// cmd/experiments -run scaling renders and gates it.
 //
-// The campaigns themselves are byte-for-byte the deterministic seeds the
-// experiment tables use, so the sweep doubles as a cross-worker-count
-// consistency check: any job failure aborts the sweep.
+// The campaigns are the deterministic seeds the experiment tables use, so
+// every run must deliver the same simulated time; any job failure aborts
+// the sweep.
 func ScalingSweep(cfg ScalingConfig) (*obs.ScalingReport, error) {
-	if len(cfg.Workers) == 0 {
-		cfg.Workers = []int{1, 2, 4, 8}
+	if p := runtime.GOMAXPROCS(0); p < 2 {
+		return nil, fmt.Errorf("harness: scaling sweep needs GOMAXPROCS >= 2, have %d: the fleet caps workers at GOMAXPROCS, so the workers=2 point would run one worker", p)
 	}
 	if cfg.Budget <= 0 {
 		cfg.Budget = time.Hour
 	}
-	// Mutex/block profiling stays on for the whole sweep so the report
-	// can rank lock sites. The profiling tax applies equally to every
-	// point, keeping the points comparable.
-	restore := obs.StartProfiling(obs.ProfileConfig{})
-	defer restore()
-
+	// An unmeasured short run first, so one-time process costs (the
+	// command-class database, cold code and heap) land in no pair.
+	if err := fleet.FirstError(fleet.Run(scalingJobs(time.Minute), RunFleetJob, fleet.Config{Workers: 2})); err != nil {
+		return nil, fmt.Errorf("harness: scaling sweep warm-up: %w", err)
+	}
 	jobs := scalingJobs(cfg.Budget)
-	rep := &obs.ScalingReport{
-		Host:     obs.Host(cfg.GitSHA),
-		Campaign: fmt.Sprintf("table5 sweep, %d jobs, %s budget", len(jobs), cfg.Budget),
-	}
-	for _, w := range cfg.Workers {
-		pt, err := scalingPoint(jobs, w)
-		if err != nil {
-			return nil, err
+	pairs := make([]obs.ScalingPair, scalingPairs)
+	for i := range pairs {
+		sides := []struct {
+			workers int
+			run     *obs.ScalingRun
+		}{{1, &pairs[i].One}, {2, &pairs[i].Two}}
+		if i%2 == 1 {
+			sides[0], sides[1] = sides[1], sides[0]
 		}
-		rep.Points = append(rep.Points, pt)
+		for _, s := range sides {
+			run, err := scalingRun(jobs, s.workers)
+			if err != nil {
+				return nil, err
+			}
+			*s.run = run
+		}
 	}
-	rep.Locks = obs.TopContendedLocks(10)
-	rep.Finalize()
-	return rep, nil
+	campaign := fmt.Sprintf("table5 sweep, %d jobs, %s budget, median of %d interleaved pairs", len(jobs), cfg.Budget, scalingPairs)
+	return obs.NewScalingReport(obs.Host(cfg.GitSHA), campaign, pairs)
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,27 +10,24 @@ import (
 	"zcover/internal/obs"
 )
 
-// TestTable5ByteIdenticalWithProfiling pins the ISSUE's determinism
-// criterion: attaching the full observability stack — worker timeline plus
-// runtime contention profiling — leaves Table V byte-identical to the bare
-// run, at workers=1 and workers=8 alike. Profilers that feed back into
-// campaign state would surface here first.
-func TestTable5ByteIdenticalWithProfiling(t *testing.T) {
+// TestTable5ByteIdenticalWithTimeline pins the determinism criterion for
+// the observability stack: attaching a worker timeline leaves Table V
+// byte-identical to the bare run, at workers=1 and workers=8 alike. A
+// recorder that fed back into campaign state would surface here first.
+func TestTable5ByteIdenticalWithTimeline(t *testing.T) {
 	bare, _, err := Table5(fleetTestBudget, fleet.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	restore := obs.StartProfiling(obs.ProfileConfig{MutexFraction: 1})
-	defer restore()
 	for _, workers := range []int{1, 8} {
 		tl := obs.NewTimeline()
-		profTbl, _, err := Table5(fleetTestBudget, fleet.Config{Workers: workers, Timeline: tl})
+		tlTbl, _, err := Table5(fleetTestBudget, fleet.Config{Workers: workers, Timeline: tl})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if bare.String() != profTbl.String() {
-			t.Errorf("Table V differs with profiling at workers=%d:\n--- bare ---\n%s\n--- profiled ---\n%s",
-				workers, bare.String(), profTbl.String())
+		if bare.String() != tlTbl.String() {
+			t.Errorf("Table V differs with a timeline at workers=%d:\n--- bare ---\n%s\n--- timeline ---\n%s",
+				workers, bare.String(), tlTbl.String())
 		}
 		// The timeline must actually have recorded the run: one lane per
 		// effective worker, with busy time in the pipeline phases.
@@ -47,41 +45,51 @@ func TestTable5ByteIdenticalWithProfiling(t *testing.T) {
 	}
 }
 
+// withGomaxprocs sets GOMAXPROCS for the rest of the test.
+func withGomaxprocs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestScalingSweepShort runs the real sweep at a tiny budget and checks
-// the report is structurally complete: one point per requested worker
-// count, derived efficiencies, phase attribution, and — on hosts where the
-// sweep asks for more workers than GOMAXPROCS — a ranked bottleneck list.
+// the report is complete: a workers=1 and a workers=2 point with equal
+// simulated time, positive readings, and the workers=2 ratios the gate
+// reads. GOMAXPROCS is 2 for the test, so it runs on any host.
 func TestScalingSweepShort(t *testing.T) {
-	rep, err := ScalingSweep(ScalingConfig{
-		Workers: []int{1, 2}, Budget: 10 * time.Minute, GitSHA: "test",
-	})
+	withGomaxprocs(t, 2)
+	rep, err := ScalingSweep(ScalingConfig{Budget: time.Minute, GitSHA: "test"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Host.Gomaxprocs != runtime.GOMAXPROCS(0) {
+	if rep.Host.Gomaxprocs != 2 || rep.Host.GitSHA != "test" {
 		t.Errorf("host stamp: %+v", rep.Host)
 	}
-	if len(rep.Points) != 2 {
-		t.Fatalf("points = %d, want 2: %+v", len(rep.Points), rep.Points)
-	}
-	base := rep.Points[0]
-	if base.Workers != 1 || base.Speedup != 1 || base.SimRate <= 0 {
-		t.Errorf("baseline point: %+v", base)
+	if len(rep.Points) != 2 || rep.Points[0].Workers != 1 || rep.Points[1].Workers != 2 {
+		t.Fatalf("points: %+v, want workers=1 and workers=2", rep.Points)
 	}
 	for _, p := range rep.Points {
-		if p.SimSec <= 0 || p.WallSec <= 0 || len(p.Phases) == 0 {
+		if p.SimSec <= 0 || p.WallSec <= 0 || p.CPUSec <= 0 || p.SimRate <= 0 {
 			t.Errorf("incomplete point: %+v", p)
 		}
-		if p.IdealSpeedup < 1 {
-			t.Errorf("IdealSpeedup %v at workers=%d", p.IdealSpeedup, p.Workers)
-		}
 	}
-	if 2 > runtime.GOMAXPROCS(0) && len(rep.Bottlenecks) == 0 {
-		t.Error("sweep beyond GOMAXPROCS ranked no bottlenecks")
+	if rep.Points[0].SimSec != rep.Points[1].SimSec {
+		t.Errorf("simulated seconds differ: %v vs %v", rep.Points[0].SimSec, rep.Points[1].SimSec)
 	}
-	for i, b := range rep.Bottlenecks {
-		if b.Rank != i+1 || b.Kind == "" || b.Evidence == "" {
-			t.Errorf("malformed bottleneck: %+v", b)
-		}
+	if two := rep.Points[1]; two.Speedup <= 0 || two.CPUInflation <= 0 {
+		t.Errorf("workers=2 point lacks its ratios: %+v", two)
+	}
+	if !strings.Contains(rep.Campaign, "14 jobs") {
+		t.Errorf("campaign = %q", rep.Campaign)
+	}
+}
+
+// TestScalingSweepNeedsTwoProcs: at GOMAXPROCS=1 the fleet would cap the
+// workers=2 point to one worker, so the sweep refuses to run and says why.
+func TestScalingSweepNeedsTwoProcs(t *testing.T) {
+	withGomaxprocs(t, 1)
+	_, err := ScalingSweep(ScalingConfig{Budget: time.Minute})
+	if err == nil || !strings.Contains(err.Error(), "GOMAXPROCS >= 2") || !strings.Contains(err.Error(), "one worker") {
+		t.Errorf("sweep at GOMAXPROCS=1: %v, want a refusal naming the cap", err)
 	}
 }

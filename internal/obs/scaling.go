@@ -6,15 +6,14 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"runtime/metrics"
 	"sort"
 
 	"zcover/internal/report"
 )
 
 // HostInfo stamps a measurement with the hardware and build it came from,
-// so bench trajectories stay attributable across machines (a flat scaling
-// curve on a 1-core container and on a 32-core server mean very different
-// things).
+// so bench trajectories stay attributable across machines.
 type HostInfo struct {
 	GitSHA     string `json:"git_sha,omitempty"`
 	GoVersion  string `json:"go_version"`
@@ -33,238 +32,134 @@ func Host(gitSHA string) HostInfo {
 	}
 }
 
-// ScalingPoint is one worker-count measurement of the campaign fleet.
-type ScalingPoint struct {
-	// Workers is the requested worker count; EffectiveWorkers is what the
-	// fleet actually ran after capping at GOMAXPROCS.
-	Workers          int `json:"workers"`
-	EffectiveWorkers int `json:"effective_workers"`
-	// WallSec is the fleet's wall-clock run time; SimSec the simulated
-	// campaign time it delivered; SimRate their ratio (simsec/s).
-	WallSec float64 `json:"wall_sec"`
-	SimSec  float64 `json:"sim_sec"`
-	SimRate float64 `json:"sim_rate"`
-	// Speedup is SimRate over the workers=1 point's. IdealSpeedup is the
-	// host's best case: min(workers, GOMAXPROCS). Efficiency is their
-	// ratio — 1.0 means the fleet extracts everything the host offers.
-	Speedup      float64 `json:"speedup"`
-	IdealSpeedup float64 `json:"ideal_speedup"`
-	Efficiency   float64 `json:"efficiency"`
-	// Phases is wall time by phase across all workers, descending.
-	Phases []PhaseShare `json:"phases,omitempty"`
-	// IdleSec sums worker idle time (waiting for jobs or drained).
-	IdleSec float64 `json:"idle_sec"`
-	// GCPauseNs is the GC stop-the-world total accumulated during the
-	// point's run.
-	GCPauseNs int64 `json:"gc_pause_ns,omitempty"`
+// BusyCPUSeconds returns the CPU time this process has spent running Go
+// code and the runtime: runtime/metrics' total minus its idle class. The
+// total alone is GOMAXPROCS integrated over wall time, so it cannot see
+// contention. The runtime refreshes the CPU classes only at the end of a
+// GC cycle, so BusyCPUSeconds forces one first; readings never decrease.
+func BusyCPUSeconds() float64 {
+	runtime.GC()
+	s := []metrics.Sample{
+		{Name: "/cpu/classes/total:cpu-seconds"},
+		{Name: "/cpu/classes/idle:cpu-seconds"},
+	}
+	metrics.Read(s)
+	return s[0].Value.Float64() - s[1].Value.Float64()
 }
 
-// Bottleneck is one ranked serialization source.
-type Bottleneck struct {
-	Rank int `json:"rank"`
-	// Kind classifies the source: "host-parallelism", "phase", "lock",
-	// "gc", "imbalance".
-	Kind string `json:"kind"`
-	// Detail names the concrete source ("fuzz loop", a lock site, ...).
-	Detail string `json:"detail"`
-	// WallShare is the fraction of fleet wall time attributed to it
-	// (0 when the evidence is not a wall share).
-	WallShare float64 `json:"wall_share,omitempty"`
-	// Evidence is the measured justification, human-readable.
-	Evidence string `json:"evidence"`
+// ScalingRun is one measured fleet run of the scaling sweep.
+type ScalingRun struct {
+	WallSec float64 // wall-clock run time
+	CPUSec  float64 // busy CPU time (BusyCPUSeconds delta)
+	SimSec  float64 // simulated campaign time delivered
+}
+
+// ScalingPair is one workers=1 run and one workers=2 run of the same
+// deterministic workload, taken back to back.
+type ScalingPair struct {
+	One, Two ScalingRun
+}
+
+// ScalingPoint summarises one worker count over the sweep's pairs.
+type ScalingPoint struct {
+	Workers int `json:"workers"`
+	// WallSec and CPUSec are medians over the pairs; SimSec is the same
+	// in every run, and SimRate is SimSec over WallSec.
+	WallSec float64 `json:"wall_sec"`
+	CPUSec  float64 `json:"cpu_sec"`
+	SimSec  float64 `json:"sim_sec"`
+	SimRate float64 `json:"sim_rate"`
+	// Speedup (wall(1) / wall(2)) and CPUInflation (cpu(2) / cpu(1)) are
+	// medians of the per-pair ratios, set on the workers=2 point only.
+	// CPUInflation is what the scaling gate compares: work that shares
+	// nothing costs the same CPU on one worker or two.
+	Speedup      float64 `json:"speedup,omitempty"`
+	CPUInflation float64 `json:"cpu_inflation,omitempty"`
 }
 
 // ScalingReport is the bench-scaling output: BENCH_scaling.json on disk,
-// the ranked bottleneck table on stdout.
+// the workers=1/2 table on stdout.
 type ScalingReport struct {
-	Host        HostInfo       `json:"host"`
-	Campaign    string         `json:"campaign"`
-	Points      []ScalingPoint `json:"points"`
-	Bottlenecks []Bottleneck   `json:"bottlenecks"`
-	// Locks is the contended-lock table from the mutex profile (empty
-	// when contention profiling found nothing — the healthy case).
-	Locks []LockSite `json:"locks,omitempty"`
+	Host     HostInfo       `json:"host"`
+	Campaign string         `json:"campaign"`
+	Points   []ScalingPoint `json:"points"`
 }
 
-// baseline returns the first workers=1 point, or nil.
-func (r *ScalingReport) baseline() *ScalingPoint {
-	for i := range r.Points {
-		if r.Points[i].Workers == 1 {
-			return &r.Points[i]
-		}
+// NewScalingReport reduces interleaved pairs of runs to the workers=1 and
+// workers=2 points. The workload is deterministic, so every run must have
+// delivered the same simulated seconds; a mismatch is an error.
+func NewScalingReport(host HostInfo, campaign string, pairs []ScalingPair) (*ScalingReport, error) {
+	if len(pairs) == 0 {
+		return nil, fmt.Errorf("obs: scaling report needs at least one pair of runs")
 	}
-	return nil
+	sim := pairs[0].One.SimSec
+	var wall1, wall2, cpu1, cpu2, speedup, inflation []float64
+	for i, p := range pairs {
+		for _, r := range []ScalingRun{p.One, p.Two} {
+			if r.SimSec != sim {
+				return nil, fmt.Errorf("obs: pair %d delivered %v simulated seconds, pair 0 %v: the sweep's workload is not deterministic", i, r.SimSec, sim)
+			}
+			if r.WallSec <= 0 || r.CPUSec <= 0 {
+				return nil, fmt.Errorf("obs: pair %d has a non-positive reading: %+v", i, r)
+			}
+		}
+		wall1, wall2 = append(wall1, p.One.WallSec), append(wall2, p.Two.WallSec)
+		cpu1, cpu2 = append(cpu1, p.One.CPUSec), append(cpu2, p.Two.CPUSec)
+		speedup = append(speedup, p.One.WallSec/p.Two.WallSec)
+		inflation = append(inflation, p.Two.CPUSec/p.One.CPUSec)
+	}
+	point := func(workers int, wall, cpu []float64) ScalingPoint {
+		w := median(wall)
+		return ScalingPoint{Workers: workers, WallSec: w, CPUSec: median(cpu), SimSec: sim, SimRate: sim / w}
+	}
+	two := point(2, wall2, cpu2)
+	two.Speedup, two.CPUInflation = median(speedup), median(inflation)
+	return &ScalingReport{Host: host, Campaign: campaign, Points: []ScalingPoint{point(1, wall1, cpu1), two}}, nil
 }
 
-// maxPoint returns the first point with the highest worker count, or nil.
-// The first wins a tie: reports written before the worker cap became
-// unconditional end with an extra uncapped point at the top count, and
-// the capped point before it is the one to gate on.
-func (r *ScalingReport) maxPoint() *ScalingPoint {
-	var best *ScalingPoint
-	for i := range r.Points {
-		if p := &r.Points[i]; best == nil || p.Workers > best.Workers {
-			best = p
-		}
+// median returns the middle value of xs (the mean of the middle two for
+// an even count). xs is reordered.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
 	}
-	return best
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
-// Finalize computes the derived fields (speedup, efficiency) and the
-// deterministic bottleneck ranking from the raw points. Call it once
-// after the points, locks, and host stamp are filled in.
-func (r *ScalingReport) Finalize() {
-	base := r.baseline()
-	for i := range r.Points {
-		p := &r.Points[i]
-		if p.WallSec > 0 {
-			p.SimRate = p.SimSec / p.WallSec
-		}
-		p.IdealSpeedup = float64(min(p.Workers, r.Host.Gomaxprocs))
-		if p.IdealSpeedup < 1 {
-			p.IdealSpeedup = 1
-		}
-		if base != nil && base.SimRate > 0 {
-			p.Speedup = p.SimRate / base.SimRate
-			p.Efficiency = p.Speedup / p.IdealSpeedup
+// CPUInflation returns the workers=2 point's CPU inflation, or an error
+// when the report has none: a report without a workers=2 point, or one
+// written before the gate measured CPU, cannot serve as a baseline.
+func (r *ScalingReport) CPUInflation() (float64, error) {
+	for _, p := range r.Points {
+		if p.Workers == 2 && p.CPUInflation > 0 {
+			return p.CPUInflation, nil
 		}
 	}
-	r.rank()
+	return 0, fmt.Errorf("obs: scaling report has no workers=2 cpu_inflation (missing point or old format); refresh the baseline with make bench-scaling")
 }
 
-// rank orders the measured serialization sources, most wall time first.
-// The ranking is pure arithmetic over the points — rerunning the sweep on
-// the same data reproduces it exactly.
-func (r *ScalingReport) rank() {
-	r.Bottlenecks = nil
-	maxp := r.maxPoint()
-	base := r.baseline()
-	if maxp == nil || base == nil {
-		return
-	}
-
-	// Host parallelism: when the sweep asks for more workers than the
-	// runtime can schedule, the processor count — not any lock — is the
-	// binding serializer. This is the finding that explains a flat curve
-	// on a small host.
-	if maxp.Workers > r.Host.Gomaxprocs {
-		share := 0.0
-		if maxp.IdealSpeedup > 0 && float64(maxp.Workers) > 0 {
-			share = 1 - maxp.IdealSpeedup/float64(maxp.Workers)
-		}
-		r.Bottlenecks = append(r.Bottlenecks, Bottleneck{
-			Kind:      "host-parallelism",
-			Detail:    fmt.Sprintf("GOMAXPROCS=%d < workers=%d", r.Host.Gomaxprocs, maxp.Workers),
-			WallShare: share,
-			Evidence: fmt.Sprintf("ideal speedup capped at %.0fx on this host; measured %.2fx (efficiency %.2f)",
-				maxp.IdealSpeedup, maxp.Speedup, maxp.Efficiency),
-		})
-	}
-
-	// Idle tail (load imbalance / queue starvation): idle share of the
-	// max-worker point's total worker time.
-	{
-		totalWorkerSec := maxp.WallSec * float64(maxp.EffectiveWorkers)
-		if totalWorkerSec > 0 && maxp.IdleSec/totalWorkerSec > 0.10 {
-			r.Bottlenecks = append(r.Bottlenecks, Bottleneck{
-				Kind:      "imbalance",
-				Detail:    fmt.Sprintf("worker idle tail at workers=%d", maxp.Workers),
-				WallShare: maxp.IdleSec / totalWorkerSec,
-				Evidence: fmt.Sprintf("%.1fs of %.1fs worker time idle (%.0f%%) — stragglers or queue starvation",
-					maxp.IdleSec, totalWorkerSec, 100*maxp.IdleSec/totalWorkerSec),
-			})
-		}
-	}
-
-	// Dominant phase: where the busy wall time actually goes, so the
-	// next optimization target is named even when scaling is healthy.
-	for _, ps := range maxp.Phases {
-		if ps.Phase == PhaseIdle {
-			continue
-		}
-		r.Bottlenecks = append(r.Bottlenecks, Bottleneck{
-			Kind:      "phase",
-			Detail:    fmt.Sprintf("%s phase", ps.Phase),
-			WallShare: ps.Share,
-			Evidence:  fmt.Sprintf("%.1fs of worker wall time (%.0f%% of all phases) at workers=%d", ps.WallSec, ps.Share*100, maxp.Workers),
-		})
-		break // only the dominant one; the full breakdown is in Points
-	}
-
-	// Contended locks: anything the mutex profile caught.
-	for i, ls := range r.Locks {
-		if i >= 3 || ls.Count == 0 {
-			break
-		}
-		r.Bottlenecks = append(r.Bottlenecks, Bottleneck{
-			Kind:     "lock",
-			Detail:   ls.Site,
-			Evidence: fmt.Sprintf("%d sampled contentions, %d delay cycles", ls.Count, ls.DelayCycles),
-		})
-	}
-
-	// GC stop-the-world share.
-	if maxp.GCPauseNs > 0 && maxp.WallSec > 0 {
-		share := float64(maxp.GCPauseNs) / 1e9 / maxp.WallSec
-		if share > 0.02 {
-			r.Bottlenecks = append(r.Bottlenecks, Bottleneck{
-				Kind:      "gc",
-				Detail:    "garbage-collector stop-the-world",
-				WallShare: share,
-				Evidence:  fmt.Sprintf("%.1fms STW over %.1fs wall (%.1f%%)", float64(maxp.GCPauseNs)/1e6, maxp.WallSec, share*100),
-			})
-		}
-	}
-
-	// Rank true serializers (host limits, locks, GC, imbalance) by wall
-	// share; the dominant-phase entry is attribution — where healthy busy
-	// time goes — so it sorts after them. Ties break by kind then detail
-	// for determinism.
-	sort.SliceStable(r.Bottlenecks, func(i, j int) bool {
-		bi, bj := r.Bottlenecks[i], r.Bottlenecks[j]
-		if (bi.Kind == "phase") != (bj.Kind == "phase") {
-			return bj.Kind == "phase"
-		}
-		if bi.WallShare != bj.WallShare {
-			return bi.WallShare > bj.WallShare
-		}
-		if bi.Kind != bj.Kind {
-			return bi.Kind < bj.Kind
-		}
-		return bi.Detail < bj.Detail
-	})
-	for i := range r.Bottlenecks {
-		r.Bottlenecks[i].Rank = i + 1
-	}
-}
-
-// Table renders the scaling points and the ranked bottleneck list.
+// Table renders the workers=1 and workers=2 points.
 func (r *ScalingReport) Table() string {
-	pts := &report.Table{
+	t := &report.Table{
 		Title:   fmt.Sprintf("Fleet scaling — %s (GOMAXPROCS %d, %d CPUs, %s)", r.Campaign, r.Host.Gomaxprocs, r.Host.NumCPU, r.Host.GoVersion),
-		Headers: []string{"Workers", "Effective", "Wall", "Sim-rate", "Speedup", "Ideal", "Efficiency", "Idle"},
+		Headers: []string{"Workers", "Wall", "Busy CPU", "Sim-rate", "Speedup", "CPU inflation"},
+	}
+	ratio := func(x float64) string {
+		if x == 0 {
+			return "-"
+		}
+		return fmt.Sprintf("%.2fx", x)
 	}
 	for _, p := range r.Points {
-		pts.AddRow(fmt.Sprintf("%d", p.Workers), fmt.Sprintf("%d", p.EffectiveWorkers),
+		t.AddRow(fmt.Sprintf("%d", p.Workers),
 			fmt.Sprintf("%.2fs", p.WallSec),
+			fmt.Sprintf("%.2fs", p.CPUSec),
 			fmt.Sprintf("%.0f simsec/s", p.SimRate),
-			fmt.Sprintf("%.2fx", p.Speedup),
-			fmt.Sprintf("%.0fx", p.IdealSpeedup),
-			fmt.Sprintf("%.2f", p.Efficiency),
-			fmt.Sprintf("%.2fs", p.IdleSec))
+			ratio(p.Speedup), ratio(p.CPUInflation))
 	}
-	btl := &report.Table{
-		Title:   "Ranked serialization sources",
-		Headers: []string{"#", "Kind", "Source", "Wall share", "Evidence"},
-	}
-	for _, b := range r.Bottlenecks {
-		share := "-"
-		if b.WallShare > 0 {
-			share = fmt.Sprintf("%.0f%%", b.WallShare*100)
-		}
-		btl.AddRow(fmt.Sprintf("%d", b.Rank), b.Kind, b.Detail, share, b.Evidence)
-	}
-	return pts.String() + "\n" + btl.String()
+	return t.String()
 }
 
 // WriteJSON writes the report as one indented JSON document.
@@ -306,30 +201,24 @@ func LoadScalingReport(path string) (*ScalingReport, error) {
 	return ReadScalingReport(f)
 }
 
-// CheckRegression compares a fresh report's parallel efficiency at its
-// highest worker count against a committed baseline and errors when it
-// dropped by more than maxDrop (relative: 0.10 = 10%). Efficiency is
-// normalized to the host's ideal speedup, min(workers, GOMAXPROCS), which
-// does not make hosts of different shapes comparable: at GOMAXPROCS=1
-// every point runs one worker and efficiency is about 1 by construction.
-// Reports stamped with different GOMAXPROCS are therefore an error, not a
-// regression; refresh the baseline on the runner shape that gates on it.
-func CheckRegression(baseline, fresh *ScalingReport, maxDrop float64) error {
-	bp, fp := baseline.maxPoint(), fresh.maxPoint()
-	if bp == nil || fp == nil {
-		return fmt.Errorf("obs: scaling report missing measurement points")
+// CheckRegression fails when the fresh report's CPU inflation at
+// workers=2 is more than maxRise (relative: 0.10 = 10%) above the
+// baseline's. The ratio is the cost of running campaigns side by side
+// and is not normalised by GOMAXPROCS. A report without the workers=2
+// inflation is an error that asks for a refreshed baseline, not a
+// regression.
+func CheckRegression(baseline, fresh *ScalingReport, maxRise float64) error {
+	b, err := baseline.CPUInflation()
+	if err != nil {
+		return err
 	}
-	if b, f := baseline.Host.Gomaxprocs, fresh.Host.Gomaxprocs; b != f {
-		return fmt.Errorf("obs: scaling baseline was measured at GOMAXPROCS=%d but this sweep ran at GOMAXPROCS=%d; "+
-			"efficiency only compares on one host shape, so refresh the baseline report on a GOMAXPROCS=%d runner", b, f, f)
+	f, err := fresh.CPUInflation()
+	if err != nil {
+		return err
 	}
-	if bp.Efficiency <= 0 {
-		return fmt.Errorf("obs: baseline efficiency is zero; refresh the committed BENCH_scaling.json")
-	}
-	floor := bp.Efficiency * (1 - maxDrop)
-	if fp.Efficiency < floor {
-		return fmt.Errorf("obs: parallel efficiency at workers=%d regressed: %.3f < %.3f (baseline %.3f − %.0f%% allowance)",
-			fp.Workers, fp.Efficiency, floor, bp.Efficiency, maxDrop*100)
+	if ceil := b * (1 + maxRise); f > ceil {
+		return fmt.Errorf("obs: CPU inflation at workers=2 regressed: %.3f > %.3f (baseline %.3f + %.0f%% allowance)",
+			f, ceil, b, maxRise*100)
 	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package obs_test
 
 import (
-	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -9,81 +8,174 @@ import (
 	"zcover/internal/obs"
 )
 
-// report builds a 1-P host report shaped like the committed
-// BENCH_scaling.json: flat points, every worker count capped at one.
-func report() *obs.ScalingReport {
+// pairs builds three interleaved pairs whose per-pair CPU ratios (1.6,
+// 1.8, 1.2) have a median, 1.6, that differs from the ratio of the median
+// CPU readings (6.0 / 4 = 1.5).
+func pairs() []obs.ScalingPair {
+	run := func(wall, cpu float64) obs.ScalingRun {
+		return obs.ScalingRun{WallSec: wall, CPUSec: cpu, SimSec: 1000}
+	}
+	return []obs.ScalingPair{
+		{One: run(4, 4), Two: run(2.5, 6.4)},
+		{One: run(3, 3), Two: run(2, 5.4)},
+		{One: run(5, 5), Two: run(2.5, 6.0)},
+	}
+}
+
+// report builds a gateable report with the given workers=2 CPU inflation.
+func report(inflation float64) *obs.ScalingReport {
 	return &obs.ScalingReport{
-		Host:     obs.HostInfo{GoVersion: "go1.24.0", Gomaxprocs: 1, NumCPU: 1},
+		Host:     obs.HostInfo{GoVersion: "go1.24.0", Gomaxprocs: 2, NumCPU: 2},
 		Campaign: "test sweep",
 		Points: []obs.ScalingPoint{
-			{Workers: 1, EffectiveWorkers: 1, WallSec: 10, SimSec: 4000},
-			{Workers: 8, EffectiveWorkers: 1, WallSec: 10, SimSec: 3960},
+			{Workers: 1, WallSec: 4, CPUSec: 4, SimSec: 1000, SimRate: 250},
+			{Workers: 2, WallSec: 2.5, CPUSec: 6, SimSec: 1000, SimRate: 400, Speedup: 1.6, CPUInflation: inflation},
 		},
 	}
 }
 
-func TestFinalizeDerivesEfficiency(t *testing.T) {
-	r := report()
-	r.Points[1].Phases = []obs.PhaseShare{{Phase: obs.PhaseFuzz, WallSec: 8, Share: 0.8}}
-	r.Finalize()
+func TestNewScalingReportTakesPairMedians(t *testing.T) {
+	rep, err := obs.NewScalingReport(obs.Host("abc"), "test sweep", pairs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Points) != 2 {
+		t.Fatalf("points: %+v", rep.Points)
+	}
+	one, two := rep.Points[0], rep.Points[1]
+	if want := (obs.ScalingPoint{Workers: 1, WallSec: 4, CPUSec: 4, SimSec: 1000, SimRate: 250}); one != want {
+		t.Errorf("workers=1 point = %+v, want %+v", one, want)
+	}
+	if two.Workers != 2 || two.WallSec != 2.5 || two.CPUSec != 6.0 || two.SimRate != 400 {
+		t.Errorf("workers=2 point = %+v", two)
+	}
+	if two.CPUInflation != 1.6 {
+		t.Errorf("CPUInflation = %v, want 1.6 (the median per-pair ratio)", two.CPUInflation)
+	}
+	if two.Speedup != 1.6 { // per-pair 1.6, 1.5, 2.0
+		t.Errorf("Speedup = %v, want 1.6", two.Speedup)
+	}
+	if got, err := rep.CPUInflation(); err != nil || got != 1.6 {
+		t.Errorf("CPUInflation() = %v, %v", got, err)
+	}
 
-	base := r.Points[0]
-	if base.SimRate != 400 || base.Speedup != 1 || base.Efficiency != 1 {
-		t.Errorf("baseline point: %+v", base)
+	// An even number of pairs takes the mean of the middle two ratios.
+	rep, err = obs.NewScalingReport(obs.Host(""), "two pairs", pairs()[:2])
+	if err != nil {
+		t.Fatal(err)
 	}
-	capped := r.Points[1]
-	// 8 workers on a 1-P host: ideal speedup is 1, so efficiency equals
-	// raw speedup — host-portable normalization.
-	if capped.IdealSpeedup != 1 {
-		t.Errorf("IdealSpeedup = %v, want 1 (GOMAXPROCS=1)", capped.IdealSpeedup)
-	}
-	if capped.Efficiency < 0.98 || capped.Efficiency > 1 {
-		t.Errorf("Efficiency = %v, want ~0.99", capped.Efficiency)
+	if got := rep.Points[1].CPUInflation; got < 1.6999 || got > 1.7001 {
+		t.Errorf("two-pair CPUInflation = %v, want 1.7", got)
 	}
 }
 
-func TestRankNamesHostParallelism(t *testing.T) {
-	r := report()
-	r.Points[1].Phases = []obs.PhaseShare{{Phase: obs.PhaseFuzz, WallSec: 8, Share: 0.8}}
-	r.Finalize()
+func TestNewScalingReportRejectsBadRuns(t *testing.T) {
+	mismatch := pairs()
+	mismatch[2].Two.SimSec = 999
+	if _, err := obs.NewScalingReport(obs.Host(""), "x", mismatch); err == nil || !strings.Contains(err.Error(), "not deterministic") {
+		t.Errorf("simulated-seconds mismatch: %v", err)
+	}
+	idle := pairs()
+	idle[1].One.CPUSec = 0
+	if _, err := obs.NewScalingReport(obs.Host(""), "x", idle); err == nil {
+		t.Error("zero CPU reading accepted")
+	}
+	if _, err := obs.NewScalingReport(obs.Host(""), "x", nil); err == nil {
+		t.Error("no pairs accepted")
+	}
+}
 
-	if len(r.Bottlenecks) < 2 {
-		t.Fatalf("bottlenecks: %+v", r.Bottlenecks)
-	}
-	kinds := map[string]bool{}
-	for i, b := range r.Bottlenecks {
-		if b.Rank != i+1 {
-			t.Errorf("rank %d at index %d", b.Rank, i)
-		}
-		kinds[b.Kind] = true
-	}
-	for _, want := range []string{"host-parallelism", "phase"} {
-		if !kinds[want] {
-			t.Errorf("missing %q bottleneck: %+v", want, r.Bottlenecks)
+func TestCheckRegression(t *testing.T) {
+	base := report(1.5)
+	for _, fresh := range []float64{1.0, 1.5, 1.64} {
+		if err := obs.CheckRegression(base, report(fresh), 0.10); err != nil {
+			t.Errorf("inflation %v against 1.5: %v", fresh, err)
 		}
 	}
-	// The #1 entry must be a serializer, not phase attribution.
-	if r.Bottlenecks[0].Kind == "phase" {
-		t.Errorf("phase attribution ranked #1: %+v", r.Bottlenecks[0])
+	err := obs.CheckRegression(base, report(1.66), 0.10)
+	if err == nil || !strings.Contains(err.Error(), "regressed") || !strings.Contains(err.Error(), "baseline 1.500") {
+		t.Errorf("inflation 1.66 against 1.5: %v, want a regression", err)
 	}
-	// Determinism: re-ranking the same data reproduces the order.
-	order := func(r *obs.ScalingReport) string {
-		var b strings.Builder
-		for _, x := range r.Bottlenecks {
-			b.WriteString(x.Kind + "/" + x.Detail + ";")
+	// The ratio is not normalised by GOMAXPROCS: reports from other host
+	// shapes compare.
+	wide := report(1.5)
+	wide.Host.Gomaxprocs = 8
+	if err := obs.CheckRegression(base, wide, 0.10); err != nil {
+		t.Errorf("GOMAXPROCS 2 baseline vs 8 sweep: %v", err)
+	}
+}
+
+// TestCheckRegressionNeedsWorkers2Point: a report without the workers=2
+// inflation, including one in the old efficiency format, is an error that
+// asks for a refreshed baseline, never a "regressed" verdict.
+func TestCheckRegressionNeedsWorkers2Point(t *testing.T) {
+	old, err := obs.ReadScalingReport(strings.NewReader(`{
+  "host": {"go_version": "go1.24.0", "gomaxprocs": 1, "num_cpu": 1},
+  "campaign": "table5 sweep, 14 jobs, 24h0m0s budget",
+  "points": [
+    {"workers": 1, "effective_workers": 1, "wall_sec": 2.5, "sim_sec": 1209607.1, "speedup": 1, "efficiency": 1},
+    {"workers": 2, "effective_workers": 1, "wall_sec": 2.4, "sim_sec": 1209607.1, "speedup": 1.04, "efficiency": 1.04}
+  ],
+  "bottlenecks": [{"rank": 1, "kind": "host-parallelism", "detail": "GOMAXPROCS=1 < workers=8"}]
+}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	onlyOne := report(1.5)
+	onlyOne.Points = onlyOne.Points[:1]
+	for name, bad := range map[string]*obs.ScalingReport{"old format": old, "workers=1 only": onlyOne, "empty": {}} {
+		for _, err := range []error{
+			obs.CheckRegression(bad, report(1.5), 0.10),
+			obs.CheckRegression(report(1.5), bad, 0.10),
+		} {
+			if err == nil || strings.Contains(err.Error(), "regressed") || !strings.Contains(err.Error(), "refresh the baseline") {
+				t.Errorf("%s: %v, want a refresh-the-baseline error", name, err)
+			}
 		}
-		return b.String()
 	}
-	first := order(r)
-	r.Finalize()
-	if got := order(r); got != first {
-		t.Errorf("ranking not deterministic:\n%s\n%s", first, got)
+}
+
+// TestCommittedReportIsGateable: the committed BENCH_scaling.json is the
+// bar make bench-scaling and the nightly leg hold a fresh sweep to. It
+// must come from a host where workers=2 runs two workers, hold both
+// points, and pass its own gate.
+func TestCommittedReportIsGateable(t *testing.T) {
+	base, err := obs.LoadScalingReport("../../BENCH_scaling.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Host.Gomaxprocs < 2 {
+		t.Errorf("committed report measured at GOMAXPROCS=%d, want >= 2", base.Host.Gomaxprocs)
+	}
+	if len(base.Points) != 2 || base.Points[0].Workers != 1 || base.Points[1].Workers != 2 {
+		t.Errorf("committed report points: %+v, want workers=1 and workers=2", base.Points)
+	}
+	if err := obs.CheckRegression(base, base, 0.10); err != nil {
+		t.Errorf("committed report fails its own gate: %v", err)
+	}
+}
+
+func TestBusyCPUSecondsNeverDecreases(t *testing.T) {
+	prev := obs.BusyCPUSeconds()
+	first := prev
+	sink := 0
+	for i := 0; i < 5; i++ {
+		for j := 0; j < 2_000_000; j++ {
+			sink += j ^ i
+		}
+		cur := obs.BusyCPUSeconds()
+		if cur < prev {
+			t.Fatalf("reading %d went backwards: %v < %v", i, cur, prev)
+		}
+		prev = cur
+	}
+	if prev <= first {
+		t.Errorf("busy CPU did not grow over a busy loop: %v -> %v (sink %d)", first, prev, sink)
 	}
 }
 
 func TestScalingReportFileRoundTrip(t *testing.T) {
-	r := report()
-	r.Finalize()
+	r := report(1.5)
 	path := filepath.Join(t.TempDir(), "scaling.json")
 	if err := r.WriteFile(path); err != nil {
 		t.Fatal(err)
@@ -92,96 +184,14 @@ func TestScalingReportFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Points) != len(r.Points) || len(back.Bottlenecks) != len(r.Bottlenecks) {
+	if len(back.Points) != 2 || back.Points[1] != r.Points[1] || back.Host != r.Host {
 		t.Errorf("round trip lost data: %+v", back)
-	}
-	if back.Host.Gomaxprocs != 1 {
-		t.Errorf("host stamp lost: %+v", back.Host)
-	}
-}
-
-func TestCheckRegression(t *testing.T) {
-	base := report()
-	base.Finalize()
-
-	fresh := report()
-	fresh.Finalize()
-	if err := obs.CheckRegression(base, fresh, 0.10); err != nil {
-		t.Errorf("identical reports flagged: %v", err)
-	}
-
-	slow := report()
-	slow.Points[1].SimSec = 3000 // 25% efficiency drop at workers=8
-	slow.Finalize()
-	if err := obs.CheckRegression(base, slow, 0.10); err == nil {
-		t.Error("25% efficiency regression passed the 10% gate")
-	}
-
-	if err := obs.CheckRegression(&obs.ScalingReport{}, fresh, 0.10); err == nil {
-		t.Error("empty baseline accepted")
-	}
-}
-
-// TestCheckRegressionRejectsHostShapeMismatch: efficiency is normalised to
-// min(workers, GOMAXPROCS), so a GOMAXPROCS=1 baseline (efficiency ~1 by
-// construction) and a 2-P sweep are not comparable. The gate must say so,
-// naming both shapes, instead of reporting a regression — in either
-// direction, and even when the fresh efficiency would clear the bar.
-func TestCheckRegressionRejectsHostShapeMismatch(t *testing.T) {
-	base := report()
-	base.Finalize()
-	for _, procs := range []int{2, 8} {
-		fresh := report()
-		fresh.Host.Gomaxprocs = procs
-		fresh.Finalize()
-		err := obs.CheckRegression(base, fresh, 0.10)
-		if err == nil || strings.Contains(err.Error(), "regressed") {
-			t.Fatalf("GOMAXPROCS 1 baseline vs %d sweep: %v, want a host-shape error", procs, err)
-		}
-		for _, want := range []string{"GOMAXPROCS=1", fmt.Sprintf("GOMAXPROCS=%d", procs), "refresh"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("host-shape error %q does not mention %q", err, want)
-			}
-		}
-		if err := obs.CheckRegression(fresh, base, 0.10); err == nil {
-			t.Errorf("GOMAXPROCS %d baseline vs 1 sweep accepted", procs)
-		}
-	}
-}
-
-// TestCommittedReportGatesOnCappedPoint pins which point of the committed
-// BENCH_scaling.json the nightly gate holds a fresh sweep to: the capped
-// workers=8 point (efficiency 1.009). The report also ends with an
-// uncapped workers=8 point (0.937) from before the cap became
-// unconditional; it decodes as a second workers=8 point and must not
-// become the bar.
-func TestCommittedReportGatesOnCappedPoint(t *testing.T) {
-	base, err := obs.LoadScalingReport("../../BENCH_scaling.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := func(eff float64) *obs.ScalingReport {
-		return &obs.ScalingReport{Host: base.Host, Points: []obs.ScalingPoint{
-			{Workers: 1, Efficiency: 1},
-			{Workers: 8, Efficiency: eff},
-		}}
-	}
-	// 10% under 1.009 is 0.908: 0.92 passes, and 0.88 — which a 0.937
-	// bar (floor 0.843) would pass — fails.
-	if err := obs.CheckRegression(base, fresh(0.92), 0.10); err != nil {
-		t.Errorf("efficiency 0.92 against the committed report: %v", err)
-	}
-	err = obs.CheckRegression(base, fresh(0.88), 0.10)
-	if err == nil || !strings.Contains(err.Error(), "baseline 1.009") {
-		t.Errorf("efficiency 0.88 against the committed report: %v, want a regression against baseline 1.009", err)
 	}
 }
 
 func TestScalingTableRenders(t *testing.T) {
-	r := report()
-	r.Finalize()
-	out := r.Table()
-	for _, want := range []string{"Fleet scaling", "Ranked serialization sources", "GOMAXPROCS 1"} {
+	out := report(1.5).Table()
+	for _, want := range []string{"Fleet scaling", "GOMAXPROCS 2", "Busy CPU", "CPU inflation", "1.50x"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %q:\n%s", want, out)
 		}

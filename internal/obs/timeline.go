@@ -1,7 +1,7 @@
-// Package obs is the campaign execution profiler: it turns "the fleet
-// doesn't scale" into a ranked, reproducible bottleneck report.
+// Package obs is the campaign execution profiler: it records where a
+// fleet's wall time goes and what a second worker costs.
 //
-// The package layers four pieces on the telemetry registry from
+// The package layers three pieces on the telemetry registry from
 // internal/telemetry:
 //
 //   - Worker timelines (Timeline): the one recorder of what ran. Each
@@ -11,25 +11,21 @@
 //     testbed runs and carrying the error that aborted a run.
 //     Serialization shows up as idle gaps; phase dominance shows up as
 //     wall share; SimSpans turns a lane into the -trace-out view.
-//   - Contention capture (StartProfiling, SnapshotProfiles,
-//     TopContendedLocks, SampleRuntimeMetrics): opt-in runtime mutex and
-//     block profiling, pprof-format snapshots at campaign end, and
-//     runtime/metrics samples (GC, goroutines, scheduler latency) folded
-//     into the metrics registry.
 //   - A unified observability HTTP server (Server): one mux serving
 //     /debug/pprof, /metrics (Prometheus text from the registry),
 //     /healthz, and /timeline (the live worker timeline as JSON) —
 //     replacing the fire-and-forget pprof goroutines the CLIs used to
-//     start.
-//   - The scaling report (ScalingReport): parallel efficiency across
-//     worker counts with per-phase wall-time attribution and a
-//     deterministic bottleneck ranking.
+//     start. A CPU profile from /debug/pprof/profile is the drill-down
+//     when the fleet does not scale.
+//   - The scaling report (ScalingReport): busy CPU at workers=2 over
+//     busy CPU at workers=1 on the same deterministic sweep, the number
+//     the scaling gate compares (CheckRegression).
 //
 // Determinism contract: nothing in this package is consulted by the
-// simulation. Attaching a Timeline, enabling contention profiling, or
-// serving the HTTP endpoints cannot change what a campaign finds — the
-// experiment tables stay byte-identical with profiling on or off, at any
-// worker count (pinned in internal/harness tests).
+// simulation. Attaching a Timeline or serving the HTTP endpoints cannot
+// change what a campaign finds — the experiment tables stay
+// byte-identical with a timeline on or off, at any worker count (pinned
+// in internal/harness tests).
 package obs
 
 import (
@@ -273,37 +269,6 @@ type Snapshot struct {
 	// Intervals is every completed interval plus in-flight ones truncated
 	// at the snapshot instant, ordered by worker then start time.
 	Intervals []Interval `json:"intervals"`
-}
-
-// PhaseShares returns phases sorted by descending wall share of the
-// summed per-phase time (idle included).
-func (s Snapshot) PhaseShares() []PhaseShare {
-	var total float64
-	for _, sec := range s.PhaseWallSec {
-		total += sec
-	}
-	out := make([]PhaseShare, 0, len(s.PhaseWallSec))
-	for phase, sec := range s.PhaseWallSec {
-		ps := PhaseShare{Phase: phase, WallSec: sec}
-		if total > 0 {
-			ps.Share = sec / total
-		}
-		out = append(out, ps)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].WallSec != out[j].WallSec {
-			return out[i].WallSec > out[j].WallSec
-		}
-		return out[i].Phase < out[j].Phase
-	})
-	return out
-}
-
-// PhaseShare is one phase's slice of the fleet's summed wall time.
-type PhaseShare struct {
-	Phase   string  `json:"phase"`
-	WallSec float64 `json:"wall_sec"`
-	Share   float64 `json:"share"`
 }
 
 // Snapshot captures the timeline, truncating in-flight intervals at the
