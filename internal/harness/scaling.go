@@ -12,9 +12,10 @@ import (
 
 // scalingPairs is how many interleaved workers=1/workers=2 pairs the sweep
 // runs. On a 2-vCPU host one pair's CPU ratio has a standard deviation of
-// about 9%, mostly from the single-worker run; the median of eleven keeps
-// repeated sweeps within the gate's 10% (PERFORMANCE.md, "Diagnosing
-// scaling").
+// about 9%, mostly from the single-worker run, so the gate's 10% needs
+// the median of many pairs. Up to 21 were tried; beyond 11 the spread
+// between sweeps is the host's drift, which more pairs do not remove
+// (PERFORMANCE.md, "Scaling gate on CPU inflation").
 const scalingPairs = 11
 
 // ScalingConfig tunes the bench-scaling sweep.
@@ -87,19 +88,12 @@ func ScalingSweep(cfg ScalingConfig) (*obs.ScalingReport, error) {
 	jobs := scalingJobs(cfg.Budget)
 	pairs := make([]obs.ScalingPair, scalingPairs)
 	for i := range pairs {
-		sides := []struct {
-			workers int
-			run     *obs.ScalingRun
-		}{{1, &pairs[i].One}, {2, &pairs[i].Two}}
-		if i%2 == 1 {
-			sides[0], sides[1] = sides[1], sides[0]
-		}
-		for _, s := range sides {
-			run, err := scalingRun(jobs, s.workers)
+		for _, workers := range [2][2]int{{1, 2}, {2, 1}}[i%2] {
+			run, err := scalingRun(jobs, workers)
 			if err != nil {
 				return nil, err
 			}
-			*s.run = run
+			pairs[i][workers-1] = run
 		}
 	}
 	campaign := fmt.Sprintf("table5 sweep, %d jobs, %s budget, median of %d interleaved pairs", len(jobs), cfg.Budget, scalingPairs)

@@ -54,11 +54,9 @@ type ScalingRun struct {
 	SimSec  float64 // simulated campaign time delivered
 }
 
-// ScalingPair is one workers=1 run and one workers=2 run of the same
-// deterministic workload, taken back to back.
-type ScalingPair struct {
-	One, Two ScalingRun
-}
+// ScalingPair is one workers=1 run ([0]) and one workers=2 run ([1]) of
+// the same deterministic workload, taken back to back.
+type ScalingPair [2]ScalingRun
 
 // ScalingPoint summarises one worker count over the sweep's pairs.
 type ScalingPoint struct {
@@ -92,10 +90,10 @@ func NewScalingReport(host HostInfo, campaign string, pairs []ScalingPair) (*Sca
 	if len(pairs) == 0 {
 		return nil, fmt.Errorf("obs: scaling report needs at least one pair of runs")
 	}
-	sim := pairs[0].One.SimSec
+	sim := pairs[0][0].SimSec
 	var wall1, wall2, cpu1, cpu2, speedup, inflation []float64
 	for i, p := range pairs {
-		for _, r := range []ScalingRun{p.One, p.Two} {
+		for _, r := range p {
 			if r.SimSec != sim {
 				return nil, fmt.Errorf("obs: pair %d delivered %v simulated seconds, pair 0 %v: the sweep's workload is not deterministic", i, r.SimSec, sim)
 			}
@@ -103,10 +101,11 @@ func NewScalingReport(host HostInfo, campaign string, pairs []ScalingPair) (*Sca
 				return nil, fmt.Errorf("obs: pair %d has a non-positive reading: %+v", i, r)
 			}
 		}
-		wall1, wall2 = append(wall1, p.One.WallSec), append(wall2, p.Two.WallSec)
-		cpu1, cpu2 = append(cpu1, p.One.CPUSec), append(cpu2, p.Two.CPUSec)
-		speedup = append(speedup, p.One.WallSec/p.Two.WallSec)
-		inflation = append(inflation, p.Two.CPUSec/p.One.CPUSec)
+		one, two := p[0], p[1]
+		wall1, wall2 = append(wall1, one.WallSec), append(wall2, two.WallSec)
+		cpu1, cpu2 = append(cpu1, one.CPUSec), append(cpu2, two.CPUSec)
+		speedup = append(speedup, one.WallSec/two.WallSec)
+		inflation = append(inflation, two.CPUSec/one.CPUSec)
 	}
 	point := func(workers int, wall, cpu []float64) ScalingPoint {
 		w := median(wall)

@@ -2,8 +2,10 @@ package obs_test
 
 import (
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"zcover/internal/obs"
 )
@@ -15,10 +17,10 @@ func pairs() []obs.ScalingPair {
 	run := func(wall, cpu float64) obs.ScalingRun {
 		return obs.ScalingRun{WallSec: wall, CPUSec: cpu, SimSec: 1000}
 	}
-	return []obs.ScalingPair{
-		{One: run(4, 4), Two: run(2.5, 6.4)},
-		{One: run(3, 3), Two: run(2, 5.4)},
-		{One: run(5, 5), Two: run(2.5, 6.0)},
+	return []obs.ScalingPair{ // {workers=1, workers=2}
+		{run(4, 4), run(2.5, 6.4)},
+		{run(3, 3), run(2, 5.4)},
+		{run(5, 5), run(2.5, 6.0)},
 	}
 }
 
@@ -71,12 +73,12 @@ func TestNewScalingReportTakesPairMedians(t *testing.T) {
 
 func TestNewScalingReportRejectsBadRuns(t *testing.T) {
 	mismatch := pairs()
-	mismatch[2].Two.SimSec = 999
+	mismatch[2][1].SimSec = 999
 	if _, err := obs.NewScalingReport(obs.Host(""), "x", mismatch); err == nil || !strings.Contains(err.Error(), "not deterministic") {
 		t.Errorf("simulated-seconds mismatch: %v", err)
 	}
 	idle := pairs()
-	idle[1].One.CPUSec = 0
+	idle[1][0].CPUSec = 0
 	if _, err := obs.NewScalingReport(obs.Host(""), "x", idle); err == nil {
 		t.Error("zero CPU reading accepted")
 	}
@@ -171,6 +173,25 @@ func TestBusyCPUSecondsNeverDecreases(t *testing.T) {
 	}
 	if prev <= first {
 		t.Errorf("busy CPU did not grow over a busy loop: %v -> %v (sink %d)", first, prev, sink)
+	}
+}
+
+// TestBusyCPUSecondsExcludesIdle: with two Ps and one busy goroutine,
+// busy CPU tracks one P's worth of wall time, not GOMAXPROCS × wall as
+// /cpu/classes/total alone would.
+func TestBusyCPUSecondsExcludesIdle(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	start := time.Now()
+	cpu := obs.BusyCPUSeconds()
+	sink := 0
+	for time.Since(start) < 100*time.Millisecond {
+		sink++
+	}
+	cpu = obs.BusyCPUSeconds() - cpu
+	wall := time.Since(start).Seconds()
+	if cpu > 1.6*wall || cpu < 0.5*wall {
+		t.Errorf("busy CPU %.3fs over %.3fs of wall with one busy goroutine on 2 Ps (sink %d)", cpu, wall, sink)
 	}
 }
 
