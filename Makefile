@@ -16,10 +16,10 @@ build:
 test:
 	go test ./...
 
-# Runs the fleet scaling sweep at 24 h budgets (three interleaved
-# workers=1/workers=2 pairs; needs GOMAXPROCS >= 2) and gates it: fails when
-# the CPU inflation at workers=2, busy CPU over the workers=1 run's, rose
-# more than 10% above the committed BENCH_scaling.json's. The fresh report
+# Runs the fleet scaling sweep at 24 h budgets (one unmeasured warm-up, then
+# 11 interleaved workers=1/workers=2 pairs; needs GOMAXPROCS >= 2) and gates
+# it: fails when the CPU inflation at workers=2, busy CPU over the workers=1
+# run's, rose more than 10% above the committed BENCH_scaling.json's. The fresh report
 # lands in .bench_build/; copy it over BENCH_scaling.json to refresh the bar.
 bench-scaling:
 	mkdir -p .bench_build

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -156,6 +157,11 @@ func TestCoverageModeCLI(t *testing.T) {
 	args := []string{"-target", "D1", "-fuzz-mode", "coverage", "-duration", "10m",
 		"-seed", "7", "-corpus-dir", dir, "-coverage-out", covOut,
 		"-metrics-out", dir + "/metrics.json"}
+	published := []string{"radio_tx_frames_total", "fuzz_packets_total", "coverage_inputs_total"}
+	before := map[string]int64{}
+	for _, name := range published {
+		before[name] = telemetry.Default().Counter(name).Load()
+	}
 	first := capture(t, func() error { return run(args) })
 	if !strings.Contains(first, "behavioral-coverage-guided fuzzing") ||
 		!strings.Contains(first, "corpus seeds") {
@@ -170,6 +176,23 @@ func TestCoverageModeCLI(t *testing.T) {
 	}
 	if !strings.Contains(string(cov1), `"features"`) {
 		t.Fatalf("coverage map JSON malformed:\n%s", cov1)
+	}
+	// The campaign's counts reach the -metrics-out file: the CLI path
+	// publishes when the campaign ends.
+	raw, err := os.ReadFile(dir + "/metrics.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Counters map[string]int64 `json:"counters"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range published {
+		if doc.Counters[name] <= before[name] {
+			t.Errorf("-metrics-out %s = %d, want above %d from before the campaign", name, doc.Counters[name], before[name])
+		}
 	}
 
 	// An existing corpus journal is refused without -resume...

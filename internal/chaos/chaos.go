@@ -31,22 +31,11 @@ import (
 	"math/rand"
 
 	"zcover/internal/radio"
-	"zcover/internal/telemetry"
 	"zcover/internal/vtime"
 )
 
-// Process-wide fault counters, one per fault type in the taxonomy.
-var (
-	mDeliveries  = telemetry.Default().Counter("chaos_deliveries_total")
-	mDropped     = telemetry.Default().Counter("chaos_dropped_total")
-	mCorrupted   = telemetry.Default().Counter("chaos_corrupted_total")
-	mDuplicated  = telemetry.Default().Counter("chaos_duplicated_total")
-	mDelayed     = telemetry.Default().Counter("chaos_delayed_total")
-	mPartitioned = telemetry.Default().Counter("chaos_partitioned_total")
-)
-
-// Stats counts fault decisions made by one injector (process-wide totals
-// are on the telemetry registry under chaos_*_total).
+// Stats counts fault decisions made by one injector. The testbed adds
+// them to the process-wide chaos_*_total counters when its campaign ends.
 type Stats struct {
 	// Deliveries is how many frame deliveries the injector inspected.
 	Deliveries int64
@@ -169,7 +158,6 @@ func (i *Injector) Intercept(from, to string, raw []byte) []radio.Delivery {
 		now = i.clock.Now()
 	}
 	i.stats.Deliveries++
-	mDeliveries.Inc()
 
 	for _, p := range i.profile.Partitions {
 		if p.For <= 0 || p.Node == "" {
@@ -181,7 +169,6 @@ func (i *Injector) Intercept(from, to string, raw []byte) []radio.Delivery {
 		}
 		if strings.Contains(from, p.Node) || strings.Contains(to, p.Node) {
 			i.stats.Partitioned++
-			mPartitioned.Inc()
 			i.noteFault(now)
 			return nil
 		}
@@ -203,7 +190,6 @@ func (i *Injector) Intercept(from, to string, raw []byte) []radio.Delivery {
 	}
 	if lossP > 0 && st.rng.Float64() < lossP {
 		i.stats.Dropped++
-		mDropped.Inc()
 		i.noteFault(now)
 		return nil
 	}
@@ -213,7 +199,6 @@ func (i *Injector) Intercept(from, to string, raw []byte) []radio.Delivery {
 		out = append([]byte(nil), raw...)
 		out[st.rng.Intn(len(out))] ^= 1 << st.rng.Intn(8)
 		i.stats.Corrupted++
-		mCorrupted.Inc()
 		i.noteFault(now)
 	}
 
@@ -221,7 +206,6 @@ func (i *Injector) Intercept(from, to string, raw []byte) []radio.Delivery {
 	if i.profile.Jitter > 0 && i.profile.JitterMax > 0 && st.rng.Float64() < i.profile.Jitter {
 		delay = time.Duration(1 + st.rng.Int63n(int64(i.profile.JitterMax)))
 		i.stats.Delayed++
-		mDelayed.Inc()
 		i.noteFault(now)
 	}
 
@@ -231,7 +215,6 @@ func (i *Injector) Intercept(from, to string, raw []byte) []radio.Delivery {
 		// retransmission the receiver's MAC never asked for.
 		deliveries = append(deliveries, radio.Delivery{Delay: delay + 2*time.Millisecond, Raw: out})
 		i.stats.Duplicated++
-		mDuplicated.Inc()
 		i.noteFault(now)
 	}
 	return deliveries

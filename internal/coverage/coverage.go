@@ -30,18 +30,6 @@
 // growth of the per-input touched list.
 package coverage
 
-import (
-	"zcover/internal/telemetry"
-)
-
-// Process-wide coverage metrics: inputs measured, inputs that contributed
-// novel behaviour, and distinct features accumulated across all campaigns.
-var (
-	mInputs      = telemetry.Default().Counter("coverage_inputs_total")
-	mNovelInputs = telemetry.Default().Counter("coverage_novel_inputs_total")
-	mFeatures    = telemetry.Default().Counter("coverage_features_total")
-)
-
 // mapBits sizes the feature map: 64 Ki buckets comfortably holds the full
 // feature space (site × class × cmd × depth × security is ~2^21 packed
 // keys, but a campaign touches a few thousand) at negligible collision
@@ -183,7 +171,6 @@ func (c *Collector) BeginInput() {
 // is the corpus admission signal.
 func (c *Collector) EndInput() (newFeatures int) {
 	c.inputs++
-	mInputs.Inc()
 	for _, idx := range c.touched {
 		cls := countClass(c.cur[idx])
 		if c.classes[idx]&cls != 0 {
@@ -191,14 +178,12 @@ func (c *Collector) EndInput() (newFeatures int) {
 		}
 		if c.classes[idx] == 0 {
 			c.features++
-			mFeatures.Inc()
 		}
 		c.classes[idx] |= cls
 		newFeatures++
 	}
 	if newFeatures > 0 {
 		c.novel++
-		mNovelInputs.Inc()
 	}
 	return newFeatures
 }

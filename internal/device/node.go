@@ -255,7 +255,7 @@ func (n *Node) onCapture(c radio.Capture) {
 	}
 	f := protocol.GetFrame()
 	defer protocol.PutFrame(f)
-	if err := protocol.DecodeInto(f, c.Raw, protocol.ChecksumCS8); err != nil {
+	if err := n.trx.Decode(f, c.Raw); err != nil {
 		// Malformed frames are dropped by the chipset, as on real silicon.
 		return
 	}

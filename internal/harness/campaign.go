@@ -104,8 +104,10 @@ func (o FleetOutcome) Fuzz() *fuzz.Result {
 // The testbed must already be built for the job (fleet workers build it
 // from Device, Patched and the chaos fields). Run checks a set Device
 // against the testbed and otherwise reads only the job's engine
-// selection, strategy, seed, budget and frame cap.
+// selection, strategy, seed, budget and frame cap. When it returns, the
+// testbed's frame counts reach the process-wide registry (Publish).
 func Run(tb *testbed.Testbed, job fleet.Job, opts Options) (out FleetOutcome, err error) {
+	defer tb.Publish()
 	device := tb.Controller.Profile().Index
 	coverage := job.FuzzMode == fleet.ModeCoverage
 	baseline := job.Baseline && !coverage

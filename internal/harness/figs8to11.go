@@ -79,6 +79,7 @@ func Figs8to11() ([]MemoryAttackView, error) {
 				return nil, err
 			}
 		}
+		tb.Publish()
 
 		after, err := pc.RenderTable()
 		if err != nil {

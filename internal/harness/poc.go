@@ -45,6 +45,7 @@ func VerifyPoCs(entries []fuzz.LogEntry, seed int64) ([]PoCResult, error) {
 			payload, dongle.DefaultResponseWindow); err != nil {
 			return nil, fmt.Errorf("harness: entry %d: %w", i, err)
 		}
+		tb.Publish()
 
 		res := PoCResult{Entry: e, Observed: observed}
 		for _, sig := range observed {

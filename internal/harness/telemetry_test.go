@@ -27,12 +27,90 @@ func fullTelemetryConfig(workers int, traceSink io.Writer) fleet.Config {
 	}
 }
 
+// frameCycleCounters are the process-wide counters a campaign feeds once,
+// when it ends: the medium's and injector's counts (testbed.Publish) and
+// the fuzzing cycle's (fuzz.Cycle.End).
+var frameCycleCounters = []string{
+	"radio_tx_frames_total", "radio_rx_frames_total", "radio_frames_lost_total",
+	"radio_frames_corrupted_total", "radio_frames_too_long_total",
+	"protocol_frames_decoded_total", "protocol_decode_fail_total", "protocol_checksum_fail_total",
+	"chaos_deliveries_total", "chaos_dropped_total", "chaos_corrupted_total",
+	"chaos_duplicated_total", "chaos_delayed_total", "chaos_partitioned_total",
+	"fuzz_packets_total", "fuzz_findings_total", "fuzz_duplicates_total",
+}
+
+// readCounters loads the named process-wide counters.
+func readCounters(names []string) map[string]int64 {
+	out := make(map[string]int64, len(names))
+	for _, name := range names {
+		out[name] = telemetry.Default().Counter(name).Load()
+	}
+	return out
+}
+
+// counterDeltas reports how far each counter in base moved since.
+func counterDeltas(base map[string]int64) map[string]int64 {
+	out := make(map[string]int64, len(base))
+	for name, v := range base {
+		out[name] = telemetry.Default().Counter(name).Load() - v
+	}
+	return out
+}
+
+// TestRunPublishesCountsWhenCampaignEnds pins where frame counts go: no
+// frame writes the process-wide registry while the campaign runs (seen
+// from inside OnFinding), and when Run returns, the counters have moved by
+// exactly the testbed medium's counts and the result's.
+func TestRunPublishesCountsWhenCampaignEnds(t *testing.T) {
+	tb, err := testbed.New("D1", 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := readCounters(frameCycleCounters)
+	findings := 0
+	out, err := Run(tb, fleet.Job{Strategy: fuzz.StrategyFull, Budget: fleetTestBudget, Seed: 41}, Options{
+		OnFinding: func(fuzz.Finding) {
+			findings++
+			for _, name := range []string{"radio_tx_frames_total", "protocol_frames_decoded_total", "fuzz_packets_total"} {
+				if d := counterDeltas(base)[name]; d != 0 {
+					t.Errorf("finding %d: %s moved by %d mid-campaign", findings, name, d)
+				}
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if findings == 0 {
+		t.Fatal("campaign found nothing; OnFinding never looked at the counters")
+	}
+	s, res := tb.Medium.Stats(), out.Campaign.Fuzz
+	got := counterDeltas(base)
+	for name, want := range map[string]int64{
+		"radio_tx_frames_total":         s.Tx,
+		"radio_rx_frames_total":         s.Rx,
+		"protocol_frames_decoded_total": s.Decoded,
+		"protocol_decode_fail_total":    s.DecodeFail,
+		"fuzz_packets_total":            int64(res.PacketsSent),
+		"fuzz_findings_total":           int64(len(res.Findings)),
+		"fuzz_duplicates_total":         int64(res.Duplicates),
+	} {
+		if got[name] != want {
+			t.Errorf("%s moved by %d, want %d", name, got[name], want)
+		}
+	}
+	if got["radio_tx_frames_total"] == 0 || got["fuzz_packets_total"] == 0 {
+		t.Errorf("campaign published no traffic: %v", got)
+	}
+}
+
 // TestTable5ByteIdenticalWithTelemetryAcrossWorkers asserts the
 // determinism hard constraint: enabling the whole observability stack —
 // metrics registry, flight recorder, trace — must not perturb Table V by
 // a single byte, at any worker count. The trace's sim-time view is
 // itself deterministic: sorted by job, the phase spans are equal at
-// workers=1 and 8.
+// workers=1 and 8. So are the frame counts the campaigns publish: every
+// frame-cycle counter moves by the same amount at both worker counts.
 func TestTable5ByteIdenticalWithTelemetryAcrossWorkers(t *testing.T) {
 	baseTbl, _, err := Table5(fleetTestBudget, fleet.Config{Workers: 1})
 	if err != nil {
@@ -42,12 +120,15 @@ func TestTable5ByteIdenticalWithTelemetryAcrossWorkers(t *testing.T) {
 	SetFleetRecorderDepth(telemetry.DefaultFlightDepth)
 	defer SetFleetRecorderDepth(0)
 	var simSpans [][]telemetry.TraceEvent
+	var moved []map[string]int64
 	for _, workers := range []int{1, 8} {
 		var traces bytes.Buffer
+		base := readCounters(frameCycleCounters)
 		tbl, _, err := Table5(fleetTestBudget, fullTelemetryConfig(workers, &traces))
 		if err != nil {
 			t.Fatal(err)
 		}
+		moved = append(moved, counterDeltas(base))
 		if tbl.String() != baseTbl.String() {
 			t.Errorf("Table V with telemetry (workers=%d) differs from plain run:\n--- telemetry ---\n%s\n--- plain ---\n%s",
 				workers, tbl.String(), baseTbl.String())
@@ -82,6 +163,12 @@ func TestTable5ByteIdenticalWithTelemetryAcrossWorkers(t *testing.T) {
 	}
 	if !reflect.DeepEqual(simSpans[0], simSpans[1]) {
 		t.Errorf("sim-time phase spans differ between workers=1 and 8:\n%+v\n%+v", simSpans[0], simSpans[1])
+	}
+	if !reflect.DeepEqual(moved[0], moved[1]) {
+		t.Errorf("frame-cycle counters moved differently at workers=1 and 8:\n%v\n%v", moved[0], moved[1])
+	}
+	if moved[0]["radio_tx_frames_total"] == 0 || moved[0]["fuzz_packets_total"] == 0 {
+		t.Errorf("Table V published no traffic: %v", moved[0])
 	}
 }
 

@@ -221,7 +221,7 @@ func (m *Monitor) onCapture(c radio.Capture) {
 	// detect copy what they keep into the model maps.
 	f := protocol.GetFrame()
 	defer protocol.PutFrame(f)
-	if err := protocol.DecodeInto(f, c.Raw, protocol.ChecksumCS8); err != nil {
+	if err := m.trx.Decode(f, c.Raw); err != nil {
 		if !m.training {
 			m.raise(RuleMalformedFrame, SeverityMedium, src,
 				fmt.Sprintf("undecodable frame (%d bytes): %v", len(c.Raw), err))

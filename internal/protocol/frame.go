@@ -8,15 +8,10 @@ import (
 	"zcover/internal/telemetry"
 )
 
-// Process-wide frame-codec metrics. Decode runs on every captured frame
-// (receivers, sniffers, the dongle's classifier), so failures here are the
-// MAC-layer health signal: checksum failures separate from structural ones.
-var (
-	mDecodeOK       = telemetry.Default().Counter("protocol_frames_decoded_total")
-	mDecodeFail     = telemetry.Default().Counter("protocol_decode_fail_total")
-	mChecksumFail   = telemetry.Default().Counter("protocol_checksum_fail_total")
-	mEncodeTooLarge = telemetry.Default().Counter("protocol_encode_too_large_total")
-)
+// mEncodeTooLarge counts encodes refused above the MAC limit, an error
+// path. Decode outcomes are counted per medium by the receiving chipset
+// (radio.Transceiver.Decode), not here.
+var mEncodeTooLarge = telemetry.Default().Counter("protocol_encode_too_large_total")
 
 // Frame is a parsed Z-Wave MAC frame. Payload holds the application layer
 // (CMDCL, CMD, PARAMs); for S0/S2 traffic it holds the security
@@ -173,23 +168,17 @@ func DecodeInto(f *Frame, raw []byte, mode ChecksumMode) error {
 		mode = ChecksumCS8
 	}
 	if len(raw) < HeaderSize+mode.trailerSize() {
-		mDecodeFail.Inc()
 		return ErrFrameTooShort
 	}
 	if len(raw) > MaxFrameSize {
-		mDecodeFail.Inc()
 		return ErrFrameTooLong
 	}
 	if int(raw[7]) != len(raw) {
-		mDecodeFail.Inc()
 		return ErrLengthMismatch
 	}
 	if !verifyChecksum(raw, mode) {
-		mDecodeFail.Inc()
-		mChecksumFail.Inc()
 		return ErrBadChecksum
 	}
-	mDecodeOK.Inc()
 	*f = Frame{
 		Home:     HomeID(binary.BigEndian.Uint32(raw[0:4])),
 		Src:      NodeID(raw[4]),

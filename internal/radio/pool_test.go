@@ -10,16 +10,16 @@ import (
 	"zcover/internal/vtime"
 )
 
-// TestRecorderUnaffectedByPooledDelivery drives the impaired delivery path
-// (which serves receivers from pooled scratch copies) with a flight
-// recorder attached, then keeps transmitting so the pool reuses those
-// buffers. Earlier recorder snapshots must stay byte-identical — the
-// recorder copies into ring-owned storage, so pooled-buffer reuse cannot
-// reach it.
+// TestRecorderUnaffectedByPooledDelivery drives the intercepted delivery
+// path (which hands the interceptor a private copy that it corrupts in
+// place) with a flight recorder attached, then keeps transmitting from
+// pooled encode buffers. Earlier recorder snapshots must stay
+// byte-identical — the recorder copies into ring-owned storage, so neither
+// the corruption nor buffer reuse can reach it.
 func TestRecorderUnaffectedByPooledDelivery(t *testing.T) {
 	clock := vtime.NewSimClock()
 	m := NewMedium(clock)
-	m.SetImpairments(0, 1.0, 42) // corrupt every frame: all deliveries pooled
+	m.SetInterceptor(flipBit)
 	rec := telemetry.NewFlightRecorder(64)
 	m.SetFlightRecorder(rec)
 	tx := m.Attach("tx", RegionEU)
@@ -37,11 +37,14 @@ func TestRecorderUnaffectedByPooledDelivery(t *testing.T) {
 	}
 
 	// Churn the buffer pool: every transmit borrows and returns a pooled
-	// corruption copy. The earlier snapshot must not move.
+	// frame buffer. The earlier snapshot must not move.
 	for i := 0; i < 50; i++ {
-		if err := tx.Transmit([]byte{0xEE, byte(i), 0xEE, byte(i)}); err != nil {
+		buf := protocol.GetBuf()
+		*buf = append(*buf, 0xEE, byte(i), 0xEE, byte(i))
+		if err := tx.Transmit(*buf); err != nil {
 			t.Fatal(err)
 		}
+		protocol.PutBuf(buf)
 		clock.RunUntilIdle()
 	}
 	if !bytes.Equal(snap[0].Raw, first) {
@@ -49,13 +52,14 @@ func TestRecorderUnaffectedByPooledDelivery(t *testing.T) {
 	}
 }
 
-// TestCorruptDeliveryIsPrivatePerReceiver checks that the pooled corrupt
-// copy handed to one receiver is not visible to others and never leaks the
-// corruption back into the transmitter's buffer.
+// TestCorruptDeliveryIsPrivatePerReceiver checks that each receiver's
+// interceptor copy is private: corrupting one in place neither compounds
+// into the other receiver's copy nor leaks back into the transmitter's
+// buffer.
 func TestCorruptDeliveryIsPrivatePerReceiver(t *testing.T) {
 	clock := vtime.NewSimClock()
 	m := NewMedium(clock)
-	m.SetImpairments(0, 1.0, 7)
+	m.SetInterceptor(flipBit)
 	tx := m.Attach("tx", RegionEU)
 	raw := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	orig := append([]byte(nil), raw...)
@@ -74,12 +78,11 @@ func TestCorruptDeliveryIsPrivatePerReceiver(t *testing.T) {
 	if !bytes.Equal(raw, orig) {
 		t.Fatalf("transmit buffer mutated by corruption path: %x", raw)
 	}
-	for name, got := range seen {
-		if bytes.Equal(got, orig) {
-			t.Fatalf("receiver %s saw uncorrupted frame under 100%% noise", name)
-		}
-		if len(got) != len(orig) {
-			t.Fatalf("receiver %s frame length changed: %d", name, len(got))
+	want := append([]byte(nil), orig...)
+	want[len(want)-1] ^= 0x01
+	for _, name := range []string{"a", "b"} {
+		if got := seen[name]; !bytes.Equal(got, want) {
+			t.Fatalf("receiver %s saw %x, want one flipped bit: %x", name, got, want)
 		}
 	}
 }
@@ -87,11 +90,17 @@ func TestCorruptDeliveryIsPrivatePerReceiver(t *testing.T) {
 // TestPooledEncodeBufferConcurrentTransmit exercises GetBuf/PutBuf reuse
 // across concurrent transmitters under -race: many goroutines each append
 // into pooled buffers (via the device send path shape) and transmit, while
-// a recorder and a corrupting medium churn the same pool.
+// a recorder copies every frame and an interceptor corrupts every other
+// one.
 func TestPooledEncodeBufferConcurrentTransmit(t *testing.T) {
 	clock := vtime.NewSimClock()
 	m := NewMedium(clock)
-	m.SetImpairments(0, 0.5, 3)
+	m.SetInterceptor(func(from, to string, raw []byte) []Delivery {
+		if raw[2]%2 == 0 {
+			return flipBit(from, to, raw)
+		}
+		return []Delivery{{Raw: raw}}
+	})
 	rec := telemetry.NewFlightRecorder(16)
 	m.SetFlightRecorder(rec)
 	rx := m.Attach("rx", RegionEU)
@@ -124,7 +133,8 @@ func TestPooledEncodeBufferConcurrentTransmit(t *testing.T) {
 		}
 	}
 	clock.RunUntilIdle()
-	if rec.Recorded() != workers*100 {
-		t.Fatalf("recorded %d frames, want %d", rec.Recorded(), workers*100)
+	// Every frame reaches rx and the other workers' transceivers.
+	if s := m.Stats(); s.Tx != workers*100 || s.Rx != workers*s.Tx || s.Corrupted != s.Rx/2 {
+		t.Fatalf("stats = %+v, want %d sent, %d received, half of them corrupted", s, workers*100, workers*workers*100)
 	}
 }

@@ -3,6 +3,7 @@ package radio
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"zcover/internal/telemetry"
@@ -12,56 +13,61 @@ import (
 // TestTransceiverConcurrentHammer drives attach/transmit/stats/detach from
 // many goroutines against one shared medium. Run under -race (the tier-1
 // suite always is) it pins the Transceiver synchronisation fixed in this
-// package: Stats, Detach, and deliver used to touch unsynchronised fields.
+// package: Detach and deliver used to touch unsynchronised fields. Every
+// delivery counts once: handler calls across all receivers equal Rx. The
+// senders get their handlers before any traffic starts, so no delivery can
+// reach a transceiver still waiting for SetReceiver; the churn nodes
+// attached mid-traffic listen on the other region.
 func TestTransceiverConcurrentHammer(t *testing.T) {
 	clock := vtime.NewSimClock()
 	m := NewMedium(clock)
+	var handled atomic.Int64
+	count := func(Capture) { handled.Add(1) }
 
 	// A stable listener that keeps receiving throughout.
 	sink := m.Attach("sink", RegionUS)
-	var sinkMu sync.Mutex
-	received := 0
-	sink.SetReceiver(func(Capture) {
-		sinkMu.Lock()
-		received++
-		sinkMu.Unlock()
-	})
+	sink.SetReceiver(count)
 
 	frame := []byte{0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x41, 0x01, 0x0A, 0x02, 0x25}
 	const workers = 8
 	const rounds = 50
+	senders := make([]*Transceiver, workers)
+	for w := range senders {
+		senders[w] = m.Attach("sender", RegionUS)
+		senders[w].SetReceiver(count)
+	}
 
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w, tr := range senders {
 		wg.Add(1)
-		go func(w int) {
+		go func(w int, tr *Transceiver) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				tr := m.Attach("node", RegionUS)
-				tr.SetReceiver(func(Capture) {})
 				if err := tr.Transmit(frame); err != nil {
 					t.Errorf("worker %d: transmit: %v", w, err)
 					return
 				}
-				tr.Stats()
-				sink.Stats()
-				tr.Detach()
-				if err := tr.Transmit(frame); !errors.Is(err, ErrDetached) {
+				churn := m.Attach("churn", RegionEU)
+				churn.SetReceiver(count)
+				m.Stats()
+				churn.Detach()
+				if err := churn.Transmit(frame); !errors.Is(err, ErrDetached) {
 					t.Errorf("worker %d: transmit after Detach = %v, want ErrDetached", w, err)
 					return
 				}
 			}
-		}(w)
+			// Detach while the other senders are still transmitting.
+			tr.Detach()
+		}(w, tr)
 	}
 	wg.Wait()
 
-	if tx, _ := sink.Stats(); tx != 0 {
-		t.Errorf("sink tx = %d, want 0", tx)
+	s := m.Stats()
+	if s.Tx != workers*rounds {
+		t.Errorf("tx = %d, want %d (a refused transmit after Detach counts nothing)", s.Tx, workers*rounds)
 	}
-	sinkMu.Lock()
-	defer sinkMu.Unlock()
-	if _, rx := sink.Stats(); rx != received || rx == 0 {
-		t.Errorf("sink rx = %d, handler saw %d", rx, received)
+	if s.Rx != handled.Load() || s.Rx < workers*rounds {
+		t.Errorf("rx = %d, handlers saw %d, want equal and at least %d", s.Rx, handled.Load(), workers*rounds)
 	}
 }
 
@@ -124,8 +130,8 @@ func TestFlightRecorderCapturesTransmissions(t *testing.T) {
 		}
 	}
 
-	// Loss injection shows up in the verdict.
-	m.SetImpairments(1.0, 0, 42)
+	// Interceptor loss shows up in the verdict.
+	m.SetInterceptor(dropAll)
 	if err := a.Transmit(clear); err != nil {
 		t.Fatal(err)
 	}

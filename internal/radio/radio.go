@@ -7,20 +7,27 @@
 // transmission is delivered to every other attached transceiver tuned to
 // the same region after the frame's airtime has elapsed on the simulated
 // clock; receivers filter by home ID themselves, exactly as real Z-Wave
-// chipsets do, which is what makes passive sniffing possible. Loss and
-// noise can be injected for robustness testing; both default to off so
-// campaigns are deterministic.
+// chipsets do, which is what makes passive sniffing possible. The medium
+// itself never loses or corrupts a frame: faults come only from an
+// interceptor (internal/chaos installs one), so clean campaigns are
+// deterministic.
+//
+// A medium carries one campaign's frames and counts each of them once
+// (Stats): transmissions, deliveries, interceptor losses and rewrites, and
+// the receivers' decode outcomes (Transceiver.Decode). Nothing here writes
+// process-wide state per frame; the testbed publishes the counts when the
+// campaign ends.
 //
 // # Concurrency and buffer ownership
 //
 // Medium and Transceiver are safe for concurrent use; each campaign in a
 // fleet runs its own Medium, so cross-goroutine traffic never mixes. Frame
 // delivery is synchronous and zero-copy: the Capture handed to a receiver
-// callback aliases the transmitter's buffer (or a pooled scratch copy on
-// impaired paths) and is valid only for the duration of the callback.
-// Receiver callbacks must not mutate Capture.Raw and must copy it before
-// retaining it. The interceptor hook is the exception — it receives a
-// private copy it may mutate or retain, as documented on InterceptFunc.
+// callback on the clean path aliases the transmitter's buffer and is valid
+// only for the duration of the callback. Receiver callbacks must not
+// mutate Capture.Raw and must copy it before retaining it. The interceptor
+// hook is the exception — it receives a private copy it may mutate or
+// retain, as documented on InterceptFunc.
 //
 // Each Transceiver caches its fan-out (attached same-region in-range peers,
 // in attach order). Attach, Place, SetRange and Detach bump the medium's
@@ -31,7 +38,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -40,17 +46,6 @@ import (
 	"zcover/internal/protocol"
 	"zcover/internal/telemetry"
 	"zcover/internal/vtime"
-)
-
-// Process-wide air-interface metrics. Handles resolve once at init; the
-// per-frame cost is a handful of lock-free atomic adds.
-var (
-	mTxFrames  = telemetry.Default().Counter("radio_tx_frames_total")
-	mRxFrames  = telemetry.Default().Counter("radio_rx_frames_total")
-	mLost      = telemetry.Default().Counter("radio_frames_lost_total")
-	mCorrupted = telemetry.Default().Counter("radio_frames_corrupted_total")
-	mTooLong   = telemetry.Default().Counter("radio_frames_too_long_total")
-	mAirtime   = telemetry.Default().Histogram("radio_airtime_ms", 2, 3, 4, 5, 6, 7, 8)
 )
 
 // Region selects the regional RF profile (ITU-T G.9959 regional annexes).
@@ -108,10 +103,10 @@ type Capture struct {
 	At time.Time
 	// Raw is the frame bytes as received. The slice is owned by the medium
 	// and valid only for the duration of the receiver callback: on the
-	// clean path it aliases the transmitter's buffer, and on impaired paths
-	// it aliases a pooled scratch copy. Receivers must not mutate it, and
-	// must copy it before retaining it past the callback (Sniffer and the
-	// attacker dongle both do).
+	// clean path it aliases the transmitter's buffer, and behind an
+	// interceptor it is whatever the interceptor delivered. Receivers must
+	// not mutate it, and must copy it before retaining it past the callback
+	// (Sniffer and the attacker dongle both do).
 	Raw []byte
 }
 
@@ -128,11 +123,11 @@ type Delivery struct {
 }
 
 // InterceptFunc sees every frame en route from one transceiver to another
-// (after the medium's own loss/noise impairments) and decides what the
-// receiver observes: return nil to drop the frame, one Delivery to pass or
-// rewrite it, or several to duplicate it. The input slice is a private
-// copy; the interceptor may mutate or retain it. Interceptors run outside
-// the medium lock and must be safe for concurrent use.
+// and decides what the receiver observes: return nil to drop the frame,
+// one Delivery to pass or rewrite it, or several to duplicate it. The
+// input slice is a private copy; the interceptor may mutate or retain it.
+// Interceptors run outside the medium lock and must be safe for concurrent
+// use.
 type InterceptFunc func(from, to string, raw []byte) []Delivery
 
 // Medium is the shared simulated air. Construct with NewMedium. Medium is
@@ -142,15 +137,38 @@ type Medium struct {
 
 	mu        sync.Mutex
 	nodes     []*Transceiver
-	lossP     float64
-	noiseP    float64
-	impSeed   int64
-	streams   map[string]*rand.Rand
 	intercept InterceptFunc
-	txLog     int
 	rangeLim  float64
 	recorder  *telemetry.FlightRecorder
 	gen       atomic.Uint64 // bumped when any fan-out cache goes stale
+
+	tx, rx, lost, corrupted, tooLong  atomic.Int64
+	decoded, decodeFail, checksumFail atomic.Int64
+}
+
+// Stats counts the frames one medium carried, each fact once. Only the
+// campaign driving the medium writes the counts, so they stay off every
+// other core's cache lines.
+type Stats struct {
+	// Tx is how many frames went on the air.
+	Tx int64
+	// Rx is how many deliveries reached an attached receiver.
+	Rx int64
+	// Lost is how many deliveries the interceptor dropped.
+	Lost int64
+	// Corrupted is how many delivered copies differ from the frame as
+	// transmitted.
+	Corrupted int64
+	// TooLong is how many transmissions were refused above the MAC limit.
+	TooLong int64
+	// Decoded is how many captures a receiver's chipset decoded.
+	Decoded int64
+	// DecodeFail is how many captures failed to decode, checksum failures
+	// included.
+	DecodeFail int64
+	// ChecksumFail is how many of the failed captures failed on their
+	// checksum.
+	ChecksumFail int64
 }
 
 // NewMedium creates an empty air over the given simulated clock.
@@ -158,24 +176,20 @@ func NewMedium(clock *vtime.SimClock) *Medium {
 	if clock == nil {
 		panic("radio: NewMedium requires a clock")
 	}
-	return &Medium{clock: clock, impSeed: 1}
+	return &Medium{clock: clock}
 }
 
 // Clock exposes the medium's simulated clock.
 func (m *Medium) Clock() *vtime.SimClock { return m.clock }
 
-// SetImpairments configures random frame loss and single-byte noise
-// corruption probabilities (both in [0,1]) with a deterministic seed.
-// Impairments default to zero. Each receiver draws from its own stream
-// seeded from (seed, receiver name), so one transceiver's packet outcomes
-// are independent of which other transceivers are attached and of target
-// iteration order.
-func (m *Medium) SetImpairments(lossP, noiseP float64, seed int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.lossP, m.noiseP = lossP, noiseP
-	m.impSeed = seed
-	m.streams = nil
+// Stats returns the medium's frame counts so far.
+func (m *Medium) Stats() Stats {
+	return Stats{
+		Tx: m.tx.Load(), Rx: m.rx.Load(), Lost: m.lost.Load(),
+		Corrupted: m.corrupted.Load(), TooLong: m.tooLong.Load(),
+		Decoded: m.decoded.Load(), DecodeFail: m.decodeFail.Load(),
+		ChecksumFail: m.checksumFail.Load(),
+	}
 }
 
 // SetInterceptor installs a frame interceptor pipeline stage (nil removes
@@ -184,30 +198,6 @@ func (m *Medium) SetInterceptor(fn InterceptFunc) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.intercept = fn
-}
-
-// stream returns the impairment RNG for the named receiver, creating it on
-// first use. Callers hold m.mu.
-func (m *Medium) stream(name string) *rand.Rand {
-	s, ok := m.streams[name]
-	if !ok {
-		if m.streams == nil {
-			m.streams = make(map[string]*rand.Rand)
-		}
-		s = rand.New(rand.NewSource(m.impSeed ^ int64(fnv64a(name))))
-		m.streams[name] = s
-	}
-	return s
-}
-
-// fnv64a is the FNV-1a hash, used to derive per-receiver seeds.
-func fnv64a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 // SetRange enables the geometric propagation model: transmissions reach
@@ -229,13 +219,6 @@ func (m *Medium) SetFlightRecorder(rec *telemetry.FlightRecorder) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.recorder = rec
-}
-
-// TransmitCount reports how many frames have been put on the air in total.
-func (m *Medium) TransmitCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.txLog
 }
 
 // Attach adds a transceiver tuned to the given region. The name appears in
@@ -270,95 +253,35 @@ func (m *Medium) peersOf(from *Transceiver) []*Transceiver {
 //
 // Delivery is synchronous and zero-copy on the clean path: receivers get a
 // Capture whose Raw aliases the transmitter's buffer (see Capture.Raw for
-// the ownership contract). Impaired copies are drawn from the frame buffer
-// pool and returned after the callback; only the interceptor path makes a
-// plain copy, because InterceptFunc is documented as free to mutate and
-// retain its input.
+// the ownership contract). Only the interceptor path copies, because
+// InterceptFunc is documented as free to mutate and retain its input.
 func (m *Medium) transmit(from *Transceiver, raw []byte) error {
 	if len(raw) > protocol.MaxFrameSize {
-		mTooLong.Inc()
+		m.tooLong.Add(1)
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLong, len(raw))
 	}
 	m.mu.Lock()
-	m.txLog++
 	targets := m.peersOf(from)
-	lossP, noiseP := m.lossP, m.noiseP
-	// Each receiver's loss/noise outcomes come from its own seeded stream,
-	// drawn in a fixed per-frame order (loss, noise, then corruption
-	// position only when corrupting), so attaching or detaching other
-	// transceivers never shifts an existing receiver's draw sequence.
-	type impairPlan struct {
-		lost     bool
-		corrupt  bool
-		noiseIdx int
-		noiseBit byte
-	}
-	var plans []impairPlan
-	if lossP > 0 || noiseP > 0 {
-		plans = make([]impairPlan, len(targets))
-		for i, t := range targets {
-			s := m.stream(t.name)
-			p := &plans[i]
-			p.lost = lossP > 0 && s.Float64() < lossP
-			noisy := noiseP > 0 && s.Float64() < noiseP
-			if noisy && !p.lost && len(raw) > 0 {
-				p.corrupt = true
-				p.noiseIdx = s.Intn(len(raw))
-				p.noiseBit = 1 << s.Intn(8)
-			}
-		}
-	}
 	intercept := m.intercept
 	recorder := m.recorder
 	m.mu.Unlock()
+	m.tx.Add(1)
 
 	airtime := Airtime(len(raw))
-	mTxFrames.Inc()
-	mAirtime.Observe(float64(airtime) / float64(time.Millisecond))
-
 	at := m.clock.Now().Add(airtime)
 	lost, corrupted := 0, 0
-	for i, t := range targets {
-		if plans != nil && plans[i].lost {
-			lost++
-			continue
-		}
-		corrupt := plans != nil && plans[i].corrupt
-		if corrupt {
-			corrupted++
-		}
+	for _, t := range targets {
 		if intercept == nil {
-			frame := raw
-			var pooled *[]byte
-			if corrupt {
-				// Corruption needs a private copy; borrow it from the
-				// frame pool and return it once the synchronous delivery
-				// is done.
-				pooled = protocol.GetBuf()
-				*pooled = append(*pooled, raw...)
-				(*pooled)[plans[i].noiseIdx] ^= plans[i].noiseBit
-				frame = *pooled
-			}
-			t.deliver(Capture{At: at, Raw: frame})
-			if pooled != nil {
-				protocol.PutBuf(pooled)
-			}
+			t.deliver(Capture{At: at, Raw: raw})
 			continue
 		}
-		// The interceptor may mutate or retain its input, so it gets a
-		// plain (unpooled) copy; corruption is applied directly to it.
-		icopy := make([]byte, len(raw))
-		copy(icopy, raw)
-		if corrupt {
-			icopy[plans[i].noiseIdx] ^= plans[i].noiseBit
-		}
-		deliveries := intercept(from.name, t.name, icopy)
+		deliveries := intercept(from.name, t.name, append([]byte(nil), raw...))
 		if len(deliveries) == 0 {
 			lost++
 			continue
 		}
 		for _, d := range deliveries {
-			if !bytes.Equal(d.Raw, icopy) {
+			if !bytes.Equal(d.Raw, raw) {
 				corrupted++
 			}
 			if d.Delay <= 0 {
@@ -371,8 +294,10 @@ func (m *Medium) transmit(from *Transceiver, raw []byte) error {
 			})
 		}
 	}
-	mLost.Add(int64(lost))
-	mCorrupted.Add(int64(corrupted))
+	if intercept != nil {
+		m.lost.Add(int64(lost))
+		m.corrupted.Add(int64(corrupted))
+	}
 	if recorder != nil {
 		// Record copies raw into ring-owned storage, so no pre-copy here.
 		recorder.Record(telemetry.FrameRecord{
@@ -416,10 +341,10 @@ func (m *Medium) inRange(a, b *Transceiver) bool {
 }
 
 // Transceiver is one radio endpoint: a device chipset, the attacker's
-// dongle, or a passive sniffer. It is safe for concurrent use: handler,
-// counters and detach flag are atomics, so every method and frame delivery
-// may race freely across goroutines (the fleet hammers that pattern);
-// x/y/placed and the peers cache are guarded by the medium's lock.
+// dongle, or a passive sniffer. It is safe for concurrent use: handler and
+// detach flag are atomics, so every method and frame delivery may race
+// freely across goroutines (the fleet hammers that pattern); x/y/placed
+// and the peers cache are guarded by the medium's lock.
 type Transceiver struct {
 	medium   *Medium
 	name     string
@@ -431,8 +356,6 @@ type Transceiver struct {
 	peersGen uint64
 
 	handler atomic.Pointer[func(Capture)]
-	txCount atomic.Int64
-	rxCount atomic.Int64
 }
 
 // Name reports the diagnostic name given at Attach.
@@ -450,7 +373,6 @@ func (t *Transceiver) Transmit(raw []byte) error {
 	if t.detached.Load() {
 		return ErrDetached
 	}
-	t.txCount.Add(1)
 	return t.medium.transmit(t, raw)
 }
 
@@ -471,9 +393,20 @@ func (t *Transceiver) Place(x, y float64) {
 	t.medium.gen.Add(1)
 }
 
-// Stats reports frames transmitted and received by this transceiver.
-func (t *Transceiver) Stats() (tx, rx int) {
-	return int(t.txCount.Load()), int(t.rxCount.Load())
+// Decode is the chipset's receive decode: it parses a captured frame
+// under the CS-8 checksum into f (protocol.DecodeInto) and counts the
+// outcome on the medium.
+func (t *Transceiver) Decode(f *protocol.Frame, raw []byte) error {
+	err := protocol.DecodeInto(f, raw, protocol.ChecksumCS8)
+	switch {
+	case err == nil:
+		t.medium.decoded.Add(1)
+		return nil
+	case errors.Is(err, protocol.ErrBadChecksum):
+		t.medium.checksumFail.Add(1)
+	}
+	t.medium.decodeFail.Add(1)
+	return err
 }
 
 // deliver hands a capture to the installed handler. A transceiver detached
@@ -482,8 +415,7 @@ func (t *Transceiver) deliver(c Capture) {
 	if t.detached.Load() {
 		return
 	}
-	t.rxCount.Add(1)
-	mRxFrames.Inc()
+	t.medium.rx.Add(1)
 	if fn := t.handler.Load(); fn != nil && *fn != nil {
 		(*fn)(c)
 	}

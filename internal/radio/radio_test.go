@@ -66,6 +66,9 @@ func TestTransmitRejectsOversizedFrame(t *testing.T) {
 	if err := a.Transmit(make([]byte, protocol.MaxFrameSize+1)); !errors.Is(err, ErrFrameTooLong) {
 		t.Fatalf("err = %v, want ErrFrameTooLong", err)
 	}
+	if s := m.Stats(); s.TooLong != 1 || s.Tx != 0 {
+		t.Fatalf("refused frame counted as TooLong=%d Tx=%d, want 1/0", s.TooLong, s.Tx)
+	}
 }
 
 func TestDetachedTransceiver(t *testing.T) {
@@ -123,14 +126,33 @@ func TestStatsCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tx, _ := a.Stats(); tx != 5 {
-		t.Fatalf("a tx = %d, want 5", tx)
+	if s := m.Stats(); s.Tx != 5 || s.Rx != 5 || s.Lost != 0 || s.Corrupted != 0 {
+		t.Fatalf("stats = %+v, want 5 sent and 5 received", s)
 	}
-	if _, rx := b.Stats(); rx != 5 {
-		t.Fatalf("b rx = %d, want 5", rx)
+}
+
+// TestTransceiverDecodeCountsOutcomes checks that the chipset decode
+// counts each outcome once on the medium: a checksum failure is also a
+// decode failure, a structural failure is only a decode failure.
+func TestTransceiverDecodeCountsOutcomes(t *testing.T) {
+	m := newTestMedium()
+	a := m.Attach("a", RegionEU)
+	good := protocol.NewDataFrame(1, 1, 2, []byte{0x20, 0x02}).MustEncode()
+	bad := append([]byte(nil), good...)
+	bad[protocol.HeaderSize] ^= 0x01
+	var f protocol.Frame
+	if err := a.Decode(&f, good); err != nil || f.Dst != 2 {
+		t.Fatalf("Decode(good) = %v, frame %+v", err, f)
 	}
-	if m.TransmitCount() != 5 {
-		t.Fatalf("medium count = %d", m.TransmitCount())
+	if err := a.Decode(&f, bad); !errors.Is(err, protocol.ErrBadChecksum) {
+		t.Fatalf("Decode(flipped) = %v, want ErrBadChecksum", err)
+	}
+	if err := a.Decode(&f, good[:3]); !errors.Is(err, protocol.ErrFrameTooShort) {
+		t.Fatalf("Decode(runt) = %v, want ErrFrameTooShort", err)
+	}
+	want := Stats{Decoded: 1, DecodeFail: 2, ChecksumFail: 1}
+	if s := m.Stats(); s != want {
+		t.Fatalf("stats = %+v, want %+v", s, want)
 	}
 }
 
@@ -165,7 +187,7 @@ func TestReceiverOwnershipContract(t *testing.T) {
 
 func TestLossImpairment(t *testing.T) {
 	m := newTestMedium()
-	m.SetImpairments(1.0, 0, 99) // 100% loss
+	m.SetInterceptor(dropAll)
 	a := m.Attach("a", RegionEU)
 	b := m.Attach("b", RegionEU)
 	got := 0
@@ -178,16 +200,20 @@ func TestLossImpairment(t *testing.T) {
 	if got != 0 {
 		t.Fatalf("received %d frames under 100%% loss", got)
 	}
+	if s := m.Stats(); s.Tx != 10 || s.Lost != 10 || s.Rx != 0 {
+		t.Fatalf("stats = %+v, want 10 sent, 10 lost, none received", s)
+	}
 }
 
 func TestNoiseImpairmentCorruptsChecksum(t *testing.T) {
 	m := newTestMedium()
-	m.SetImpairments(0, 1.0, 7) // every frame corrupted by one bit
+	m.SetInterceptor(flipBit) // every frame corrupted by one bit
 	a := m.Attach("a", RegionEU)
 	b := m.Attach("b", RegionEU)
 	bad := 0
 	b.SetReceiver(func(c Capture) {
-		if _, err := protocol.Decode(c.Raw, protocol.ChecksumCS8); err != nil {
+		var f protocol.Frame
+		if err := b.Decode(&f, c.Raw); err != nil {
 			bad++
 		}
 	})
@@ -199,6 +225,10 @@ func TestNoiseImpairmentCorruptsChecksum(t *testing.T) {
 	}
 	if bad != 20 {
 		t.Fatalf("only %d/20 corrupted frames failed decode", bad)
+	}
+	want := Stats{Tx: 20, Rx: 20, Corrupted: 20, DecodeFail: 20, ChecksumFail: 20}
+	if s := m.Stats(); s != want {
+		t.Fatalf("stats = %+v, want %+v", s, want)
 	}
 }
 

@@ -72,23 +72,6 @@ func NewFlightRecorder(depth int) *FlightRecorder {
 	return &FlightRecorder{buf: make([]FrameRecord, depth)}
 }
 
-// Depth reports the ring capacity.
-func (r *FlightRecorder) Depth() int { return len(r.buf) }
-
-// Len reports how many frames are currently held (≤ Depth).
-func (r *FlightRecorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
-}
-
-// Recorded reports the total number of frames ever recorded.
-func (r *FlightRecorder) Recorded() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq
-}
-
 // Record appends one frame, evicting the oldest when full, and returns the
 // assigned sequence number. The recorder copies rec.Raw into ring-owned
 // storage (reusing the evicted slot's buffer), so callers may hand in
@@ -125,11 +108,4 @@ func (r *FlightRecorder) Snapshot() []FrameRecord {
 		out = append(out, rec)
 	}
 	return out
-}
-
-// Reset discards held frames (the sequence counter keeps counting).
-func (r *FlightRecorder) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.n, r.next = 0, 0
 }

@@ -16,11 +16,17 @@
 //   - Determinism. Telemetry must never feed back into simulation results:
 //     nothing here is consulted by the pipeline, and with telemetry enabled
 //     the experiment tables stay byte-identical across worker counts.
-//   - Hot-path cost. Counter/gauge/histogram updates are single atomic
-//     operations with no locks and no allocation; instrument handles are
+//   - Off the frame path. Counter/gauge/histogram updates are single
+//     atomic operations with no locks and no allocation, and handles are
 //     resolved once (package init or construction time), never per event.
-//   - Sim-time awareness. Registries can be pointed at a vtime.SimClock's
-//     Now so exported timestamps live on the simulated timeline.
+//     Even so, the process-wide registry is shared by every campaign a
+//     fleet runs side by side, so nothing writes it per frame: each
+//     campaign counts its own frames and adds the totals once, when it
+//     ends. What is written mid-campaign (detection latencies, oracle
+//     events, crypto and checkpoint events) is rare next to the frames.
+//   - Wall time. A registry summed over campaigns running side by side
+//     has no single simulated clock, so exported snapshots carry wall
+//     time; simulated instants live in traces and flight records.
 package telemetry
 
 import (
@@ -57,9 +63,6 @@ func (c *Counter) Load() int64 { return c.v.Load() }
 type Gauge struct {
 	v atomic.Int64
 }
-
-// Set stores n.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
 // Add adds n, which may be negative.
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
@@ -123,7 +126,6 @@ func (h *Histogram) BucketCounts() []int64 {
 // NewRegistry or use the process-wide Default.
 type Registry struct {
 	mu    sync.Mutex
-	now   func() time.Time
 	ctrs  map[string]*Counter
 	ggs   map[string]*Gauge
 	hists map[string]*Histogram
@@ -132,7 +134,6 @@ type Registry struct {
 // NewRegistry returns an empty registry stamped with wall-clock time.
 func NewRegistry() *Registry {
 	return &Registry{
-		now:   time.Now,
 		ctrs:  map[string]*Counter{},
 		ggs:   map[string]*Gauge{},
 		hists: map[string]*Histogram{},
@@ -144,18 +145,6 @@ var defaultRegistry = NewRegistry()
 // Default returns the process-wide registry. Package-level instrumentation
 // (radio frames, crypto operations, decode failures) registers here.
 func Default() *Registry { return defaultRegistry }
-
-// SetNow points exported timestamps at the given clock — typically a
-// vtime.SimClock's Now, so snapshots carry simulated time. Nil restores
-// wall clock.
-func (r *Registry) SetNow(now func() time.Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if now == nil {
-		now = time.Now
-	}
-	r.now = now
-}
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
@@ -195,31 +184,11 @@ func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
 	return h
 }
 
-// Reset zeroes every registered instrument (handles stay valid). Intended
-// for tests that assert on absolute counts.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.ctrs {
-		c.v.Store(0)
-	}
-	for _, g := range r.ggs {
-		g.v.Store(0)
-	}
-	for _, h := range r.hists {
-		for i := range h.buckets {
-			h.buckets[i].Store(0)
-		}
-		h.count.Store(0)
-		h.sum.Store(0)
-	}
-}
-
 // snapshot collects a stable, name-sorted view for the exporters.
 func (r *Registry) snapshot() (at time.Time, ctrs, ggs []namedValue, hists []namedHist) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	at = r.now()
+	at = time.Now()
 	for name, c := range r.ctrs {
 		ctrs = append(ctrs, namedValue{name, c.Load()})
 	}
@@ -317,9 +286,9 @@ type jsonDocument struct {
 	Histograms map[string]jsonHistogram `json:"histograms"`
 }
 
-// WriteJSON renders the registry as one indented JSON document. The "at"
-// timestamp comes from the registry clock (simulated time when SetNow was
-// pointed at a SimClock); map keys serialise sorted, so output is stable.
+// WriteJSON renders the registry as one indented JSON document stamped
+// with the wall-clock time of the snapshot ("at"); map keys serialise
+// sorted, so output is stable.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	at, ctrs, ggs, hists := r.snapshot()
 	doc := jsonDocument{

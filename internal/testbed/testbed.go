@@ -17,7 +17,29 @@ import (
 	"zcover/internal/oracle"
 	"zcover/internal/protocol"
 	"zcover/internal/radio"
+	"zcover/internal/telemetry"
 	"zcover/internal/vtime"
+)
+
+// Frame-cycle counters on the process-wide registry. The medium and the
+// fault injector count a campaign's frames themselves; Publish adds those
+// counts here once, so no frame writes memory other campaigns share.
+var (
+	mTxFrames     = telemetry.Default().Counter("radio_tx_frames_total")
+	mRxFrames     = telemetry.Default().Counter("radio_rx_frames_total")
+	mLost         = telemetry.Default().Counter("radio_frames_lost_total")
+	mCorrupted    = telemetry.Default().Counter("radio_frames_corrupted_total")
+	mTooLong      = telemetry.Default().Counter("radio_frames_too_long_total")
+	mDecoded      = telemetry.Default().Counter("protocol_frames_decoded_total")
+	mDecodeFail   = telemetry.Default().Counter("protocol_decode_fail_total")
+	mChecksumFail = telemetry.Default().Counter("protocol_checksum_fail_total")
+
+	mChaosDeliveries  = telemetry.Default().Counter("chaos_deliveries_total")
+	mChaosDropped     = telemetry.Default().Counter("chaos_dropped_total")
+	mChaosCorrupted   = telemetry.Default().Counter("chaos_corrupted_total")
+	mChaosDuplicated  = telemetry.Default().Counter("chaos_duplicated_total")
+	mChaosDelayed     = telemetry.Default().Counter("chaos_delayed_total")
+	mChaosPartitioned = telemetry.Default().Counter("chaos_partitioned_total")
 )
 
 // Node IDs of the testbed network.
@@ -49,6 +71,10 @@ type Testbed struct {
 	// Chaos is the fault injector installed by ApplyChaos; nil on a clean
 	// testbed.
 	Chaos *chaos.Injector
+
+	// published and publishedChaos are the counts Publish already added.
+	published      radio.Stats
+	publishedChaos chaos.Stats
 }
 
 // New assembles a testbed around the controller profile with the given
@@ -214,6 +240,34 @@ func (tb *Testbed) EnableResilience() {
 	if s := tb.Lock.Session(); s != nil {
 		s.SetRecoveryWindow(s2RecoveryWindow)
 	}
+}
+
+// Publish adds what the testbed's medium and fault injector counted since
+// the previous call to the process-wide radio_*, protocol decode and
+// chaos_* counters. Call it when the campaign is done with the testbed
+// (harness.Run does); a second call adds only the new counts.
+func (tb *Testbed) Publish() {
+	s, p := tb.Medium.Stats(), tb.published
+	mTxFrames.Add(s.Tx - p.Tx)
+	mRxFrames.Add(s.Rx - p.Rx)
+	mLost.Add(s.Lost - p.Lost)
+	mCorrupted.Add(s.Corrupted - p.Corrupted)
+	mTooLong.Add(s.TooLong - p.TooLong)
+	mDecoded.Add(s.Decoded - p.Decoded)
+	mDecodeFail.Add(s.DecodeFail - p.DecodeFail)
+	mChecksumFail.Add(s.ChecksumFail - p.ChecksumFail)
+	tb.published = s
+	if tb.Chaos == nil {
+		return
+	}
+	c, q := tb.Chaos.Stats(), tb.publishedChaos
+	mChaosDeliveries.Add(c.Deliveries - q.Deliveries)
+	mChaosDropped.Add(c.Dropped - q.Dropped)
+	mChaosCorrupted.Add(c.Corrupted - q.Corrupted)
+	mChaosDuplicated.Add(c.Duplicated - q.Duplicated)
+	mChaosDelayed.Add(c.Delayed - q.Delayed)
+	mChaosPartitioned.Add(c.Partitioned - q.Partitioned)
+	tb.publishedChaos = c
 }
 
 // Reset restores the controller to its post-inclusion state and clears the

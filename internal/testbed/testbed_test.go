@@ -1,12 +1,15 @@
 package testbed
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"zcover/internal/chaos"
 	"zcover/internal/protocol"
 	"zcover/internal/radio"
 	"zcover/internal/security"
+	"zcover/internal/telemetry"
 )
 
 func TestNewBuildsAllSevenTestbeds(t *testing.T) {
@@ -142,7 +145,7 @@ func TestDistinctTestbedsAreIsolated(t *testing.T) {
 	if err := a.GenerateTraffic(1, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if b.Medium.TransmitCount() != 0 {
+	if b.Medium.Stats().Tx != 0 {
 		t.Fatal("traffic leaked between testbeds")
 	}
 }
@@ -164,5 +167,86 @@ func TestAddSensorJoinsTheHome(t *testing.T) {
 	}
 	if got := tb.Controller.Stats().AppFrames; got < 3 {
 		t.Fatalf("controller saw %d frames from the wake cycle", got)
+	}
+}
+
+// published reads the process-wide counters Publish feeds.
+func published() map[string]int64 {
+	out := map[string]int64{}
+	for _, name := range []string{
+		"radio_tx_frames_total", "radio_rx_frames_total", "radio_frames_lost_total",
+		"radio_frames_corrupted_total", "radio_frames_too_long_total",
+		"protocol_frames_decoded_total", "protocol_decode_fail_total", "protocol_checksum_fail_total",
+		"chaos_deliveries_total", "chaos_dropped_total", "chaos_corrupted_total",
+		"chaos_duplicated_total", "chaos_delayed_total", "chaos_partitioned_total",
+	} {
+		out[name] = telemetry.Default().Counter(name).Load()
+	}
+	return out
+}
+
+// counted is what Publish should have added so far: the medium's and the
+// injector's counts.
+func counted(tb *Testbed) map[string]int64 {
+	s, c := tb.Medium.Stats(), tb.Chaos.Stats()
+	return map[string]int64{
+		"radio_tx_frames_total": s.Tx, "radio_rx_frames_total": s.Rx,
+		"radio_frames_lost_total": s.Lost, "radio_frames_corrupted_total": s.Corrupted,
+		"radio_frames_too_long_total":   s.TooLong,
+		"protocol_frames_decoded_total": s.Decoded, "protocol_decode_fail_total": s.DecodeFail,
+		"protocol_checksum_fail_total": s.ChecksumFail,
+		"chaos_deliveries_total":       c.Deliveries, "chaos_dropped_total": c.Dropped,
+		"chaos_corrupted_total": c.Corrupted, "chaos_duplicated_total": c.Duplicated,
+		"chaos_delayed_total": c.Delayed, "chaos_partitioned_total": c.Partitioned,
+	}
+}
+
+// TestPublishAddsCountsOnce checks that Publish adds what the medium and
+// the fault injector counted since its previous call, chaos counts
+// included: a second call adds nothing, later traffic adds only itself,
+// and nothing reaches the registry before Publish.
+func TestPublishAddsCountsOnce(t *testing.T) {
+	tb, err := New("D1", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.ApplyChaos(chaos.Profile{Name: "test", GoodLoss: 0.2, Corrupt: 0.2, Duplicate: 0.2}, 3)
+	base := published()
+	delta := func() map[string]int64 {
+		d := published()
+		for k := range d {
+			d[k] -= base[k]
+		}
+		return d
+	}
+	tb.ScheduleTraffic(20, time.Second)
+	tb.Clock.Advance(30 * time.Second)
+	if err := tb.Medium.Attach("probe", tb.Region).Transmit(make([]byte, protocol.MaxFrameSize+1)); err == nil {
+		t.Fatal("oversized frame accepted")
+	}
+	want := counted(tb)
+	for _, name := range []string{"radio_tx_frames_total", "radio_frames_too_long_total",
+		"protocol_frames_decoded_total", "protocol_checksum_fail_total",
+		"chaos_dropped_total", "chaos_corrupted_total", "chaos_duplicated_total"} {
+		if want[name] == 0 {
+			t.Fatalf("traffic left %s at zero; the test exercises nothing: %v", name, want)
+		}
+	}
+	for name, v := range delta() {
+		if v != 0 {
+			t.Fatalf("%s moved by %d before Publish", name, v)
+		}
+	}
+
+	tb.Publish()
+	tb.Publish()
+	if got := delta(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after two Publish calls the counters moved by\n%v\nwant the testbed's counts once\n%v", got, want)
+	}
+
+	tb.Clock.Advance(30 * time.Second) // the rest of the scheduled reports
+	tb.Publish()
+	if got, want := delta(), counted(tb); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after more traffic the counters moved by\n%v\nwant\n%v", got, want)
 	}
 }

@@ -149,7 +149,7 @@ func (d *Dongle) classify(home protocol.HomeID, src, dst protocol.NodeID) Exchan
 	f := protocol.GetFrame()
 	defer protocol.PutFrame(f)
 	for i := range d.buffer {
-		err := protocol.DecodeInto(f, d.buffer[i].Raw, protocol.ChecksumCS8)
+		err := d.trx.Decode(f, d.buffer[i].Raw)
 		if err != nil || f.Home != home || f.Src != dst || f.Dst != src {
 			continue
 		}

@@ -10,11 +10,15 @@ import (
 	"zcover/internal/zcover/scan"
 )
 
-// Coverage-guided engine metrics.
+// Coverage-guided engine metrics. The coverage_* counters take each
+// campaign's collector totals once, when it ends.
 var (
 	mCovCampaigns = telemetry.Default().Counter("covfuzz_campaigns_total")
 	mCovDeduped   = telemetry.Default().Counter("covfuzz_dedup_skipped_total")
 	mCovRounds    = telemetry.Default().Counter("covfuzz_rounds_total")
+	mInputs       = telemetry.Default().Counter("coverage_inputs_total")
+	mNovelInputs  = telemetry.Default().Counter("coverage_novel_inputs_total")
+	mFeatures     = telemetry.Default().Counter("coverage_features_total")
 )
 
 // CovResult is a coverage-guided campaign summary: the base campaign
@@ -152,6 +156,9 @@ func (e *CovEngine) Run() (*CovResult, error) {
 		CorpusSize: e.corp.Len(),
 		Rounds:     rounds,
 	}
+	mInputs.Add(int64(out.Coverage.Inputs))
+	mNovelInputs.Add(int64(out.Coverage.NovelInputs))
+	mFeatures.Add(int64(out.Coverage.Features))
 	for _, s := range e.corp.Seeds() {
 		if s.Minimized {
 			out.SeedsMinimized++

@@ -12,10 +12,11 @@ import (
 	"zcover/internal/zcover/scan"
 )
 
-// Process-wide fuzzing metrics, counted by every engine's test cycle.
-// Detection latency is the simulated time between injecting the trigger
-// packet and the oracle observing its effect — the black-box analogue of
-// the paper's human verification delay.
+// Process-wide fuzzing metrics, fed by every engine's test cycle: the
+// packet, finding and duplicate counts once per campaign (End), the
+// detection latency once per finding. Detection latency is the simulated
+// time between injecting the trigger packet and the oracle observing its
+// effect — the black-box analogue of the paper's human verification delay.
 var (
 	mPackets         = telemetry.Default().Counter("fuzz_packets_total")
 	mFindings        = telemetry.Default().Counter("fuzz_findings_total")
@@ -95,7 +96,6 @@ func (c *Cycle) Exhausted() bool {
 func (c *Cycle) Inject() {
 	c.txAt = c.clock.Now()
 	c.res.PacketsSent++
-	mPackets.Inc()
 }
 
 // Drain folds the pending oracle observations into the result, logging
@@ -107,12 +107,10 @@ func (c *Cycle) Drain(trigger []byte) bool {
 		sig := ev.Signature()
 		if c.seen[sig] {
 			c.res.Duplicates++
-			mDuplicates.Inc()
 			continue
 		}
 		c.seen[sig] = true
 		found = true
-		mFindings.Inc()
 		if lat := ev.At.Sub(c.txAt); lat >= 0 {
 			mDetectLatencyMS.Observe(float64(lat) / float64(time.Millisecond))
 		}
@@ -175,9 +173,13 @@ func (c *Cycle) Pace() {
 	}
 }
 
-// End stamps the campaign's elapsed time on its result and returns it.
+// End stamps the campaign's elapsed time on its result, adds its packet,
+// finding and duplicate counts to the fuzz_* counters, and returns it.
 func (c *Cycle) End() *Result {
 	c.res.Elapsed = c.elapsed()
+	mPackets.Add(int64(c.res.PacketsSent))
+	mFindings.Add(int64(len(c.res.Findings)))
+	mDuplicates.Add(int64(c.res.Duplicates))
 	return c.res
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"zcover/internal/chaos"
 	"zcover/internal/fleet"
 	"zcover/internal/harness"
 	"zcover/internal/testbed"
@@ -16,16 +17,18 @@ import (
 // the campaign must keep making progress rather than wedging or
 // misreporting.
 
-// lossyCampaign runs a full campaign on D1 with the given impairments.
-// impairSeed seeds the medium's per-receiver loss/noise streams; the
-// campaign seed stays fixed so runs differ only in channel conditions.
+// lossyCampaign runs a full campaign on D1 with the given impairments: a
+// chaos injector losing and corrupting frames at those rates, without the
+// retransmission ApplyChaos would arm. impairSeed seeds the injector's
+// per-link fault streams; the campaign seed stays fixed so runs differ
+// only in channel conditions.
 func lossyCampaign(t *testing.T, lossP, noiseP float64, impairSeed int64, budget time.Duration) *fuzz.Result {
 	t.Helper()
 	tb, err := testbed.New("D1", 55)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.Medium.SetImpairments(lossP, noiseP, impairSeed)
+	chaos.New(chaos.Profile{GoodLoss: lossP, Corrupt: noiseP}, impairSeed).Attach(tb.Medium)
 	out, err := harness.Run(tb, fleet.Job{Strategy: fuzz.StrategyFull, Budget: budget, Seed: 55}, harness.Options{})
 	if err != nil {
 		t.Fatal(err)

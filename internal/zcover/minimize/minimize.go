@@ -49,6 +49,7 @@ func (m *Minimizer) triggers(payload []byte, signature string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	defer tb.Publish()
 	fired := false
 	tb.Bus.Subscribe(func(ev oracle.Event) {
 		if ev.Signature() == signature {
