@@ -275,7 +275,11 @@ func (m *Medium) transmit(from *Transceiver, raw []byte) error {
 			t.deliver(Capture{At: at, Raw: raw})
 			continue
 		}
-		deliveries := intercept(from.name, t.name, append([]byte(nil), raw...))
+		// make, not append: append rounds the capacity up to a size
+		// class, so short frames would miss the tiny allocator.
+		icopy := make([]byte, len(raw))
+		copy(icopy, raw)
+		deliveries := intercept(from.name, t.name, icopy)
 		if len(deliveries) == 0 {
 			lost++
 			continue
