@@ -23,6 +23,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -81,7 +82,7 @@ func (t *ticker) clear() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	which := fs.String("run", "all", "experiment to run: all, fig1, fig5, figs8-11, table2, table3, table4, table5, table6, covfuzz, fig12, trials, remediation, chaos, scaling")
 	fuzzBudget := fs.Duration("fuzz", 24*time.Hour, "fuzzing budget for the campaign experiments (paper: 24h)")
@@ -112,13 +113,9 @@ func run(args []string) error {
 	if *fuzzBudget <= 0 || *ablation <= 0 {
 		return fmt.Errorf("-fuzz and -ablation must be positive, got %s and %s", *fuzzBudget, *ablation)
 	}
-	// Fleet counters publish into the process registry; the drivers run one
-	// fleet at a time, so per-fleet Progress deltas stay exact while the
-	// registry accumulates process totals for -metrics-out. The worker
-	// timeline feeds the /timeline endpoint live.
+	// The worker timeline feeds the /timeline endpoint live.
 	timeline := obs.NewTimeline()
-	fleetCfg := fleet.Config{Workers: *workers, MaxAttempts: *attempts,
-		Telemetry: telemetry.Default(), Timeline: timeline}
+	fleetCfg := fleet.Config{Workers: *workers, MaxAttempts: *attempts, Timeline: timeline}
 	if *obsAddr != "" {
 		// Binds synchronously: a bad address fails here, before any
 		// campaign work, instead of being printed and swallowed mid-run.
@@ -149,19 +146,18 @@ func run(args []string) error {
 		defer harness.SetBugLog(nil)
 	}
 	if *traceOut != "" {
-		tf, err := os.Create(*traceOut)
-		if err != nil {
-			return err
+		tf, cerr := os.Create(*traceOut)
+		if cerr != nil {
+			return cerr
 		}
-		defer tf.Close()
-		fleetCfg.Tracer = telemetry.NewTracer(tf, nil)
+		tracer := telemetry.NewTracer(tf, nil)
+		fleetCfg.Tracer = tracer
+		// The fleet writes spans from its workers; a failed write sticks
+		// to the tracer and fails the run here.
+		defer func() { err = errors.Join(err, tracer.Err(), tf.Close()) }()
 	}
 	if *metricsOut != "" {
-		defer func() {
-			if err := telemetry.Default().WriteFile(*metricsOut); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-			}
-		}()
+		defer func() { err = errors.Join(err, telemetry.Default().WriteFile(*metricsOut)) }()
 	}
 	tick := &ticker{}
 	if *progress {

@@ -210,3 +210,54 @@ func TestObsAddrFlag(t *testing.T) {
 		t.Fatalf("-obs-addr with ephemeral port: %v", err)
 	}
 }
+
+// runQuiet runs the CLI with stdout discarded and returns its error.
+func runQuiet(t *testing.T, args ...string) error {
+	t.Helper()
+	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := os.Stdout
+	os.Stdout = null
+	defer func() {
+		os.Stdout = orig
+		null.Close()
+	}()
+	return run(args)
+}
+
+// TestMetricsOutWriteErrorFails: a -metrics-out file that cannot be
+// written fails the run instead of being printed and forgotten.
+func TestMetricsOutWriteErrorFails(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "m.json")
+	if err := runQuiet(t, "-run", "fig1", "-metrics-out", good); err != nil {
+		t.Fatalf("-metrics-out %s: %v", good, err)
+	}
+	if _, err := os.Stat(good); err != nil {
+		t.Fatalf("metrics file not written: %v", err)
+	}
+	bad := filepath.Join(dir, "no-such-dir", "m.json")
+	if err := runQuiet(t, "-run", "fig1", "-metrics-out", bad); err == nil {
+		t.Fatalf("-metrics-out %s: write error swallowed", bad)
+	}
+}
+
+// TestTraceOutWriteErrorFails: the fleet writes job spans from its
+// workers; a write that fails there must still fail the run.
+func TestTraceOutWriteErrorFails(t *testing.T) {
+	good := filepath.Join(t.TempDir(), "spans.jsonl")
+	if err := runQuiet(t, "-run", "table4", "-trace-out", good); err != nil {
+		t.Fatalf("-trace-out %s: %v", good, err)
+	}
+	if fi, err := os.Stat(good); err != nil || fi.Size() == 0 {
+		t.Fatalf("trace file missing or empty: %v", err)
+	}
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	if err := runQuiet(t, "-run", "table4", "-trace-out", "/dev/full"); err == nil {
+		t.Fatal("-trace-out /dev/full: write error swallowed")
+	}
+}

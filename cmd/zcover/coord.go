@@ -178,7 +178,7 @@ func runWork(args []string) error {
 	cfg := coord.WorkerConfig{
 		Coordinator: *coordinator, ID: *id,
 		Dir: *ckptDir, Resume: *resume, RetryBudget: *retryBudget,
-		Runner: harness.LeaseRunner(fleet.Config{Telemetry: telemetry.Default()}),
+		Runner: harness.LeaseRunner(fleet.Config{}),
 	}
 	if *verbose {
 		cfg.Log = os.Stderr

@@ -17,11 +17,12 @@
 // a table. Failed attempts are retried with fresh testbed state up to
 // Config.MaxAttempts before the job is reported failed in its Result.
 //
-// Observability: Progress returns an atomic snapshot of the pool (jobs
-// queued/running/done/failed, live finding and packet counts, simulated
-// versus wall-clock throughput), and Config.OnProgress delivers the same
-// snapshot to a callback on every state change — cmd/experiments renders
-// it as a live ticker.
+// Observability: Config.OnProgress receives a Progress snapshot of the
+// pool (jobs queued/running/done/failed, the finished jobs' finding and
+// packet counts, simulated versus wall-clock throughput) on every state
+// change — cmd/experiments renders it as a live ticker. The fleet keeps
+// these counts itself; a job's findings, packets and simulated time
+// count once it has succeeded and been persisted.
 //
 // # Concurrency and pooling
 //
@@ -32,9 +33,8 @@
 // object pools (protocol frame/buffer pools, security cipher-context
 // cache and crypto scratch pool) — all safe for concurrent use and
 // invisible to results, which is why tables render byte-identically for
-// any worker count. Progress counters are atomic telemetry gauges;
-// OnProgress callbacks run on worker goroutines and must be fast and
-// thread-safe.
+// any worker count. One mutex guards the Progress counts and serializes
+// OnProgress callbacks, which run on worker goroutines and must be fast.
 package fleet
 
 import (
@@ -142,8 +142,9 @@ func (j Job) build() (*testbed.Testbed, error) {
 
 // Runner executes one job attempt against a freshly built testbed and
 // returns the campaign outcome. The runner must confine itself to the
-// given testbed; obs reports live metrics into the pool. harness.RunFleetJob
-// is the canonical runner for the experiment drivers.
+// given testbed; obs reports its phases and, once the campaign ends, its
+// result (Observer.Report). harness.RunFleetJob is the canonical runner
+// for the experiment drivers.
 type Runner[T any] func(tb *testbed.Testbed, job Job, obs *Observer) (T, error)
 
 // Config tunes the pool.
@@ -165,19 +166,16 @@ type Config struct {
 	// means DefaultMaxAttempts.
 	MaxAttempts int
 	// OnProgress, if set, receives a Progress snapshot after every state
-	// change (job start/finish, retry, each new finding). Calls are
-	// serialized by the fleet; the callback must not block for long.
+	// change (job start, retry, job end) and once more when Run drains.
+	// It is the only way to read a fleet's progress. Calls are serialized
+	// by the fleet, under the lock that guards the counts; the callback
+	// must not block for long.
 	OnProgress func(Progress)
-	// Telemetry is the metrics registry the fleet publishes its live state
-	// to (the fleet_* gauges). Nil gives the fleet a private registry;
-	// pass telemetry.Default() to fold fleet state into the process-wide
-	// export. Progress snapshots stay exact either way — each fleet tracks
-	// deltas from the registry values it observed at construction.
-	Telemetry *telemetry.Registry
 	// Tracer, if set, receives each finished job as a view of its Timeline
 	// lane: its wall-clock span (device, strategy, attempts, outcome), then
 	// its phase spans on simulated time (obs.SimSpans). A Tracer without a
-	// Timeline records into a private one.
+	// Timeline records into a private one. The fleet does not fail a job
+	// over a trace write; the Tracer keeps the error (Tracer.Err).
 	Tracer *telemetry.Tracer
 	// Checkpoint, if set, asks the campaign layer to journal completed
 	// jobs crash-safely and to resume across runs. The fleet carries the
@@ -251,16 +249,18 @@ func (e *PanicError) Error() string {
 }
 
 // Fleet executes a fixed job list across a worker pool. Construct with
-// New, start with Run, and poll Progress from any goroutine while running.
+// New, start with Run; Config.OnProgress reports on it while it runs.
 type Fleet[T any] struct {
 	jobs   []Job
 	runner Runner[T]
 	cfg    Config
 
-	c counters
-
-	// progressMu serializes OnProgress callbacks.
-	progressMu sync.Mutex
+	// mu guards progress and serializes OnProgress callbacks. progress
+	// leaves Queued and Wall zero; update derives them from the other
+	// counts and from start, which Run sets before any worker starts.
+	mu       sync.Mutex
+	progress Progress
+	start    time.Time
 
 	// persist is the checkpoint hook (WithResume): it makes a freshly
 	// completed outcome durable. persistMu serializes it so journal
@@ -274,9 +274,8 @@ func New[T any](jobs []Job, runner Runner[T], cfg Config) *Fleet[T] {
 	if runner == nil {
 		panic("fleet: nil runner")
 	}
-	f := &Fleet[T]{jobs: jobs, runner: runner, cfg: cfg.withDefaults()}
-	f.c.bind(f.cfg.Telemetry, len(jobs))
-	return f
+	return &Fleet[T]{jobs: jobs, runner: runner, cfg: cfg.withDefaults(),
+		progress: Progress{Total: len(jobs)}}
 }
 
 // Run executes every job and returns one Result per job, index-aligned
@@ -312,7 +311,7 @@ func (c Config) EffectiveWorkers(jobs int) int {
 
 // Run executes the fleet. See the package-level Run.
 func (f *Fleet[T]) Run() []Result[T] {
-	f.c.start(time.Now())
+	f.start = time.Now()
 	results := make([]Result[T], len(f.jobs))
 	workers := f.cfg.EffectiveWorkers(len(f.jobs))
 
@@ -338,53 +337,48 @@ func (f *Fleet[T]) Run() []Result[T] {
 	}
 	close(idx)
 	wg.Wait()
-	f.notify()
+	f.update(nil)
 	return results
 }
 
-// Progress returns an atomic snapshot of the pool. Safe to call from any
-// goroutine, including concurrently with Run.
-func (f *Fleet[T]) Progress() Progress {
-	return f.c.snapshot()
-}
-
-// notify delivers a snapshot to the OnProgress callback, serialized.
-func (f *Fleet[T]) notify() {
-	if f.cfg.OnProgress == nil {
-		return
+// update applies change (if any) to the counts and hands the resulting
+// snapshot to OnProgress, all under one lock.
+func (f *Fleet[T]) update(change func(p *Progress)) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if change != nil {
+		change(&f.progress)
 	}
-	f.progressMu.Lock()
-	defer f.progressMu.Unlock()
-	f.cfg.OnProgress(f.c.snapshot())
+	if f.cfg.OnProgress != nil {
+		p := f.progress
+		p.Queued = p.Total - p.Running - p.Done - p.Failed
+		p.Wall = time.Since(f.start)
+		f.cfg.OnProgress(p)
+	}
 }
 
 // execute runs one job to completion: up to MaxAttempts attempts, each on
-// a fresh testbed, with panics recovered and live metrics rolled back for
-// attempts that fail. w is the worker lane for timeline attribution.
+// a fresh testbed, with panics recovered. Only the succeeding attempt's
+// report reaches Progress, and only once the job is persisted. w is the
+// worker lane for timeline attribution.
 func (f *Fleet[T]) execute(w, i int, job Job) Result[T] {
-	f.c.queued.Add(-1)
-	f.c.running.Add(1)
-	f.notify()
+	f.update(func(p *Progress) { p.Running++ })
 
 	res := Result[T]{Job: job}
+	var ob *Observer
 	for attempt := 1; attempt <= f.cfg.MaxAttempts; attempt++ {
 		res.Attempts = attempt
-		ob := &Observer{c: &f.c, onChange: f.notify,
-			timeline: f.cfg.Timeline, worker: w, job: job.Label()}
+		ob = &Observer{timeline: f.cfg.Timeline, worker: w, job: job.Label()}
 		val, err := f.attempt(w, job, ob)
 		if err == nil {
 			res.Value, res.Err = val, nil
 			break
 		}
-		// Undo the failed attempt's live contributions so the ticker
-		// reflects only completed or in-flight work, then retry clean.
-		ob.rollback()
 		res.AttemptErrors = append(res.AttemptErrors, err.Error())
 		res.Err = fmt.Errorf("fleet: job %s: attempt %d/%d: %w",
 			job.Label(), attempt, f.cfg.MaxAttempts, err)
 		if attempt < f.cfg.MaxAttempts {
-			f.c.retried.Add(1)
-			f.notify()
+			f.update(func(p *Progress) { p.Retried++ })
 		}
 	}
 
@@ -401,13 +395,17 @@ func (f *Fleet[T]) execute(w, i int, job Job) Result[T] {
 		}
 	}
 
-	f.c.running.Add(-1)
-	if res.Err != nil {
-		f.c.failed.Add(1)
-	} else {
-		f.c.done.Add(1)
-	}
-	f.notify()
+	f.update(func(p *Progress) {
+		p.Running--
+		if res.Err != nil {
+			p.Failed++
+			return
+		}
+		p.Done++
+		p.Findings += ob.findings
+		p.Packets += ob.packets
+		p.SimTime += ob.sim
+	})
 	return res
 }
 
@@ -457,6 +455,7 @@ func (f *Fleet[T]) trace(w int, res Result[T]) {
 			"device": res.Job.Device, "strategy": string(res.Job.Strategy),
 			"attempts": strconv.Itoa(res.Attempts), "outcome": outcome,
 		}}
+	// A failed write stays on the Tracer for its owner to read (Tracer.Err).
 	_ = f.cfg.Tracer.Write(append([]telemetry.TraceEvent{job}, obs.SimSpans(ivs)...)...)
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -171,69 +170,58 @@ func TestUnknownDeviceFailsAfterAttempts(t *testing.T) {
 	}
 }
 
+// TestProgressCountersAndRollback: a failed attempt's report is dropped
+// with its observer, so the flaky job's retry counts once and the totals
+// hold exactly the two successful attempts.
 func TestProgressCountersAndRollback(t *testing.T) {
 	var failedOnce atomic.Bool
 	runner := func(tb *testbed.Testbed, job fleet.Job, obs *fleet.Observer) (int, error) {
-		obs.Finding()
-		obs.Finding()
-		obs.Packets(100)
-		obs.SimTime(time.Hour)
+		obs.Report(&fuzz.Result{Findings: make([]fuzz.Finding, 2), PacketsSent: 100, Elapsed: time.Hour})
 		if job.Name == "flaky" && !failedOnce.Swap(true) {
 			return 0, errors.New("first attempt dies after reporting metrics")
 		}
 		return 1, nil
 	}
-	var mu sync.Mutex
+	// OnProgress calls are serialized, and the last one happens before Run
+	// returns, so last needs no lock.
 	var last fleet.Progress
-	f := fleet.New([]fleet.Job{zcoverJob("steady", "D1", 1), zcoverJob("flaky", "D2", 2)},
-		runner, fleet.Config{Workers: 1, MaxAttempts: 2, OnProgress: func(p fleet.Progress) {
-			mu.Lock()
-			last = p
-			mu.Unlock()
-		}})
-	results := f.Run()
+	results := fleet.Run([]fleet.Job{zcoverJob("steady", "D1", 1), zcoverJob("flaky", "D2", 2)},
+		runner, fleet.Config{Workers: 1, MaxAttempts: 2, OnProgress: func(p fleet.Progress) { last = p }})
 	if err := fleet.FirstError(results); err != nil {
 		t.Fatal(err)
 	}
 
-	p := f.Progress()
-	if !p.Finished() || p.Done != 2 || p.Failed != 0 || p.Total != 2 {
-		t.Errorf("final progress %+v", p)
+	if !last.Finished() || last.Done != 2 || last.Failed != 0 || last.Total != 2 || last.Queued != 0 {
+		t.Errorf("final progress %+v", last)
 	}
-	if p.Retried != 1 {
-		t.Errorf("retried = %d, want 1", p.Retried)
+	if last.Retried != 1 {
+		t.Errorf("retried = %d, want 1", last.Retried)
 	}
-	// The flaky job's first attempt reported 2 findings/100 packets/1h sim
-	// before dying; those must have been rolled back, leaving exactly two
-	// successful attempts' worth.
-	if p.Findings != 4 || p.Packets != 200 || p.SimTime != 2*time.Hour {
-		t.Errorf("metrics not rolled back: findings=%d packets=%d sim=%s",
-			p.Findings, p.Packets, p.SimTime)
+	if last.Findings != 4 || last.Packets != 200 || last.SimTime != 2*time.Hour {
+		t.Errorf("failed attempt counted: findings=%d packets=%d sim=%s",
+			last.Findings, last.Packets, last.SimTime)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if !last.Finished() {
-		t.Errorf("last OnProgress snapshot not terminal: %+v", last)
+	if last.Wall <= 0 {
+		t.Errorf("wall = %s, want > 0", last.Wall)
 	}
 }
 
 func TestLiveMetricsFlowThroughHarnessRunner(t *testing.T) {
-	f := fleet.New([]fleet.Job{zcoverJob("live", "D1", 41)}, harness.RunFleetJob,
-		fleet.Config{Workers: 1})
-	results := f.Run()
+	var last fleet.Progress
+	results := fleet.Run([]fleet.Job{zcoverJob("live", "D1", 41)}, harness.RunFleetJob,
+		fleet.Config{Workers: 1, OnProgress: func(p fleet.Progress) { last = p }})
 	if err := fleet.FirstError(results); err != nil {
 		t.Fatal(err)
 	}
 	res := results[0].Value.Fuzz()
-	p := f.Progress()
-	if p.Findings != len(res.Findings) {
-		t.Errorf("progress findings = %d, campaign found %d", p.Findings, len(res.Findings))
+	if last.Findings != len(res.Findings) {
+		t.Errorf("progress findings = %d, campaign found %d", last.Findings, len(res.Findings))
 	}
-	if p.Packets != int64(res.PacketsSent) {
-		t.Errorf("progress packets = %d, campaign sent %d", p.Packets, res.PacketsSent)
+	if last.Packets != int64(res.PacketsSent) {
+		t.Errorf("progress packets = %d, campaign sent %d", last.Packets, res.PacketsSent)
 	}
-	if p.SimTime != res.Elapsed {
-		t.Errorf("progress sim time = %s, campaign elapsed %s", p.SimTime, res.Elapsed)
+	if last.SimTime != res.Elapsed {
+		t.Errorf("progress sim time = %s, campaign elapsed %s", last.SimTime, res.Elapsed)
 	}
 	if len(res.Findings) == 0 {
 		t.Error("2-minute D1 campaign found nothing; live-metric test is vacuous")
@@ -248,10 +236,53 @@ func TestJobLabel(t *testing.T) {
 		{fleet.Job{Name: "explicit", Device: "D1"}, "explicit"},
 		{fleet.Job{Device: "D2", Strategy: fuzz.StrategyFull}, "D2/zcover-full"},
 		{fleet.Job{Device: "D3", Baseline: true}, "D3/vfuzz"},
+		{fleet.Job{Device: "D4", FuzzMode: fleet.ModeCoverage}, "D4/covfuzz"},
+		{fleet.Job{Device: "D5", Strategy: fuzz.StrategyFull, ChaosProfile: "burst"}, "D5/zcover-full+burst"},
 	}
 	for _, c := range cases {
 		if got := c.job.Label(); got != c.want {
 			t.Errorf("Label() = %q, want %q", got, c.want)
 		}
 	}
+}
+
+// TestJobBuildAppliesSpec: the fleet builds each attempt's testbed from
+// the job spec — patched firmware and a fault injector when asked — and a
+// chaos profile that does not parse fails the job before the runner runs.
+func TestJobBuildAppliesSpec(t *testing.T) {
+	runner := func(tb *testbed.Testbed, job fleet.Job, obs *fleet.Observer) (bool, error) {
+		return tb.Chaos != nil, nil
+	}
+	jobs := []fleet.Job{
+		{Name: "patched+lossy", Device: "D1", Patched: true, ChaosProfile: "lossy", ChaosSeed: 3},
+		{Name: "clean", Device: "D1"},
+		{Name: "bogus", Device: "D1", ChaosProfile: "no-such-profile"},
+	}
+	results := fleet.Run(jobs, runner, fleet.Config{Workers: 1, MaxAttempts: 1})
+	if results[0].Err != nil || !results[0].Value {
+		t.Errorf("patched+lossy: chaos installed = %v, err = %v", results[0].Value, results[0].Err)
+	}
+	if results[1].Err != nil || results[1].Value {
+		t.Errorf("clean: chaos installed = %v, err = %v", results[1].Value, results[1].Err)
+	}
+	if results[2].Err == nil {
+		t.Error("unparsable chaos profile did not fail the job")
+	}
+}
+
+// TestObserverNilSafe: a runner called outside a fleet (nil observer)
+// may still report phases and results.
+func TestObserverNilSafe(t *testing.T) {
+	var ob *fleet.Observer
+	ob.Phase("scan")
+	ob.Report(&fuzz.Result{PacketsSent: 1})
+}
+
+func TestNewRejectsNilRunner(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("New accepted a nil runner")
+		}
+	}()
+	fleet.New[int](nil, nil, fleet.Config{})
 }

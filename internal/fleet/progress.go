@@ -2,16 +2,15 @@ package fleet
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"zcover/internal/obs"
-	"zcover/internal/telemetry"
 	"zcover/internal/vtime"
+	"zcover/internal/zcover/fuzz"
 )
 
-// Progress is an atomic snapshot of a running fleet. All counters are
-// monotonic except Queued/Running, which shrink as jobs drain.
+// Progress is a snapshot of a running fleet. All counters are monotonic
+// except Queued/Running, which shrink as jobs drain.
 type Progress struct {
 	// Total is the job count the fleet was built with.
 	Total int
@@ -21,14 +20,15 @@ type Progress struct {
 	// Retried counts attempts that failed and were rescheduled on a fresh
 	// testbed.
 	Retried int
-	// Findings is the live unique-vulnerability count across the fleet
-	// (contributions from attempts that later fail are rolled back).
+	// Findings is the unique-vulnerability count of the jobs that are
+	// Done: a job's findings count once it has succeeded and been
+	// persisted, and failed attempts and failed jobs add nothing.
 	Findings int
-	// Packets is the live test-packet count across the fleet.
+	// Packets is the test-packet count of the jobs that are Done.
 	Packets int64
-	// SimTime is the total simulated campaign time completed.
+	// SimTime is the simulated campaign time of the jobs that are Done.
 	SimTime time.Duration
-	// Wall is the real time since Run started (zero before Run).
+	// Wall is the real time since Run started.
 	Wall time.Duration
 }
 
@@ -53,95 +53,10 @@ func (p Progress) String() string {
 		p.SimTime.Round(time.Second), p.Wall.Round(time.Millisecond), p.SimRate())
 }
 
-// Telemetry gauge names the fleet publishes its live state under. Fleet
-// state is bidirectional (queues drain, failed attempts roll back), so
-// every instrument is a gauge, not a counter.
-const (
-	MetricQueued   = "fleet_jobs_queued"
-	MetricRunning  = "fleet_jobs_running"
-	MetricDone     = "fleet_jobs_done"
-	MetricFailed   = "fleet_jobs_failed"
-	MetricRetried  = "fleet_jobs_retried"
-	MetricFindings = "fleet_findings"
-	MetricPackets  = "fleet_packets"
-	MetricSimNanos = "fleet_sim_nanos"
-)
-
-// counters is the fleet's shared live state behind Progress snapshots. The
-// telemetry registry is the single source of truth: each field is a view
-// over a named gauge. Because a shared registry accumulates across
-// sequential fleets (cmd/experiments points every driver at the process
-// default), each fleet captures the gauges' values at construction and
-// snapshots report deltas from that base — per-fleet Progress stays exact
-// while the registry keeps process-wide running totals.
-type counters struct {
-	total     int
-	startWall atomic.Int64 // unix nanos; 0 until Run starts
-
-	queued, running, done, failed, retried *telemetry.Gauge
-	findings, packets, simNanos            *telemetry.Gauge
-
-	baseQueued, baseRunning, baseDone, baseFailed, baseRetried int64
-	baseFindings, basePackets, baseSimNanos                    int64
-}
-
-// bind points the counter views at reg (nil means a private registry) and
-// publishes the initial queue depth.
-func (c *counters) bind(reg *telemetry.Registry, total int) {
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
-	c.total = total
-	c.queued = reg.Gauge(MetricQueued)
-	c.running = reg.Gauge(MetricRunning)
-	c.done = reg.Gauge(MetricDone)
-	c.failed = reg.Gauge(MetricFailed)
-	c.retried = reg.Gauge(MetricRetried)
-	c.findings = reg.Gauge(MetricFindings)
-	c.packets = reg.Gauge(MetricPackets)
-	c.simNanos = reg.Gauge(MetricSimNanos)
-
-	c.baseQueued = c.queued.Load()
-	c.baseRunning = c.running.Load()
-	c.baseDone = c.done.Load()
-	c.baseFailed = c.failed.Load()
-	c.baseRetried = c.retried.Load()
-	c.baseFindings = c.findings.Load()
-	c.basePackets = c.packets.Load()
-	c.baseSimNanos = c.simNanos.Load()
-
-	c.queued.Add(int64(total))
-}
-
-func (c *counters) start(t time.Time) {
-	c.startWall.CompareAndSwap(0, t.UnixNano())
-}
-
-func (c *counters) snapshot() Progress {
-	p := Progress{
-		Total:    c.total,
-		Queued:   int(c.queued.Load() - c.baseQueued),
-		Running:  int(c.running.Load() - c.baseRunning),
-		Done:     int(c.done.Load() - c.baseDone),
-		Failed:   int(c.failed.Load() - c.baseFailed),
-		Retried:  int(c.retried.Load() - c.baseRetried),
-		Findings: int(c.findings.Load() - c.baseFindings),
-		Packets:  c.packets.Load() - c.basePackets,
-		SimTime:  time.Duration(c.simNanos.Load() - c.baseSimNanos),
-	}
-	if s := c.startWall.Load(); s != 0 {
-		p.Wall = time.Since(time.Unix(0, s))
-	}
-	return p
-}
-
-// Observer is the metrics channel a Runner reports through. Each attempt
-// gets its own observer; if the attempt fails, its contributions are
-// subtracted back out so retries do not double-count.
+// Observer is the channel a Runner reports through. Each attempt gets its
+// own observer, so what a failed attempt reported is simply dropped. A nil
+// *Observer discards everything, so a runner can also run outside a fleet.
 type Observer struct {
-	c        *counters
-	onChange func()
-
 	// timeline/worker/job route Phase calls to the worker's lane, stamped
 	// on the attempt's testbed clock; timeline may be nil (no-op).
 	timeline *obs.Timeline
@@ -149,9 +64,10 @@ type Observer struct {
 	job      string
 	clock    *vtime.SimClock
 
-	findings int64
+	// The attempt's report, added to Progress when the job is Done.
+	findings int
 	packets  int64
-	simNanos int64
+	sim      time.Duration
 }
 
 // Phase attributes the worker's time, wall and simulated, to a campaign
@@ -165,32 +81,13 @@ func (o *Observer) Phase(name string) {
 	o.timeline.Phase(o.worker, o.job, name, o.clock.Now())
 }
 
-// Finding records one new unique vulnerability (live — call it from the
-// campaign's OnFinding callback).
-func (o *Observer) Finding() {
-	o.findings++
-	o.c.findings.Add(1)
-	if o.onChange != nil {
-		o.onChange()
+// Report records the campaign's outcome: its unique findings, test
+// packets and simulated time. The fleet adds them to Progress once the
+// job has succeeded and been persisted. Call it once, after the campaign
+// ends; a later call replaces an earlier one.
+func (o *Observer) Report(res *fuzz.Result) {
+	if o == nil {
+		return
 	}
-}
-
-// Packets adds n test packets to the fleet totals.
-func (o *Observer) Packets(n int) {
-	o.packets += int64(n)
-	o.c.packets.Add(int64(n))
-}
-
-// SimTime adds completed simulated campaign time to the fleet totals.
-func (o *Observer) SimTime(d time.Duration) {
-	o.simNanos += int64(d)
-	o.c.simNanos.Add(int64(d))
-}
-
-// rollback subtracts everything this attempt reported.
-func (o *Observer) rollback() {
-	o.c.findings.Add(-o.findings)
-	o.c.packets.Add(-o.packets)
-	o.c.simNanos.Add(-o.simNanos)
-	o.findings, o.packets, o.simNanos = 0, 0, 0
+	o.findings, o.packets, o.sim = len(res.Findings), int64(res.PacketsSent), res.Elapsed
 }

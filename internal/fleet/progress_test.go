@@ -1,12 +1,15 @@
 package fleet
 
 import (
+	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"zcover/internal/telemetry"
 	"zcover/internal/testbed"
+	"zcover/internal/zcover/fuzz"
 )
 
 // TestSimRateEdgeCases pins the division guards: zero or negative wall
@@ -55,75 +58,81 @@ func TestProgressStringEdgeCases(t *testing.T) {
 	}
 }
 
-// TestCountersAreRegistryViews pins the tentpole rewiring: fleet state
-// lives in the telemetry registry, and a fleet sharing a registry with a
-// previous fleet still reports exact per-fleet Progress (delta from the
-// base it observed at construction).
-func TestCountersAreRegistryViews(t *testing.T) {
-	reg := telemetry.NewRegistry()
+// TestProgressConsistentUnderConcurrency drives the shared counts from
+// several workers at once: every snapshot must account for every job,
+// Done and Failed must never go back, and the last snapshot must carry
+// exactly the reports of the jobs that succeeded. Run it under -race.
+func TestProgressConsistentUnderConcurrency(t *testing.T) {
+	const n = 24
+	jobs := make([]Job, n)
+	for i := range jobs {
+		jobs[i] = Job{Name: fmt.Sprintf("j%d", i), Device: "D1", Seed: int64(i)}
+	}
+	// Every third job fails its first attempt after reporting; every
+	// fifth fails both attempts. Neither may leave a trace in the totals.
+	var firstTries sync.Map
+	runner := func(_ *testbed.Testbed, job Job, obs *Observer) (int, error) {
+		i := int(job.Seed)
+		obs.Report(&fuzz.Result{Findings: make([]fuzz.Finding, i%3+1),
+			PacketsSent: 100 * (i + 1), Elapsed: time.Duration(i+1) * time.Minute})
+		if i%5 == 0 {
+			return 0, errors.New("always broken")
+		}
+		if _, retried := firstTries.LoadOrStore(i, true); !retried && i%3 == 0 {
+			return 0, errors.New("flaky")
+		}
+		return i, nil
+	}
+	var want Progress
+	for i := 0; i < n; i++ {
+		if i%5 == 0 {
+			want.Failed++
+			want.Retried++
+			continue
+		}
+		if i%3 == 0 {
+			want.Retried++
+		}
+		want.Done++
+		want.Findings += i%3 + 1
+		want.Packets += int64(100 * (i + 1))
+		want.SimTime += time.Duration(i+1) * time.Minute
+	}
 
-	var c1 counters
-	c1.bind(reg, 3)
-	c1.queued.Add(-1)
-	c1.done.Add(1)
-	c1.packets.Add(500)
-	c1.findings.Add(2)
-
-	if got := reg.Gauge(MetricDone).Load(); got != 1 {
-		t.Fatalf("registry %s = %d, want 1", MetricDone, got)
+	var last Progress
+	var calls int
+	cfg := Config{Workers: 4, MaxAttempts: 2, OnProgress: func(p Progress) {
+		// The fleet serializes these calls, so no lock is needed here.
+		calls++
+		if p.Queued+p.Running+p.Done+p.Failed != p.Total || p.Total != n {
+			t.Errorf("snapshot does not add up: %+v", p)
+		}
+		if p.Queued < 0 || p.Running < 0 {
+			t.Errorf("negative queue or running count: %+v", p)
+		}
+		if p.Done < last.Done || p.Failed < last.Failed {
+			t.Errorf("done/failed went back: %+v after %+v", p, last)
+		}
+		last = p
+	}}
+	results := Run(jobs, runner, cfg)
+	for i, r := range results {
+		if (r.Err != nil) != (i%5 == 0) {
+			t.Errorf("job %d: err = %v", i, r.Err)
+		}
 	}
-	p := c1.snapshot()
-	if p.Done != 1 || p.Queued != 2 || p.Packets != 500 || p.Findings != 2 {
-		t.Fatalf("fleet1 snapshot = %+v", p)
+	if calls == 0 {
+		t.Fatal("OnProgress never called")
 	}
-
-	// A second fleet over the same registry: process totals accumulate,
-	// per-fleet Progress starts from zero.
-	var c2 counters
-	c2.bind(reg, 5)
-	p2 := c2.snapshot()
-	if p2.Done != 0 || p2.Queued != 5 || p2.Packets != 0 || p2.Findings != 0 {
-		t.Fatalf("fleet2 initial snapshot = %+v", p2)
+	if !last.Finished() || last.Running != 0 || last.Queued != 0 {
+		t.Errorf("last snapshot not drained: %+v", last)
 	}
-	c2.done.Add(1)
-	if got := reg.Gauge(MetricDone).Load(); got != 2 {
-		t.Fatalf("registry %s after second fleet = %d, want 2", MetricDone, got)
+	if last.Done != want.Done || last.Failed != want.Failed || last.Retried != want.Retried {
+		t.Errorf("done/failed/retried = %d/%d/%d, want %d/%d/%d",
+			last.Done, last.Failed, last.Retried, want.Done, want.Failed, want.Retried)
 	}
-	if p := c1.snapshot(); p.Done != 2 {
-		// Shared-registry caveat: concurrent fleets bleed into each other's
-		// deltas — documented, and why the default is a private registry.
-		t.Logf("note: fleet1 sees shared-registry drift: %+v", p)
-	}
-}
-
-// TestRunPublishesToSharedRegistry runs a real (trivial-runner) fleet with
-// Config.Telemetry and checks the registry holds the end state.
-func TestRunPublishesToSharedRegistry(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	jobs := []Job{{Name: "a", Device: "D1"}, {Name: "b", Device: "D1"}}
-	runner := func(_ *testbed.Testbed, job Job, obs *Observer) (string, error) {
-		obs.Packets(10)
-		obs.SimTime(time.Second)
-		obs.Finding()
-		return job.Name, nil
-	}
-	results := Run(jobs, runner, Config{Workers: 2, Telemetry: reg})
-	if err := FirstError(results); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Gauge(MetricDone).Load(); got != 2 {
-		t.Errorf("%s = %d, want 2", MetricDone, got)
-	}
-	if got := reg.Gauge(MetricPackets).Load(); got != 20 {
-		t.Errorf("%s = %d, want 20", MetricPackets, got)
-	}
-	if got := reg.Gauge(MetricFindings).Load(); got != 2 {
-		t.Errorf("%s = %d, want 2", MetricFindings, got)
-	}
-	if got := reg.Gauge(MetricRunning).Load(); got != 0 {
-		t.Errorf("%s = %d, want 0 after drain", MetricRunning, got)
-	}
-	if got := reg.Gauge(MetricSimNanos).Load(); got != int64(2*time.Second) {
-		t.Errorf("%s = %d, want %d", MetricSimNanos, got, int64(2*time.Second))
+	if last.Findings != want.Findings || last.Packets != want.Packets || last.SimTime != want.SimTime {
+		t.Errorf("totals = %d findings, %d pkts, %s; want %d, %d, %s",
+			last.Findings, last.Packets, last.SimTime, want.Findings, want.Packets, want.SimTime)
 	}
 }

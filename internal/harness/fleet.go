@@ -5,7 +5,6 @@ import (
 
 	"zcover/internal/fleet"
 	"zcover/internal/testbed"
-	"zcover/internal/zcover/fuzz"
 )
 
 // fleetRecorderDepth is the flight-recorder depth RunFleetJob attaches to
@@ -26,21 +25,18 @@ func SetFleetRecorderDepth(depth int) {
 }
 
 // RunFleetJob is the canonical fleet.Runner: Run with the worker's
-// observer attached, streaming live findings and phases into the pool and
-// reporting packets and simulated time once the campaign ends. All
-// experiment drivers schedule through it.
+// observer attached, streaming phases into the pool and reporting the
+// campaign's result once it ends. All experiment drivers schedule through
+// it.
 func RunFleetJob(tb *testbed.Testbed, job fleet.Job, obs *fleet.Observer) (FleetOutcome, error) {
 	out, err := Run(tb, job, Options{
-		OnFinding:           func(fuzz.Finding) { obs.Finding() },
 		OnPhase:             obs.Phase,
 		FlightRecorderDepth: int(fleetRecorderDepth.Load()),
 	})
 	if err != nil {
 		return FleetOutcome{}, err
 	}
-	res := out.Fuzz()
-	obs.Packets(res.PacketsSent)
-	obs.SimTime(res.Elapsed)
+	obs.Report(out.Fuzz())
 	return out, nil
 }
 

@@ -17,13 +17,12 @@ import (
 )
 
 // fullTelemetryConfig builds a fleet config with every telemetry attachment
-// live: a shared registry, a job tracer, and (via the process-wide knob) a
-// flight recorder on every campaign testbed.
+// live: a job tracer and (via the process-wide knob) a flight recorder on
+// every campaign testbed.
 func fullTelemetryConfig(workers int, traceSink io.Writer) fleet.Config {
 	return fleet.Config{
-		Workers:   workers,
-		Telemetry: telemetry.NewRegistry(),
-		Tracer:    telemetry.NewTracer(traceSink, nil),
+		Workers: workers,
+		Tracer:  telemetry.NewTracer(traceSink, nil),
 	}
 }
 

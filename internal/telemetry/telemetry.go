@@ -58,8 +58,8 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
 
-// Gauge is a metric that can move in both directions (queue depths, live
-// totals with rollback). All methods are lock-free.
+// Gauge is a metric that can move in both directions (queue depths,
+// in-flight counts). All methods are lock-free.
 type Gauge struct {
 	v atomic.Int64
 }

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -247,6 +248,44 @@ func TestTracerRoundTripAndNilSafety(t *testing.T) {
 	}
 	if !ev.Start.Equal(start) || !ev.End.Equal(start.Add(2*time.Minute)) {
 		t.Errorf("span times = %v..%v", ev.Start, ev.End)
+	}
+}
+
+// failingWriter fails every write and counts the attempts.
+type failingWriter struct{ calls int }
+
+var errDiskFull = errors.New("disk full")
+
+func (w *failingWriter) Write([]byte) (int, error) {
+	w.calls++
+	return 0, errDiskFull
+}
+
+// TestTracerKeepsFirstWriteError: a failed write sticks — Err reports it,
+// and later writes return it without touching the writer again, so a
+// short trace cannot pass for a whole one.
+func TestTracerKeepsFirstWriteError(t *testing.T) {
+	var nilTracer *Tracer
+	if err := nilTracer.Err(); err != nil {
+		t.Fatalf("nil tracer Err = %v", err)
+	}
+	w := &failingWriter{}
+	tr := NewTracer(w, nil)
+	if err := tr.Err(); err != nil {
+		t.Fatalf("fresh tracer Err = %v", err)
+	}
+	first := tr.Write(TraceEvent{Name: "a"}, TraceEvent{Name: "b"})
+	if !errors.Is(first, errDiskFull) {
+		t.Fatalf("Write = %v, want %v", first, errDiskFull)
+	}
+	if err := tr.Write(TraceEvent{Name: "c"}); err != first {
+		t.Errorf("second Write = %v, want the first error %v", err, first)
+	}
+	if w.calls != 1 {
+		t.Errorf("writer called %d times, want 1", w.calls)
+	}
+	if err := tr.Err(); err != first {
+		t.Errorf("Err = %v, want %v", err, first)
 	}
 }
 

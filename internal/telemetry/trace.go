@@ -31,9 +31,14 @@ type TraceEvent struct {
 // Tracer writes completed spans as JSON lines. Writes are serialised by a
 // mutex; spans from concurrent fleet jobs appear in completion order. A
 // nil *Tracer is a valid no-op tracer, so call sites need no guards.
+//
+// The first write error sticks: later writes return it without writing,
+// and Err reports it, so a caller that cannot check every Write (the
+// fleet writes from its workers) still learns that the trace is short.
 type Tracer struct {
-	mu sync.Mutex
-	w  io.Writer
+	mu  sync.Mutex
+	w   io.Writer
+	err error
 }
 
 // NewTracer writes spans to w. Every span carries its own instants, so
@@ -50,14 +55,28 @@ func (t *Tracer) Write(evs ...TraceEvent) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.err != nil {
+		return t.err
+	}
 	enc := json.NewEncoder(t.w)
 	for _, ev := range evs {
 		ev.DurSec = ev.End.Sub(ev.Start).Seconds()
 		if err := enc.Encode(ev); err != nil {
-			return fmt.Errorf("telemetry: writing trace event: %w", err)
+			t.err = fmt.Errorf("telemetry: writing trace event: %w", err)
+			return t.err
 		}
 	}
 	return nil
+}
+
+// Err returns the first write error, or nil. Safe on a nil tracer.
+func (t *Tracer) Err() error {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.err
 }
 
 // ReadTrace parses a JSONL trace stream, tolerating blank lines and

@@ -72,7 +72,8 @@ type (
 	// FleetConfig tunes the parallel campaign scheduler (worker count,
 	// retry limit, progress callback).
 	FleetConfig = fleet.Config
-	// FleetProgress is an atomic snapshot of a running campaign fleet.
+	// FleetProgress is a snapshot of a running campaign fleet, delivered
+	// to FleetConfig.OnProgress on every job start, retry and end.
 	FleetProgress = fleet.Progress
 	// FleetJob is one self-contained campaign spec: Run's input and the
 	// scheduler's unit of work.
