@@ -17,10 +17,10 @@
 // RNG streams and fault counters), but like the medium it attaches to it
 // is normally driven by the single goroutine running one campaign's
 // simulation; parallel fleet campaigns each build their own injector.
-// The interceptor hook receives a private copy of each frame (per the
-// radio package's ownership contract) and may mutate it in place — the
-// corruption fault does exactly that — without ever touching pooled or
-// transmitter-owned buffers. Stats returns a snapshot by value.
+// The interceptor hook reads the transmitter's buffer (per the radio
+// package's ownership contract): the corruption fault flips a bit in a
+// fresh copy, and a delivery left alone gets a shared pass-through answer
+// that allocates nothing. Stats returns a snapshot by value.
 package chaos
 
 import (
@@ -145,6 +145,10 @@ func (i *Injector) noteFault(now time.Time) {
 	}
 }
 
+// passThrough is Intercept's answer for a delivery it leaves alone: the
+// frame as transmitted, inline. It is shared and read-only.
+var passThrough = []radio.Delivery{{}}
+
 // Intercept is the radio.InterceptFunc: it decides, per frame delivery,
 // whether the receiver sees the frame and in what form. Fault order per
 // delivery is fixed — partition, burst loss, corruption, jitter,
@@ -194,7 +198,7 @@ func (i *Injector) Intercept(from, to string, raw []byte) []radio.Delivery {
 		return nil
 	}
 
-	out := raw
+	var out []byte // nil: the frame as transmitted
 	if i.profile.Corrupt > 0 && len(raw) > 0 && st.rng.Float64() < i.profile.Corrupt {
 		out = append([]byte(nil), raw...)
 		out[st.rng.Intn(len(out))] ^= 1 << st.rng.Intn(8)
@@ -209,15 +213,17 @@ func (i *Injector) Intercept(from, to string, raw []byte) []radio.Delivery {
 		i.noteFault(now)
 	}
 
-	deliveries := []radio.Delivery{{Delay: delay, Raw: out}}
-	if i.profile.Duplicate > 0 && st.rng.Float64() < i.profile.Duplicate {
-		// The copy trails the original by a couple of milliseconds, like a
-		// retransmission the receiver's MAC never asked for.
-		deliveries = append(deliveries, radio.Delivery{Delay: delay + 2*time.Millisecond, Raw: out})
-		i.stats.Duplicated++
-		i.noteFault(now)
+	if i.profile.Duplicate <= 0 || st.rng.Float64() >= i.profile.Duplicate {
+		if out == nil && delay == 0 {
+			return passThrough
+		}
+		return []radio.Delivery{{Delay: delay, Raw: out}}
 	}
-	return deliveries
+	// The copy trails the original by a couple of milliseconds, like a
+	// retransmission the receiver's MAC never asked for.
+	i.stats.Duplicated++
+	i.noteFault(now)
+	return []radio.Delivery{{Delay: delay, Raw: out}, {Delay: delay + 2*time.Millisecond, Raw: out}}
 }
 
 // fnv64a is the FNV-1a hash, used to derive per-link seeds.

@@ -215,11 +215,46 @@ func TestParseProfile(t *testing.T) {
 	for _, bad := range []string{
 		"unknown", "burst:zzz=1", "burst:badloss=1.5", "burst:badloss",
 		"burst:partition=lock", "burst:partition=lock@x/5m", "burst:partition=lock@1h/0s",
+		"lossy:corrupt=NaN", "burst:jitterp=0.5", "lossy:jittermax=-5ms",
+		"none:partition=lock@-1h/10m",
 	} {
 		if _, err := ParseProfile(bad); err == nil {
 			t.Errorf("ParseProfile(%q) unexpectedly succeeded", bad)
 		}
 	}
+}
+
+// FuzzParseProfile: every spec either fails to parse or yields a profile
+// the injector can run as written — finite probabilities in [0,1], jitter
+// with a positive bound, and partitions that start at or after attach time
+// and last a positive while.
+func FuzzParseProfile(f *testing.F) {
+	for _, seed := range []string{
+		"none", "lossy", "stress", "burst:badloss=0.7,jittermax=40ms,jitterp=0.2,partition=switch@30m/5m",
+		"lossy:corrupt=NaN", "burst:jitterp=0.5", "lossy:jittermax=-5ms", "none:partition=lock@-1h/10m",
+		"jitter:jittermax=0s", "noise:dup=Inf,gtob=-0", "partition:partition=a@0s/1ns,,",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParseProfile(spec)
+		if err != nil {
+			return
+		}
+		for _, v := range []float64{p.GoodLoss, p.BadLoss, p.GoodToBad, p.BadToGood, p.Corrupt, p.Duplicate, p.Jitter} {
+			if !(v >= 0 && v <= 1) {
+				t.Fatalf("ParseProfile(%q) = %+v: probability %v outside [0,1]", spec, p, v)
+			}
+		}
+		if p.JitterMax < 0 || p.Jitter > 0 && p.JitterMax <= 0 {
+			t.Fatalf("ParseProfile(%q): jitterp %v with jittermax %s", spec, p.Jitter, p.JitterMax)
+		}
+		for _, pt := range p.Partitions {
+			if pt.From < 0 || pt.For <= 0 {
+				t.Fatalf("ParseProfile(%q): partition %+v", spec, pt)
+			}
+		}
+	})
 }
 
 func TestProfileEnabled(t *testing.T) {

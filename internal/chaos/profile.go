@@ -176,6 +176,9 @@ func ParseProfile(spec string) (Profile, error) {
 			return Profile{}, fmt.Errorf("chaos: override %s: %w", key, err)
 		}
 	}
+	if p.JitterMax < 0 || p.Jitter > 0 && p.JitterMax == 0 {
+		return Profile{}, fmt.Errorf("chaos: jittermax %s must be >= 0, and > 0 when jitterp > 0", p.JitterMax)
+	}
 	p.Name = name + ":" + rest
 	return p, nil
 }
@@ -186,7 +189,7 @@ func parseProb(s string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if v < 0 || v > 1 {
+	if !(v >= 0 && v <= 1) { // NaN fails both
 		return 0, fmt.Errorf("probability %v outside [0,1]", v)
 	}
 	return v, nil
@@ -210,8 +213,8 @@ func parsePartition(s string) (Partition, error) {
 	if err != nil {
 		return Partition{}, err
 	}
-	if dur <= 0 {
-		return Partition{}, fmt.Errorf("partition duration %s is not positive", dur)
+	if from < 0 || dur <= 0 {
+		return Partition{}, fmt.Errorf("partition %q needs from >= 0 and for > 0", s)
 	}
 	return Partition{Node: node, From: from, For: dur}, nil
 }

@@ -14,10 +14,12 @@ import (
 func dropAll(_, _ string, _ []byte) []Delivery { return nil }
 
 // flipBit is an interceptor that corrupts every frame by one bit of its
-// last byte, the CS-8 checksum. It flips its private copy in place.
+// last byte, the CS-8 checksum. Its input is read-only, so it flips a
+// copy.
 func flipBit(_, _ string, raw []byte) []Delivery {
-	raw[len(raw)-1] ^= 0x01
-	return []Delivery{{Raw: raw}}
+	cp := append([]byte(nil), raw...)
+	cp[len(cp)-1] ^= 0x01
+	return []Delivery{{Raw: cp}}
 }
 
 // TestInterceptorPassthroughKeepsDelivery checks that an interceptor

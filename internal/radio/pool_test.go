@@ -11,11 +11,11 @@ import (
 )
 
 // TestRecorderUnaffectedByPooledDelivery drives the intercepted delivery
-// path (which hands the interceptor a private copy that it corrupts in
-// place) with a flight recorder attached, then keeps transmitting from
-// pooled encode buffers. Earlier recorder snapshots must stay
-// byte-identical — the recorder copies into ring-owned storage, so neither
-// the corruption nor buffer reuse can reach it.
+// path (with an interceptor that corrupts a copy of every frame) with a
+// flight recorder attached, then keeps transmitting from pooled encode
+// buffers. Earlier recorder snapshots must stay byte-identical — the
+// recorder copies into ring-owned storage, so neither the corruption nor
+// buffer reuse can reach it.
 func TestRecorderUnaffectedByPooledDelivery(t *testing.T) {
 	clock := vtime.NewSimClock()
 	m := NewMedium(clock)
@@ -52,9 +52,49 @@ func TestRecorderUnaffectedByPooledDelivery(t *testing.T) {
 	}
 }
 
+// TestDelayedDeliveryOutlivesTransmitBuffer checks that a delayed
+// delivery, whether its Raw is nil or aliases the interceptor's input,
+// still carries the transmitted bytes after the transmitter overwrites its
+// pooled buffer and returns it to the pool.
+func TestDelayedDeliveryOutlivesTransmitBuffer(t *testing.T) {
+	for _, alias := range []bool{false, true} {
+		clock := vtime.NewSimClock()
+		m := NewMedium(clock)
+		m.SetInterceptor(func(_, _ string, raw []byte) []Delivery {
+			d := Delivery{Delay: 50 * time.Millisecond}
+			if alias {
+				d.Raw = raw
+			}
+			return []Delivery{d}
+		})
+		tx := m.Attach("tx", RegionEU)
+		rx := m.Attach("rx", RegionEU)
+		var got [][]byte
+		rx.SetReceiver(func(c Capture) { got = append(got, append([]byte(nil), c.Raw...)) })
+
+		want := []byte{0x11, 0x22, 0x33, 0x44}
+		buf := protocol.GetBuf()
+		*buf = append(*buf, want...)
+		if err := tx.Transmit(*buf); err != nil {
+			t.Fatal(err)
+		}
+		for i := range *buf {
+			(*buf)[i] = 0xEE
+		}
+		protocol.PutBuf(buf)
+		if len(got) != 0 {
+			t.Fatalf("alias=%v: delayed frame delivered inline", alias)
+		}
+		clock.RunUntilIdle()
+		if len(got) != 1 || !bytes.Equal(got[0], want) {
+			t.Fatalf("alias=%v: receiver saw %x, want %x", alias, got, want)
+		}
+	}
+}
+
 // TestCorruptDeliveryIsPrivatePerReceiver checks that each receiver's
-// interceptor copy is private: corrupting one in place neither compounds
-// into the other receiver's copy nor leaks back into the transmitter's
+// corrupted frame is its own: one receiver's bit flip neither compounds
+// into the other receiver's frame nor leaks back into the transmitter's
 // buffer.
 func TestCorruptDeliveryIsPrivatePerReceiver(t *testing.T) {
 	clock := vtime.NewSimClock()
@@ -108,9 +148,13 @@ func TestPooledEncodeBufferConcurrentTransmit(t *testing.T) {
 
 	done := make(chan struct{})
 	const workers = 6
-	for w := 0; w < workers; w++ {
-		w := w
-		trx := m.Attach("w"+string(rune('a'+w)), RegionEU)
+	// Attach every worker before any transmits, so each frame's fan-out
+	// is the full set of peers whichever goroutine starts first.
+	trxs := make([]*Transceiver, workers)
+	for w := range trxs {
+		trxs[w] = m.Attach("w"+string(rune('a'+w)), RegionEU)
+	}
+	for w, trx := range trxs {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 100; i++ {

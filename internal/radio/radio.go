@@ -26,8 +26,9 @@
 // callback on the clean path aliases the transmitter's buffer and is valid
 // only for the duration of the callback. Receiver callbacks must not
 // mutate Capture.Raw and must copy it before retaining it. The interceptor
-// hook is the exception — it receives a private copy it may mutate or
-// retain, as documented on InterceptFunc.
+// hook gets the same read-only, call-scoped view (InterceptFunc); only a
+// delayed delivery is copied, into a pooled buffer, because the
+// transmitter reuses its buffer once Transmit returns.
 //
 // Each Transceiver caches its fan-out (attached same-region in-range peers,
 // in attach order). Attach, Place, SetRange and Detach bump the medium's
@@ -102,11 +103,11 @@ type Capture struct {
 	// At is the simulated instant the frame finished arriving.
 	At time.Time
 	// Raw is the frame bytes as received. The slice is owned by the medium
-	// and valid only for the duration of the receiver callback: on the
-	// clean path it aliases the transmitter's buffer, and behind an
-	// interceptor it is whatever the interceptor delivered. Receivers must
-	// not mutate it, and must copy it before retaining it past the callback
-	// (Sniffer and the attacker dongle both do).
+	// and valid only for the duration of the receiver callback: it is the
+	// transmitter's buffer, an interceptor's rewrite, or for a delayed
+	// delivery a pooled copy. Receivers must not mutate it, and must copy
+	// it before retaining it past the callback (Sniffer and the attacker
+	// dongle both do).
 	Raw []byte
 }
 
@@ -117,17 +118,19 @@ type Capture struct {
 type Delivery struct {
 	// Delay is added on top of the airtime before the frame arrives.
 	Delay time.Duration
-	// Raw is the frame as the receiver will see it. It may alias the
-	// interceptor's input slice.
+	// Raw is the frame as the receiver will see it; nil means the frame
+	// as transmitted. It may alias the interceptor's input. The medium
+	// reads it after further, nested interceptor calls, so neither it
+	// nor the returned slice may be reused by a later call.
 	Raw []byte
 }
 
 // InterceptFunc sees every frame en route from one transceiver to another
 // and decides what the receiver observes: return nil to drop the frame,
 // one Delivery to pass or rewrite it, or several to duplicate it. The
-// input slice is a private copy; the interceptor may mutate or retain it.
-// Interceptors run outside the medium lock and must be safe for concurrent
-// use.
+// input slice is read-only and valid only for the call, like Capture.Raw:
+// copy it before changing or retaining it. Interceptors run outside the
+// medium lock and must be safe for concurrent use.
 type InterceptFunc func(from, to string, raw []byte) []Delivery
 
 // Medium is the shared simulated air. Construct with NewMedium. Medium is
@@ -251,10 +254,9 @@ func (m *Medium) peersOf(from *Transceiver) []*Transceiver {
 
 // transmit delivers raw to all other transceivers in region.
 //
-// Delivery is synchronous and zero-copy on the clean path: receivers get a
-// Capture whose Raw aliases the transmitter's buffer (see Capture.Raw for
-// the ownership contract). Only the interceptor path copies, because
-// InterceptFunc is documented as free to mutate and retain its input.
+// Delivery is synchronous and zero-copy: receivers and the interceptor
+// see the transmitter's buffer (see Capture.Raw for the ownership
+// contract). Only a delayed delivery copies, since it outlives Transmit.
 func (m *Medium) transmit(from *Transceiver, raw []byte) error {
 	if len(raw) > protocol.MaxFrameSize {
 		m.tooLong.Add(1)
@@ -275,26 +277,29 @@ func (m *Medium) transmit(from *Transceiver, raw []byte) error {
 			t.deliver(Capture{At: at, Raw: raw})
 			continue
 		}
-		// make, not append: append rounds the capacity up to a size
-		// class, so short frames would miss the tiny allocator.
-		icopy := make([]byte, len(raw))
-		copy(icopy, raw)
-		deliveries := intercept(from.name, t.name, icopy)
+		deliveries := intercept(from.name, t.name, raw)
 		if len(deliveries) == 0 {
 			lost++
 			continue
 		}
 		for _, d := range deliveries {
-			if !bytes.Equal(d.Raw, raw) {
+			out := raw
+			if d.Raw != nil {
+				out = d.Raw
+			}
+			if !bytes.Equal(out, raw) {
 				corrupted++
 			}
 			if d.Delay <= 0 {
-				t.deliver(Capture{At: at, Raw: d.Raw})
+				t.deliver(Capture{At: at, Raw: out})
 				continue
 			}
-			t, d := t, d
+			// Shadow t so only this branch's copy escapes to the heap.
+			t, arrive, buf := t, at.Add(d.Delay), protocol.GetBuf()
+			*buf = append(*buf, out...)
 			m.clock.Schedule(airtime+d.Delay, func() {
-				t.deliver(Capture{At: at.Add(d.Delay), Raw: d.Raw})
+				t.deliver(Capture{At: arrive, Raw: *buf})
+				protocol.PutBuf(buf)
 			})
 		}
 	}

@@ -26,6 +26,7 @@ FuzzDecodeOutcome ./internal/harness
 FuzzCoordHandlers ./internal/coord
 FuzzRecover ./internal/checkpoint
 FuzzCorpusReplay ./internal/corpus
+FuzzParseProfile ./internal/chaos
 "
 
 # Minimisation of each new input is capped at 1s: the journal targets
