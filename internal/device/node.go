@@ -64,9 +64,9 @@ type Node struct {
 	learn bool
 
 	// Handler receives every application frame addressed to this node
-	// (or broadcast) after MAC validation. The frame is pool-backed and its
-	// payload aliases the capture buffer: both are valid only for the
-	// duration of the call, so retaining either requires a copy.
+	// (or broadcast) after MAC validation. The frame is the medium's shared
+	// read-only decode and its payload aliases the capture buffer: both are
+	// valid only for the duration of the call, so keeping either needs a copy.
 	Handler func(f *protocol.Frame)
 	// RawHook, if set, sees every capture before decoding; returning true
 	// consumes the frame. Controller models use it for the legacy MAC
@@ -84,6 +84,18 @@ type Node struct {
 
 	retry   *RetryPolicy
 	pending map[awaitKey]bool // false = awaiting ack, true = acked
+	idle    []*retryChain     // finished chains, reused by the next Send
+}
+
+// retryChain is one frame's pending retransmissions. A node reuses its
+// chains, each with fire bound once, so retrying allocates nothing.
+type retryChain struct {
+	n       *Node
+	key     awaitKey
+	raw     []byte
+	attempt int
+	delay   time.Duration
+	fire    func()
 }
 
 // SetRetry installs (or, with nil, removes) the node's retransmission
@@ -187,55 +199,61 @@ func (n *Node) Send(dst protocol.NodeID, payload []byte) error {
 	if n.retry == nil || n.retry.MaxAttempts < 2 || dst == protocol.NodeBroadcast {
 		return n.transmitFrame(f)
 	}
-	// The retry chain retains raw across scheduled retransmissions, so it
-	// gets a private (unpooled) encoding.
-	raw, err := f.Encode()
+	// The retry chain retains its encoding across scheduled
+	// retransmissions, so it encodes into the chain's own buffer. Frame
+	// delivery on the simulated medium is synchronous, so by the time
+	// Transmit returns the MAC ack — if it survived the channel — has
+	// already arrived and marked the wait; the healthy path therefore
+	// schedules nothing.
+	var c *retryChain
+	if k := len(n.idle); k > 0 {
+		c, n.idle = n.idle[k-1], n.idle[:k-1]
+	} else {
+		c = &retryChain{n: n}
+		c.fire = c.retransmit
+	}
+	raw, err := f.AppendEncode(c.raw[:0])
 	if err != nil {
 		return fmt.Errorf("device %s: %w", n.cfg.Name, err)
 	}
-	return n.sendReliable(dst, n.seq, raw)
-}
-
-// sendReliable transmits raw and arms the retry chain. Frame delivery on
-// the simulated medium is synchronous, so by the time Transmit returns the
-// MAC ack — if it survived the channel — has already arrived and marked
-// the wait; the healthy path therefore schedules nothing.
-func (n *Node) sendReliable(dst protocol.NodeID, seq byte, raw []byte) error {
-	key := awaitKey{dst: dst, seq: seq}
+	c.key, c.raw, c.attempt, c.delay = awaitKey{dst: dst, seq: n.seq}, raw, 2, n.retry.Backoff
 	if n.pending == nil {
 		n.pending = make(map[awaitKey]bool)
 	}
-	n.pending[key] = false
+	n.pending[c.key] = false
 	if err := n.trx.Transmit(raw); err != nil {
-		delete(n.pending, key)
+		delete(n.pending, c.key)
 		return err
 	}
-	n.armRetry(key, raw, 2, n.retry.Backoff)
+	n.armRetry(c)
 	return nil
 }
 
-// armRetry schedules transmission attempt number `attempt` after delay,
+// armRetry schedules transmission attempt number c.attempt after c.delay,
 // unless the frame has been acked or attempts are exhausted (either way
-// the wait is forgotten).
-func (n *Node) armRetry(key awaitKey, raw []byte, attempt int, delay time.Duration) {
-	if n.pending[key] || attempt > n.retry.MaxAttempts {
-		delete(n.pending, key)
+// the wait is forgotten and the chain goes idle).
+func (n *Node) armRetry(c *retryChain) {
+	if n.pending[c.key] || c.attempt > n.retry.MaxAttempts {
+		delete(n.pending, c.key)
+		n.idle = append(n.idle, c)
 		return
 	}
-	rp := n.retry
-	n.clock.Schedule(delay, func() {
-		if n.pending[key] {
-			delete(n.pending, key)
-			return
-		}
+	n.clock.Schedule(c.delay, c.fire)
+}
+
+// retransmit is the chain's timer: unless the ack arrived meanwhile, send
+// the frame again with the backoff doubled; then arm the next attempt.
+func (c *retryChain) retransmit() {
+	n := c.n
+	if !n.pending[c.key] {
 		mRetransmissions.Inc()
-		_ = n.trx.Transmit(raw)
-		next := delay * 2
-		if rp.MaxBackoff > 0 && next > rp.MaxBackoff {
-			next = rp.MaxBackoff
+		_ = n.trx.Transmit(c.raw)
+		c.attempt, c.delay = c.attempt+1, c.delay*2
+		if n.retry.MaxBackoff > 0 && c.delay > n.retry.MaxBackoff {
+			c.delay = n.retry.MaxBackoff
 		}
-		n.armRetry(key, raw, attempt+1, next)
-	})
+	}
+	n.armRetry(c)
 }
 
 // SendAck transmits a MAC transfer acknowledgement.
@@ -243,19 +261,17 @@ func (n *Node) SendAck(dst protocol.NodeID, seq byte) error {
 	return n.transmitFrame(protocol.NewAckFrame(n.cfg.Home, n.cfg.ID, dst, seq))
 }
 
-// onCapture is the MAC receive path. The decoded frame comes from the
-// frame pool and is returned when dispatch finishes, so Handler/OnAck must
-// not retain the *Frame or its payload past the call (the payload aliases
-// the capture buffer, which itself is only valid during the callback).
+// onCapture is the MAC receive path. The decoded frame is the medium's,
+// shared with the other receivers of the same bytes, so Handler/OnAck must
+// neither change nor retain the *Frame or its payload past the call.
 // Nested deliveries — a handler that transmits, triggering a synchronous
-// inbound ack — draw distinct frames from the pool, so reentrancy is safe.
+// inbound ack — decode in that transmission's own slot, so reentry is safe.
 func (n *Node) onCapture(c radio.Capture) {
 	if n.RawHook != nil && n.RawHook(c.Raw) {
 		return
 	}
-	f := protocol.GetFrame()
-	defer protocol.PutFrame(f)
-	if err := n.trx.Decode(f, c.Raw); err != nil {
+	f, err := c.Frame()
+	if err != nil {
 		// Malformed frames are dropped by the chipset, as on real silicon.
 		return
 	}

@@ -118,3 +118,39 @@ func TestRetryHealthyPathSchedulesNothing(t *testing.T) {
 		t.Fatalf("delivered %d copies on a clean channel, want 1", delivered)
 	}
 }
+
+// passThrough delivers a frame as transmitted; one shared slice, so the
+// interceptor below allocates nothing.
+var passThrough = []radio.Delivery{{}}
+
+// TestRetransmissionAllocatesNothing pins the retry chain's cost: on a
+// link that drops every ack, each retransmission after the first reuses
+// the chain's timer and encoding and allocates nothing.
+func TestRetransmissionAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	clock := vtime.NewSimClock()
+	m := radio.NewMedium(clock)
+	hub := NewNode(Config{Medium: m, Region: radio.RegionUS, Home: testHome, ID: 0x01, Name: "hub"})
+	peer := NewNode(Config{Medium: m, Region: radio.RegionUS, Home: testHome, ID: 0x02, Name: "peer"})
+	var delivered int
+	peer.Handler = func(*protocol.Frame) { delivered++ }
+	m.SetInterceptor(func(from, _ string, _ []byte) []radio.Delivery {
+		if from == "peer" {
+			return nil // the ack never makes it back
+		}
+		return passThrough
+	})
+	const backoff = 10 * time.Millisecond
+	hub.SetRetry(&RetryPolicy{MaxAttempts: 1000, Backoff: backoff, MaxBackoff: backoff})
+	if err := hub.Send(0x02, []byte{0x20, 0x01, 0xFF}); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { clock.Advance(backoff) }); allocs != 0 {
+		t.Fatalf("a retransmission allocates %.1f times, want 0", allocs)
+	}
+	if delivered != 1+101 {
+		t.Fatalf("peer saw %d copies, want the first send and 101 retransmissions", delivered)
+	}
+}

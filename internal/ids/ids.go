@@ -216,12 +216,11 @@ func (m *Monitor) onCapture(c radio.Capture) {
 	if !ok || home != m.home {
 		return
 	}
-	// Pool-backed decode: the frame (and its payload, which aliases the
-	// capture buffer) is done with before this callback returns — learn and
-	// detect copy what they keep into the model maps.
-	f := protocol.GetFrame()
-	defer protocol.PutFrame(f)
-	if err := m.trx.Decode(f, c.Raw); err != nil {
+	// The medium's shared decode: the frame (and its payload, which
+	// aliases the capture buffer) is done with before this callback
+	// returns — learn and detect copy what they keep into the model maps.
+	f, err := c.Frame()
+	if err != nil {
 		if !m.training {
 			m.raise(RuleMalformedFrame, SeverityMedium, src,
 				fmt.Sprintf("undecodable frame (%d bytes): %v", len(c.Raw), err))

@@ -9,6 +9,7 @@ package oracle
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -149,6 +150,16 @@ func (e Event) Signature() string {
 	return fmt.Sprintf("%s/0x%02X/0x%02X", e.Kind, e.Class, e.Cmd)
 }
 
+// Key is the comparable form of Signature: two events have equal keys
+// exactly when they have equal signatures.
+type Key struct {
+	Kind       Kind
+	Class, Cmd byte
+}
+
+// Key returns the event's deduplication key without formatting it.
+func (e Event) Key() Key { return Key{Kind: e.Kind, Class: e.Class, Cmd: e.Cmd} }
+
 // String implements fmt.Stringer.
 func (e Event) String() string {
 	return fmt.Sprintf("[%s] %s %s cmdcl=0x%02X cmd=0x%02X dur=%s: %s",
@@ -160,6 +171,8 @@ func (e Event) String() string {
 type Bus struct {
 	mu     sync.Mutex
 	events []Event
+	// subs is copy-on-write: Subscribe and Unsubscribe install a new
+	// slice, so Emit fans out over the one it read without copying it.
 	subs   []subscriber
 	nextID uint64
 
@@ -197,7 +210,7 @@ func (s *Subscription) Unsubscribe() {
 	defer b.mu.Unlock()
 	for i, sub := range b.subs {
 		if sub.id == s.id {
-			b.subs = append(b.subs[:i], b.subs[i+1:]...)
+			b.subs = slices.Delete(slices.Clone(b.subs), i, i+1)
 			break
 		}
 	}
@@ -213,7 +226,7 @@ func (b *Bus) Subscribe(fn func(Event)) *Subscription {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.nextID++
-	b.subs = append(b.subs, subscriber{id: b.nextID, fn: fn})
+	b.subs = append(slices.Clip(b.subs), subscriber{id: b.nextID, fn: fn})
 	return &Subscription{bus: b, id: b.nextID}
 }
 
@@ -242,8 +255,7 @@ func (b *Bus) Emit(e Event) {
 	b.mu.Lock()
 	b.events = append(b.events, e)
 	cov := b.cov
-	subs := make([]subscriber, len(b.subs))
-	copy(subs, b.subs)
+	subs := b.subs
 	b.mu.Unlock()
 	if cov != nil {
 		cov.OnOracle(int(e.Kind), e.Class, e.Cmd)

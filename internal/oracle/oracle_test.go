@@ -69,6 +69,30 @@ func TestUnsubscribeStopsDelivery(t *testing.T) {
 	}
 }
 
+// TestSubscriptionChangesDuringFanOut pins the bus's delivery rule when a
+// callback changes the subscriber set mid-emit: the event in flight still
+// reaches every callback attached when it was emitted, and only the next
+// event sees the change.
+func TestSubscriptionChangesDuringFanOut(t *testing.T) {
+	var b Bus
+	var got []string
+	var subB *Subscription
+	b.Subscribe(func(e Event) {
+		got = append(got, "a")
+		if e.Kind == NodeRemoved {
+			subB.Unsubscribe()
+			b.Subscribe(func(Event) { got = append(got, "d") })
+		}
+	})
+	subB = b.Subscribe(func(Event) { got = append(got, "b") })
+	b.Subscribe(func(Event) { got = append(got, "c") })
+	b.Emit(Event{Kind: NodeRemoved})
+	b.Emit(Event{Kind: HostCrash})
+	if want := "a b c a c d"; strings.Join(got, " ") != want {
+		t.Fatalf("deliveries = %v, want %s", got, want)
+	}
+}
+
 func TestUnsubscribeIdempotentAndNilSafe(t *testing.T) {
 	var b Bus
 	n := 0

@@ -4,14 +4,13 @@ import "testing"
 
 // BenchmarkFrameCodec measures one encode + decode cycle on the pooled,
 // append-into-caller-buffer fast path — the exact shape the radio hot loop
-// uses (AppendEncode into a pooled buffer, DecodeInto a pooled frame).
+// uses (AppendEncode into a pooled buffer, DecodeInto a reused frame).
 // The steady state is zero-alloc.
 func BenchmarkFrameCodec(b *testing.B) {
 	src := NewDataFrame(HomeID(0xC0DECAFE), 1, 2, []byte{0x25, 0x01, 0xFF})
 	buf := GetBuf()
 	defer PutBuf(buf)
-	f := GetFrame()
-	defer PutFrame(f)
+	f := new(Frame)
 
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -2,13 +2,13 @@ package protocol
 
 import "sync"
 
-// Frame-buffer and frame-struct pools for the per-frame hot path. A Table V
-// campaign moves hundreds of thousands of frames through encode, the radio
-// medium, and decode; recycling the two objects that dominate that loop —
-// the 64-byte raw buffer and the parsed Frame — keeps the steady path free
-// of garbage. Both pools are safe for concurrent use (parallel fleet
-// campaigns share them) and both are strictly optional: every API also
-// accepts plain allocated values.
+// Frame-buffer pool for the per-frame hot path. A Table V campaign moves
+// hundreds of thousands of frames through encode, the radio medium, and
+// decode; recycling the 64-byte raw buffer keeps the steady send path free
+// of garbage. The pool is safe for concurrent use (parallel fleet
+// campaigns share it) and strictly optional: every API also accepts plain
+// allocated values. Receive paths decode into the radio medium's shared,
+// pooled frame (radio.Capture.Frame).
 
 // bufPool recycles raw-frame byte buffers. Entries are pointers to slices so
 // Put does not itself allocate a header escape.
@@ -40,21 +40,4 @@ func PutBuf(p *[]byte) {
 		return
 	}
 	bufPool.Put(p)
-}
-
-// framePool recycles parsed Frame structs for receive paths that decode,
-// dispatch, and discard.
-var framePool = sync.Pool{New: func() any { return new(Frame) }}
-
-// GetFrame returns a zeroed Frame from the pool. Decode into it with
-// DecodeInto and release it with PutFrame once dispatch returns. Handlers
-// that want to keep a frame beyond the callback must deep-copy it (the
-// Payload alias included).
-func GetFrame() *Frame { return framePool.Get().(*Frame) }
-
-// PutFrame zeroes the frame (dropping its Payload alias so pooled frames
-// never pin raw buffers) and returns it to the pool.
-func PutFrame(f *Frame) {
-	*f = Frame{}
-	framePool.Put(f)
 }

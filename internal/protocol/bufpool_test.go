@@ -20,9 +20,8 @@ func TestGetBufAppendEncodeRoundtrip(t *testing.T) {
 	if len(*buf) != 0 {
 		t.Fatalf("AppendEncode must not store back into *buf, got len %d", len(*buf))
 	}
-	f := GetFrame()
-	defer PutFrame(f)
-	if err := DecodeInto(f, raw, ChecksumCS8); err != nil {
+	var f Frame
+	if err := DecodeInto(&f, raw, ChecksumCS8); err != nil {
 		t.Fatal(err)
 	}
 	if f.Home != src.Home || f.Src != src.Src || f.Dst != src.Dst {
@@ -64,21 +63,6 @@ func TestPutBufRejectsShrunkBuffers(t *testing.T) {
 	}
 }
 
-// TestPutFrameZeroes checks that pooled frames come back zeroed — a stale
-// Payload alias would pin a raw buffer and leak one user's bytes to the
-// next.
-func TestPutFrameZeroes(t *testing.T) {
-	f := GetFrame()
-	f.Home = 0xDEAD
-	f.Payload = []byte{1, 2, 3}
-	PutFrame(f)
-	g := GetFrame()
-	defer PutFrame(g)
-	if g.Home != 0 || g.Payload != nil || g.Src != 0 || g.Dst != 0 {
-		t.Fatalf("pooled frame not zeroed: %+v", g)
-	}
-}
-
 // TestAppendEncodeIntoPrefixedBuffer checks the append contract when dst
 // already holds bytes: the frame (and its checksum) must cover only the
 // appended region, leaving the prefix intact.
@@ -92,9 +76,8 @@ func TestAppendEncodeIntoPrefixedBuffer(t *testing.T) {
 	if !bytes.Equal(out[:2], prefix) {
 		t.Fatalf("prefix clobbered: %x", out[:2])
 	}
-	f := GetFrame()
-	defer PutFrame(f)
-	if err := DecodeInto(f, out[2:], ChecksumCS8); err != nil {
+	var f Frame
+	if err := DecodeInto(&f, out[2:], ChecksumCS8); err != nil {
 		t.Fatalf("suffix region does not decode standalone: %v", err)
 	}
 	if f.Home != src.Home {

@@ -19,12 +19,11 @@
 // locking. The steady encode/decode path is allocation-free when callers
 // use the pooled variants: AppendEncode writes into a caller-supplied
 // buffer (GetBuf/PutBuf recycle MaxFrameSize buffers through a shared
-// sync.Pool) and DecodeInto parses into a caller-supplied Frame
-// (GetFrame/PutFrame). Both pools are safe for concurrent use across
-// parallel fleet campaigns. Ownership rule: a decoded Frame's Payload
-// aliases the raw buffer it was parsed from, so a buffer must not be
-// returned with PutBuf while any Frame, Capture, or log entry still
-// references its bytes, and PutFrame zeroes the frame to drop that alias.
+// sync.Pool, safe for concurrent use across parallel fleet campaigns) and
+// DecodeInto parses into a caller-supplied Frame. Ownership rule: a
+// decoded Frame's Payload aliases the raw buffer it was parsed from, so a
+// buffer must not be returned with PutBuf while any Frame, Capture, or log
+// entry still references its bytes.
 // Encode and Decode remain as allocating conveniences for cold paths.
 package protocol
 

@@ -14,7 +14,7 @@
 //
 // A medium carries one campaign's frames and counts each of them once
 // (Stats): transmissions, deliveries, interceptor losses and rewrites, and
-// the receivers' decode outcomes (Transceiver.Decode). Nothing here writes
+// the receivers' decode outcomes (Capture.Frame). Nothing here writes
 // process-wide state per frame; the testbed publishes the counts when the
 // campaign ends.
 //
@@ -29,6 +29,11 @@
 // hook gets the same read-only, call-scoped view (InterceptFunc); only a
 // delayed delivery is copied, into a pooled buffer, because the
 // transmitter reuses its buffer once Transmit returns.
+//
+// Each transmission is decoded at most once: its receivers share one
+// pooled decode (Capture.Frame), made when the first asks; a rewrite or a
+// delayed copy gets its own. The frame is read-only and valid only for the
+// callback, like Raw; Capture.Clone keeps a capture past it.
 //
 // Each Transceiver caches its fan-out (attached same-region in-range peers,
 // in attach order). Attach, Place, SetRange and Detach bump the medium's
@@ -105,10 +110,55 @@ type Capture struct {
 	// Raw is the frame bytes as received. The slice is owned by the medium
 	// and valid only for the duration of the receiver callback: it is the
 	// transmitter's buffer, an interceptor's rewrite, or for a delayed
-	// delivery a pooled copy. Receivers must not mutate it, and must copy
-	// it before retaining it past the callback (Sniffer and the attacker
-	// dongle both do).
+	// delivery a pooled copy. Receivers must not mutate it, and must
+	// Clone the capture before retaining it past the callback (Sniffer
+	// and the attacker dongle both do).
 	Raw []byte
+
+	m    *Medium    // counts Frame's outcomes
+	slot *frameSlot // decode shared with the other receivers of Raw
+}
+
+// frameSlot is one delivery's receive decode, made by the first Frame
+// call and shared by every later one until the delivery returns it.
+type frameSlot struct {
+	done bool
+	err  error
+	f    protocol.Frame
+}
+
+var slotPool = sync.Pool{New: func() any { return new(frameSlot) }}
+
+func putSlot(s *frameSlot) {
+	*s = frameSlot{}
+	slotPool.Put(s)
+}
+
+// Frame is the chipset's receive decode: Raw parsed under the CS-8
+// checksum, counted on the medium as one decoded or failed capture per
+// call. Receivers of the same transmitted bytes share one decode, so the
+// frame is read-only, and like Raw it is valid only for the callback.
+func (c Capture) Frame() (*protocol.Frame, error) {
+	s := c.slot
+	if s == nil {
+		s = new(frameSlot)
+	}
+	if !s.done {
+		s.err, s.done = protocol.DecodeInto(&s.f, c.Raw, protocol.ChecksumCS8), true
+	}
+	if c.m != nil {
+		c.m.countDecode(s.err)
+	}
+	if s.err != nil {
+		return nil, s.err
+	}
+	return &s.f, nil
+}
+
+// Clone returns a copy of c that owns its bytes and may be kept past the
+// callback; its Frame decodes the copy afresh on every call.
+func (c Capture) Clone() Capture {
+	return Capture{At: c.At, Raw: append([]byte(nil), c.Raw...), m: c.m}
 }
 
 // Delivery is one frame instance an interceptor wants delivered to a
@@ -257,6 +307,8 @@ func (m *Medium) peersOf(from *Transceiver) []*Transceiver {
 // Delivery is synchronous and zero-copy: receivers and the interceptor
 // see the transmitter's buffer (see Capture.Raw for the ownership
 // contract). Only a delayed delivery copies, since it outlives Transmit.
+// The decode slot is per call, not per transceiver: a receiver may
+// transmit from its callback, even back through this transceiver.
 func (m *Medium) transmit(from *Transceiver, raw []byte) error {
 	if len(raw) > protocol.MaxFrameSize {
 		m.tooLong.Add(1)
@@ -272,9 +324,10 @@ func (m *Medium) transmit(from *Transceiver, raw []byte) error {
 	airtime := Airtime(len(raw))
 	at := m.clock.Now().Add(airtime)
 	lost, corrupted := 0, 0
+	shared := slotPool.Get().(*frameSlot)
 	for _, t := range targets {
 		if intercept == nil {
-			t.deliver(Capture{At: at, Raw: raw})
+			t.deliver(Capture{At: at, Raw: raw, slot: shared})
 			continue
 		}
 		deliveries := intercept(from.name, t.name, raw)
@@ -283,15 +336,13 @@ func (m *Medium) transmit(from *Transceiver, raw []byte) error {
 			continue
 		}
 		for _, d := range deliveries {
-			out := raw
-			if d.Raw != nil {
-				out = d.Raw
-			}
-			if !bytes.Equal(out, raw) {
+			out, slot := raw, shared
+			if d.Raw != nil && !bytes.Equal(d.Raw, raw) {
+				out, slot = d.Raw, nil
 				corrupted++
 			}
 			if d.Delay <= 0 {
-				t.deliver(Capture{At: at, Raw: out})
+				t.deliver(Capture{At: at, Raw: out, slot: slot})
 				continue
 			}
 			// Shadow t so only this branch's copy escapes to the heap.
@@ -303,6 +354,7 @@ func (m *Medium) transmit(from *Transceiver, raw []byte) error {
 			})
 		}
 	}
+	putSlot(shared)
 	if intercept != nil {
 		m.lost.Add(int64(lost))
 		m.corrupted.Add(int64(corrupted))
@@ -322,6 +374,18 @@ func (m *Medium) transmit(from *Transceiver, raw []byte) error {
 	}
 	m.clock.Schedule(airtime, func() {})
 	return nil
+}
+
+// countDecode counts one receive decode's outcome.
+func (m *Medium) countDecode(err error) {
+	switch {
+	case err == nil:
+		m.decoded.Add(1)
+		return
+	case errors.Is(err, protocol.ErrBadChecksum):
+		m.checksumFail.Add(1)
+	}
+	m.decodeFail.Add(1)
 }
 
 // securityClassOf classifies a raw frame's transport encapsulation by its
@@ -402,30 +466,23 @@ func (t *Transceiver) Place(x, y float64) {
 	t.medium.gen.Add(1)
 }
 
-// Decode is the chipset's receive decode: it parses a captured frame
-// under the CS-8 checksum into f (protocol.DecodeInto) and counts the
-// outcome on the medium.
-func (t *Transceiver) Decode(f *protocol.Frame, raw []byte) error {
-	err := protocol.DecodeInto(f, raw, protocol.ChecksumCS8)
-	switch {
-	case err == nil:
-		t.medium.decoded.Add(1)
-		return nil
-	case errors.Is(err, protocol.ErrBadChecksum):
-		t.medium.checksumFail.Add(1)
-	}
-	t.medium.decodeFail.Add(1)
-	return err
-}
-
 // deliver hands a capture to the installed handler. A transceiver detached
-// after target selection drops the frame instead of delivering late.
+// after target selection drops the frame instead of delivering late. A
+// capture without the transmission's decode slot (a rewrite, a delayed
+// copy) gets one of its own for the call.
 func (t *Transceiver) deliver(c Capture) {
 	if t.detached.Load() {
 		return
 	}
 	t.medium.rx.Add(1)
-	if fn := t.handler.Load(); fn != nil && *fn != nil {
-		(*fn)(c)
+	fn := t.handler.Load()
+	if fn == nil || *fn == nil {
+		return
 	}
+	c.m = t.medium
+	if c.slot == nil {
+		c.slot = slotPool.Get().(*frameSlot)
+		defer putSlot(c.slot)
+	}
+	(*fn)(c)
 }

@@ -131,26 +131,40 @@ func TestStatsCount(t *testing.T) {
 	}
 }
 
-// TestTransceiverDecodeCountsOutcomes checks that the chipset decode
-// counts each outcome once on the medium: a checksum failure is also a
-// decode failure, a structural failure is only a decode failure.
-func TestTransceiverDecodeCountsOutcomes(t *testing.T) {
+// TestCaptureFrameCountsOutcomes checks that the chipset decode counts
+// each outcome once on the medium: a checksum failure is also a decode
+// failure, a structural failure is only a decode failure.
+func TestCaptureFrameCountsOutcomes(t *testing.T) {
 	m := newTestMedium()
 	a := m.Attach("a", RegionEU)
+	b := m.Attach("b", RegionEU)
+	var dst protocol.NodeID
+	var err error
+	b.SetReceiver(func(c Capture) {
+		var f *protocol.Frame
+		if f, err = c.Frame(); err == nil {
+			dst = f.Dst
+		}
+	})
 	good := protocol.NewDataFrame(1, 1, 2, []byte{0x20, 0x02}).MustEncode()
 	bad := append([]byte(nil), good...)
 	bad[protocol.HeaderSize] ^= 0x01
-	var f protocol.Frame
-	if err := a.Decode(&f, good); err != nil || f.Dst != 2 {
-		t.Fatalf("Decode(good) = %v, frame %+v", err, f)
+	send := func(raw []byte) error {
+		if terr := a.Transmit(raw); terr != nil {
+			t.Fatal(terr)
+		}
+		return err
 	}
-	if err := a.Decode(&f, bad); !errors.Is(err, protocol.ErrBadChecksum) {
-		t.Fatalf("Decode(flipped) = %v, want ErrBadChecksum", err)
+	if err := send(good); err != nil || dst != 2 {
+		t.Fatalf("Frame(good) = %v, dst %v", err, dst)
 	}
-	if err := a.Decode(&f, good[:3]); !errors.Is(err, protocol.ErrFrameTooShort) {
-		t.Fatalf("Decode(runt) = %v, want ErrFrameTooShort", err)
+	if err := send(bad); !errors.Is(err, protocol.ErrBadChecksum) {
+		t.Fatalf("Frame(flipped) = %v, want ErrBadChecksum", err)
 	}
-	want := Stats{Decoded: 1, DecodeFail: 2, ChecksumFail: 1}
+	if err := send(good[:3]); !errors.Is(err, protocol.ErrFrameTooShort) {
+		t.Fatalf("Frame(runt) = %v, want ErrFrameTooShort", err)
+	}
+	want := Stats{Tx: 3, Rx: 3, Decoded: 1, DecodeFail: 2, ChecksumFail: 1}
 	if s := m.Stats(); s != want {
 		t.Fatalf("stats = %+v, want %+v", s, want)
 	}
@@ -212,8 +226,7 @@ func TestNoiseImpairmentCorruptsChecksum(t *testing.T) {
 	b := m.Attach("b", RegionEU)
 	bad := 0
 	b.SetReceiver(func(c Capture) {
-		var f protocol.Frame
-		if err := b.Decode(&f, c.Raw); err != nil {
+		if _, err := c.Frame(); err != nil {
 			bad++
 		}
 	})

@@ -28,11 +28,10 @@ func NewSniffer(m *Medium, region Region, limit int) *Sniffer {
 }
 
 // onFrame records a capture, evicting the oldest beyond the limit. The
-// incoming Raw is only valid for the duration of this callback (it may
-// alias the transmitter's buffer or a pooled copy), so retention requires
-// a private copy.
+// incoming Raw and its decode are only valid for the duration of this
+// callback, so retention requires a Clone.
 func (s *Sniffer) onFrame(c Capture) {
-	c.Raw = append([]byte(nil), c.Raw...)
+	c = c.Clone()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.captures = append(s.captures, c)

@@ -8,6 +8,7 @@
 package dongle
 
 import (
+	"slices"
 	"time"
 
 	"zcover/internal/protocol"
@@ -34,33 +35,58 @@ const (
 )
 
 // Dongle is the attacker's transceiver. Like a campaign's other actors it
-// is confined to the single simulation goroutine, so its capture buffer
-// and scrap list need no locking.
+// is confined to the single simulation goroutine, so its exchange state
+// needs no locking.
 type Dongle struct {
 	clock *vtime.SimClock
 	trx   *radio.Transceiver
+	sent  int
 
-	buffer []radio.Capture
-	scrap  [][]byte // recycled capture-copy buffers for internal exchanges
-	sent   int
+	// observed collects kept captures while Observe listens; nil otherwise.
+	observed *[]radio.Capture
+	// live is set while SendAndObserve listens: the exchange's addresses
+	// and the outcome built from each capture as it arrives.
+	live            bool
+	home            protocol.HomeID
+	local, peer     protocol.NodeID
+	ex              Exchange
+	responsePayload []byte
 }
 
 // New attaches a dongle to the medium on the given region.
 func New(m *radio.Medium, region radio.Region) *Dongle {
 	d := &Dongle{clock: m.Clock()}
 	d.trx = m.Attach("zcover-dongle", region)
-	d.trx.SetReceiver(func(c radio.Capture) {
-		// Capture.Raw is valid only during the callback, so buffering it
-		// requires a copy; internal exchanges recycle these copies through
-		// d.scrap, making the steady-state fuzzing cycle allocation-free.
-		var buf []byte
-		if n := len(d.scrap); n > 0 {
-			buf, d.scrap = d.scrap[n-1][:0], d.scrap[:n-1]
-		}
-		c.Raw = append(buf, c.Raw...)
-		d.buffer = append(d.buffer, c)
-	})
+	d.trx.SetReceiver(d.onCapture)
 	return d
+}
+
+// onCapture keeps a copy of each capture inside Observe and classifies
+// each one inside SendAndObserve; at any other time the dongle ignores
+// the air.
+func (d *Dongle) onCapture(c radio.Capture) {
+	if d.observed != nil {
+		*d.observed = append(*d.observed, c.Clone())
+		return
+	}
+	if !d.live {
+		return
+	}
+	f, err := c.Frame()
+	if err != nil || f.Home != d.home || f.Src != d.peer || f.Dst != d.local {
+		return
+	}
+	if f.IsAck() {
+		d.ex.Acked = true
+		return
+	}
+	// The frame is the medium's, valid only for this call: copy it into
+	// storage the next exchange reuses.
+	start := len(d.responsePayload)
+	d.responsePayload = append(d.responsePayload, f.Payload...)
+	resp := *f
+	resp.Payload = slices.Clip(d.responsePayload[start:])
+	d.ex.Responses = append(d.ex.Responses, resp)
 }
 
 // Clock exposes the simulated clock the dongle advances while waiting.
@@ -69,31 +95,15 @@ func (d *Dongle) Clock() *vtime.SimClock { return d.clock }
 // PacketsSent reports the number of frames injected so far.
 func (d *Dongle) PacketsSent() int { return d.sent }
 
-// Drain returns and clears the capture buffer. Ownership of the returned
-// captures (including their Raw bytes) transfers to the caller; the dongle
-// starts a fresh buffer rather than recycling theirs.
-func (d *Dongle) Drain() []radio.Capture {
-	out := d.buffer
-	d.buffer = nil
-	return out
-}
-
-// recycleBuffered discards buffered captures, returning their byte copies
-// to the scrap list for the receiver to reuse. Internal exchange paths use
-// this instead of Drain so the hot fuzzing loop does not allocate.
-func (d *Dongle) recycleBuffered() {
-	for i := range d.buffer {
-		d.scrap = append(d.scrap, d.buffer[i].Raw)
-		d.buffer[i] = radio.Capture{}
-	}
-	d.buffer = d.buffer[:0]
-}
-
-// Observe listens for the given window and returns everything captured.
-// This is the passive-scanning primitive.
+// Observe listens for the given window and returns a copy of every frame
+// captured in it, which the caller owns. This is the passive-scanning
+// primitive.
 func (d *Dongle) Observe(window time.Duration) []radio.Capture {
+	var out []radio.Capture
+	d.observed = &out
 	d.clock.Advance(window)
-	return d.Drain()
+	d.observed = nil
+	return out
 }
 
 // SendRaw injects a raw frame (used by the VFuzz baseline, whose mutations
@@ -122,47 +132,26 @@ type Exchange struct {
 	// Acked reports whether the destination MAC-acked the frame.
 	Acked bool
 	// Responses holds application frames the destination sent back to the
-	// spoofed source during the window.
-	Responses []*protocol.Frame
+	// spoofed source during the window. They live in dongle storage that
+	// the next SendAndObserve or Ping reuses: copy one to keep it longer.
+	Responses []protocol.Frame
 }
 
 // SendAndObserve injects an application payload and watches the air for
-// the response window, classifying what came back.
+// the response window, classifying each frame as it arrives.
 func (d *Dongle) SendAndObserve(home protocol.HomeID, src, dst protocol.NodeID, payload []byte, window time.Duration) (Exchange, error) {
 	if window <= 0 {
 		window = DefaultResponseWindow
 	}
-	d.recycleBuffered()
+	d.ex = Exchange{Responses: d.ex.Responses[:0]}
+	d.responsePayload = d.responsePayload[:0]
+	d.home, d.local, d.peer, d.live = home, src, dst, true
+	defer func() { d.live = false }()
 	if err := d.Send(home, src, dst, payload); err != nil {
 		return Exchange{}, err
 	}
 	d.clock.Advance(window)
-	return d.classify(home, src, dst), nil
-}
-
-// classify inspects the buffered captures for acks and responses from dst
-// back to the spoofed src, then recycles the capture copies. Responses are
-// handed out with private payload copies, so recycling is invisible to
-// callers.
-func (d *Dongle) classify(home protocol.HomeID, src, dst protocol.NodeID) Exchange {
-	var ex Exchange
-	f := protocol.GetFrame()
-	defer protocol.PutFrame(f)
-	for i := range d.buffer {
-		err := d.trx.Decode(f, d.buffer[i].Raw)
-		if err != nil || f.Home != home || f.Src != dst || f.Dst != src {
-			continue
-		}
-		if f.IsAck() {
-			ex.Acked = true
-			continue
-		}
-		resp := *f
-		resp.Payload = append([]byte{}, f.Payload...)
-		ex.Responses = append(ex.Responses, &resp)
-	}
-	d.recycleBuffered()
-	return ex
+	return d.ex, nil
 }
 
 // Ping sends a NOP liveness probe and reports whether dst acked — the

@@ -1,6 +1,7 @@
 package dongle
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -84,20 +85,74 @@ func TestSendRawCountsPackets(t *testing.T) {
 	}
 }
 
-func TestDrainClearsBuffer(t *testing.T) {
+func TestObserveReturnsOnlyItsWindowsCaptures(t *testing.T) {
 	tb, err := testbed.New("D1", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := New(tb.Medium, tb.Region)
+	// Traffic before the window and an exchange's frames are not kept.
 	if err := tb.Lock.ReportStatus(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(d.Drain()); got == 0 {
-		t.Fatal("no captures buffered")
+	if _, err := d.SendAndObserve(tb.Home(), 0x0F, testbed.ControllerID,
+		[]byte{0x86, 0x11}, DefaultResponseWindow); err != nil {
+		t.Fatal(err)
 	}
-	if got := len(d.Drain()); got != 0 {
-		t.Fatalf("second drain returned %d captures", got)
+	from := tb.Clock.Now()
+	tb.ScheduleTraffic(2, 10*time.Second)
+	caps := d.Observe(30 * time.Second)
+	if len(caps) < 4 { // 2 lock reports + 2 switch reports (+ acks)
+		t.Fatalf("captured %d frames, want >= 4", len(caps))
+	}
+	for _, c := range caps {
+		if c.At.Before(from) {
+			t.Fatalf("capture at %v precedes the window starting %v", c.At, from)
+		}
+	}
+	// The window's captures are the caller's: the next frames on the air
+	// leave them intact.
+	kept := append([]byte(nil), caps[0].Raw...)
+	if err := tb.Lock.ReportStatus(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(caps[0].Raw, kept) {
+		t.Fatal("a later frame overwrote a returned capture")
+	}
+	if got := len(d.Observe(time.Second)); got != 0 {
+		t.Fatalf("quiet window returned %d captures", got)
+	}
+}
+
+// TestExchangeSteadyStateAllocs pins the attacker side of the fuzzing
+// cycle: once its storage is warm, an exchange that draws an ack and a
+// response allocates nothing, and its response holds the bytes sent back.
+func TestExchangeSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	const home = protocol.HomeID(0xCB95A34A)
+	m := radio.NewMedium(vtime.NewSimClock())
+	d := New(m, radio.RegionEU)
+	peer := m.Attach("peer", radio.RegionEU)
+	ack := protocol.NewAckFrame(home, 1, 0x0F, 0).MustEncode()
+	reply := protocol.NewDataFrame(home, 1, 0x0F, []byte{0x86, 0x12, 0x03}).MustEncode()
+	peer.SetReceiver(func(radio.Capture) {
+		_ = peer.Transmit(ack)
+		_ = peer.Transmit(reply)
+	})
+	var ex Exchange
+	exchange := func() {
+		var err error
+		if ex, err = d.SendAndObserve(home, 0x0F, 1, []byte{0x86, 0x11}, DefaultResponseWindow); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, exchange); allocs != 0 {
+		t.Fatalf("exchange allocates %.1f times, want 0", allocs)
+	}
+	if !ex.Acked || len(ex.Responses) != 1 || !bytes.Equal(ex.Responses[0].Payload, []byte{0x86, 0x12, 0x03}) {
+		t.Fatalf("exchange = %+v", ex)
 	}
 }
 

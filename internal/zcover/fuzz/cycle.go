@@ -47,7 +47,7 @@ type Cycle struct {
 	txAt       time.Time
 	nextSample time.Duration
 	pending    []oracle.Event
-	seen       map[string]bool
+	seen       map[oracle.Key]bool
 }
 
 // NewCycle builds the test cycle of a campaign against the target
@@ -61,7 +61,7 @@ func NewCycle(d *dongle.Dongle, home protocol.HomeID, target protocol.NodeID, cf
 	}
 	return &Cycle{
 		dongle: d, clock: d.Clock(), home: home, target: target, cfg: cfg,
-		seen: make(map[string]bool),
+		seen: make(map[oracle.Key]bool),
 	}, nil
 }
 
@@ -104,12 +104,11 @@ func (c *Cycle) Inject() {
 func (c *Cycle) Drain(trigger []byte) bool {
 	found := false
 	for _, ev := range c.pending {
-		sig := ev.Signature()
-		if c.seen[sig] {
+		if c.seen[ev.Key()] {
 			c.res.Duplicates++
 			continue
 		}
-		c.seen[sig] = true
+		c.seen[ev.Key()] = true
 		found = true
 		if lat := ev.At.Sub(c.txAt); lat >= 0 {
 			mDetectLatencyMS.Observe(float64(lat) / float64(time.Millisecond))
@@ -119,7 +118,7 @@ func (c *Cycle) Drain(trigger []byte) bool {
 			ev.Confidence = oracle.ConfidenceSuspect
 		}
 		finding := Finding{
-			Signature:      sig,
+			Signature:      ev.Signature(),
 			Event:          ev,
 			TriggerPayload: append([]byte{}, trigger...), // trigger may be a reused buffer
 			Packets:        c.res.PacketsSent,
