@@ -32,6 +32,11 @@ func newRig(t *testing.T, index string) *testRig {
 	if !ok {
 		t.Fatalf("unknown profile %s", index)
 	}
+	return newRigProfile(profile)
+}
+
+// newRigProfile is newRig for an explicit (possibly edited) profile.
+func newRigProfile(profile Profile) *testRig {
 	r := &testRig{clock: vtime.NewSimClock(), bus: &oracle.Bus{}}
 	r.medium = radio.NewMedium(r.clock)
 	r.bus.Subscribe(func(e oracle.Event) { r.events = append(r.events, e) })
