@@ -2,31 +2,60 @@ package controller
 
 import (
 	"testing"
+	"time"
 
-	"zcover/internal/device"
 	"zcover/internal/oracle"
 	"zcover/internal/protocol"
 	"zcover/internal/radio"
 	"zcover/internal/vtime"
 )
 
+// dispatchRig attaches a controller with the given profile and a bare
+// transceiver to inject raw frames from node 0x0F with.
+func dispatchRig(profile Profile) (*vtime.SimClock, *radio.Transceiver) {
+	clock := vtime.NewSimClock()
+	m := radio.NewMedium(clock)
+	New(m, radio.RegionUS, profile, &oracle.Bus{})
+	return clock, m.Attach("raw", radio.RegionUS)
+}
+
 // BenchmarkDispatch measures the controller's receive path end to end
-// (frame decode, bug-model evaluation, responder lookup, reply).
+// (frame decode, bug-model evaluation, responder lookup, reply), letting
+// the medium's airtime events fire after each frame as a campaign does.
 func BenchmarkDispatch(b *testing.B) {
 	profile, _ := ProfileByIndex("D1")
-	m := radio.NewMedium(vtime.NewSimClock())
-	ctrl := New(m, radio.RegionUS, profile, &oracle.Bus{})
-	_ = ctrl
-	attacker := device.NewNode(device.Config{
-		Medium: m, Region: radio.RegionUS, Home: profile.Home, ID: 0x0F, Name: "attacker",
-	})
+	clock, trx := dispatchRig(profile)
 	raw := protocol.NewDataFrame(profile.Home, 0x0F, 0x01, []byte{0x86, 0x11}).MustEncode()
-	_ = attacker
-	trx := m.Attach("raw", radio.RegionUS)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := trx.Transmit(raw); err != nil {
 			b.Fatal(err)
+		}
+		clock.Advance(time.Second)
+	}
+}
+
+// TestDispatchSteadyStateAllocs holds the reply path to zero garbage:
+// once warm, receiving any of the 53 responding commands and sending its
+// reply allocates nothing.
+func TestDispatchSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	profile, _ := ProfileByIndex("D1")
+	profile.Bugs, profile.MACBugs = nil, nil
+	clock, trx := dispatchRig(profile)
+	for _, sc := range SupportedCommands() {
+		payload := []byte{byte(sc.Class), byte(sc.Cmd), 0x01}
+		raw := protocol.NewDataFrame(profile.Home, 0x0F, 0x01, payload).MustEncode()
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := trx.Transmit(raw); err != nil {
+				t.Fatal(err)
+			}
+			clock.Advance(time.Second)
+		})
+		if allocs != 0 {
+			t.Errorf("dispatching % X allocates %.2f times per frame, want 0", payload, allocs)
 		}
 	}
 }

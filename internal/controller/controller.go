@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"slices"
 	"time"
 
 	"zcover/internal/cmdclass"
@@ -254,21 +255,10 @@ func (c *Controller) associate(group byte, id protocol.NodeID) {
 
 // disassociate removes a node from a group (all groups when group is 0).
 func (c *Controller) disassociate(group byte, id protocol.NodeID) {
-	groups := []byte{group}
-	if group == 0 {
-		groups = groups[:0]
-		for g := range c.associations {
-			groups = append(groups, g)
+	for g, members := range c.associations {
+		if group == 0 || g == group {
+			c.associations[g] = slices.DeleteFunc(members, func(m protocol.NodeID) bool { return m == id })
 		}
-	}
-	for _, g := range groups {
-		members := c.associations[g][:0]
-		for _, m := range c.associations[g] {
-			if m != id {
-				members = append(members, m)
-			}
-		}
-		c.associations[g] = members
 	}
 }
 
@@ -300,7 +290,9 @@ func (c *Controller) dispatch(f *protocol.Frame) {
 				if c.cov != nil && len(plain) >= 2 {
 					c.cov.OnDispatch(plain[0], plain[1], 0, true)
 				}
-				c.consumeSecured(f.Src, plain)
+				// Secured reports are consumed silently; the hub forwards
+				// them to the cloud, which the simulation does not model
+				// beyond host health.
 				return
 			}
 		}
@@ -309,21 +301,6 @@ func (c *Controller) dispatch(f *protocol.Frame) {
 	}
 
 	c.dispatchPayload(f.Src, payload, 0)
-}
-
-// consumeSecured processes an S2-decapsulated payload from a paired slave
-// (status reports and the like).
-func (c *Controller) consumeSecured(src protocol.NodeID, plain []byte) {
-	// Reports are consumed silently; the hub forwards them to the cloud,
-	// which the simulation does not model beyond host health.
-	_ = src
-	_ = plain
-}
-
-// reply sends an application payload back and counts it.
-func (c *Controller) reply(dst protocol.NodeID, payload []byte) {
-	c.stats.Replies++
-	_ = c.node.Send(dst, payload)
 }
 
 // hang wedges the controller for d and emits the matching oracle event.

@@ -551,3 +551,47 @@ func TestNodeTableSnapshotRestore(t *testing.T) {
 		t.Fatal("Get leaked internal state")
 	}
 }
+
+// TestNodeTableRandomPutDelete checks the table against a map under
+// random Put/Delete: IDs stays strictly ascending and complete, Get
+// returns the record last put, and the range mask covers nodes 1–8.
+func TestNodeTableRandomPutDelete(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	tbl := NewNodeTable()
+	model := map[protocol.NodeID]NodeRecord{}
+	for step := 0; step < 2000; step++ {
+		id := protocol.NodeID(rng.Intn(40))
+		if rng.Intn(3) == 0 {
+			_, had := model[id]
+			if got := tbl.Delete(id); got != had {
+				t.Fatalf("step %d: Delete(%d) = %v, want %v", step, id, got, had)
+			}
+			delete(model, id)
+		} else {
+			r := NodeRecord{ID: id, Generic: byte(step), Classes: []cmdclass.ClassID{cmdclass.ClassID(step)}}
+			tbl.Put(r)
+			model[id] = r
+		}
+		ids := tbl.IDs()
+		if len(ids) != len(model) || tbl.Len() != len(model) {
+			t.Fatalf("step %d: %d IDs, Len %d, want %d", step, len(ids), tbl.Len(), len(model))
+		}
+		mask := byte(0)
+		for i, id := range ids {
+			if i > 0 && ids[i-1] >= id {
+				t.Fatalf("step %d: IDs not strictly ascending: %v", step, ids)
+			}
+			want, ok := model[id]
+			got, found := tbl.Get(id)
+			if !ok || !found || got.Generic != want.Generic || got.Classes[0] != want.Classes[0] {
+				t.Fatalf("step %d: Get(%d) = %+v, want %+v", step, id, got, want)
+			}
+			if id >= 1 && id <= 8 {
+				mask |= 1 << (id - 1)
+			}
+		}
+		if got := tbl.rangeMask(); got != mask {
+			t.Fatalf("step %d: rangeMask = %08b, want %08b", step, got, mask)
+		}
+	}
+}

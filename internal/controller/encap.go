@@ -67,11 +67,10 @@ func (c *Controller) dispatchPayload(src protocol.NodeID, payload []byte, depth 
 			// inner command is processed and confirmed with a supervision
 			// report; anything else falls through to the plain responder.
 			if len(inner) >= 2 {
-				session := inner[0] & 0x3F
 				n := int(inner[1])
 				if n > 0 && n <= len(inner)-2 {
 					c.dispatchPayload(src, inner[2:2+n], depth+1)
-					c.reply(src, []byte{byte(cmdclass.ClassSupervision), 0x02, session, 0xFF, 0x00})
+					c.respond(src, cmdclass.ClassSupervision, 0x01, inner) // SUPERVISION_REPORT: success
 					return
 				}
 			}
@@ -106,7 +105,5 @@ func (c *Controller) dispatchPayload(src protocol.NodeID, payload []byte, depth 
 			return
 		}
 	}
-	if reply := c.respond(class, cmd, params); reply != nil {
-		c.reply(src, reply)
-	}
+	c.respond(src, class, cmd, params)
 }

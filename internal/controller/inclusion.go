@@ -116,12 +116,8 @@ func (c *Controller) handleJoin(params []byte) {
 
 // nextFreeNodeID allocates the lowest unused unicast node ID.
 func (c *Controller) nextFreeNodeID() protocol.NodeID {
-	used := make(map[protocol.NodeID]bool)
-	for _, id := range c.table.IDs() {
-		used[id] = true
-	}
 	for id := protocol.NodeID(2); id <= protocol.MaxUnicastNode; id++ {
-		if !used[id] {
+		if _, used := c.table.find(id); !used {
 			return id
 		}
 	}

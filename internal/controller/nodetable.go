@@ -16,8 +16,9 @@
 package controller
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"zcover/internal/cmdclass"
@@ -47,36 +48,48 @@ func (r NodeRecord) clone() NodeRecord {
 	return out
 }
 
-// NodeTable is the controller's device database. It is not safe for
-// concurrent use; the simulation is single-threaded.
+// NodeTable is the controller's device database, its records kept in a
+// slice sorted by ID. It is not safe for concurrent use; the simulation is
+// single-threaded.
 type NodeTable struct {
-	records map[protocol.NodeID]NodeRecord
+	records []NodeRecord
 }
 
 // NewNodeTable returns an empty table.
-func NewNodeTable() *NodeTable {
-	return &NodeTable{records: make(map[protocol.NodeID]NodeRecord)}
+func NewNodeTable() *NodeTable { return &NodeTable{} }
+
+// find locates id's record, or the index where it would be inserted.
+func (t *NodeTable) find(id protocol.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(t.records, id, func(r NodeRecord, id protocol.NodeID) int {
+		return cmp.Compare(r.ID, id)
+	})
 }
 
 // Put inserts or replaces a record.
-func (t *NodeTable) Put(r NodeRecord) { t.records[r.ID] = r.clone() }
+func (t *NodeTable) Put(r NodeRecord) {
+	if i, ok := t.find(r.ID); ok {
+		t.records[i] = r.clone()
+	} else {
+		t.records = slices.Insert(t.records, i, r.clone())
+	}
+}
 
 // Get returns the record for id.
 func (t *NodeTable) Get(id protocol.NodeID) (NodeRecord, bool) {
-	r, ok := t.records[id]
+	i, ok := t.find(id)
 	if !ok {
 		return NodeRecord{}, false
 	}
-	return r.clone(), true
+	return t.records[i].clone(), true
 }
 
 // Delete removes the record for id, reporting whether it existed.
 func (t *NodeTable) Delete(id protocol.NodeID) bool {
-	if _, ok := t.records[id]; !ok {
-		return false
+	i, ok := t.find(id)
+	if ok {
+		t.records = slices.Delete(t.records, i, i+1)
 	}
-	delete(t.records, id)
-	return true
+	return ok
 }
 
 // Len reports the number of records.
@@ -84,38 +97,47 @@ func (t *NodeTable) Len() int { return len(t.records) }
 
 // IDs returns the node IDs in ascending order.
 func (t *NodeTable) IDs() []protocol.NodeID {
-	out := make([]protocol.NodeID, 0, len(t.records))
-	for id := range t.records {
-		out = append(out, id)
+	out := make([]protocol.NodeID, len(t.records))
+	for i, r := range t.records {
+		out[i] = r.ID
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// rangeMask is the one-byte neighbour mask of nodes 1–8 that the range
+// reports carry.
+func (t *NodeTable) rangeMask() byte {
+	mask := byte(0)
+	for _, r := range t.records {
+		if r.ID > 8 {
+			break
+		}
+		mask |= 1 << (r.ID - 1)
+	}
+	return mask
 }
 
 // Snapshot deep-copies the table (used for reset and for oracle diffing).
 func (t *NodeTable) Snapshot() *NodeTable {
 	out := NewNodeTable()
-	for _, r := range t.records {
-		out.Put(r)
-	}
+	out.Restore(t)
 	return out
 }
 
 // Restore replaces the table contents with a snapshot's.
 func (t *NodeTable) Restore(snap *NodeTable) {
-	t.records = make(map[protocol.NodeID]NodeRecord, snap.Len())
-	for _, r := range snap.records {
-		t.records[r.ID] = r.clone()
+	t.records = make([]NodeRecord, len(snap.records))
+	for i, r := range snap.records {
+		t.records[i] = r.clone()
 	}
 }
 
 // String renders the table the way the PC Controller program lists it.
 func (t *NodeTable) String() string {
 	s := ""
-	for _, id := range t.IDs() {
-		r := t.records[id]
+	for _, r := range t.records {
 		s += fmt.Sprintf("node %3d: basic=0x%02X generic=0x%02X specific=0x%02X wakeup=%s\n",
-			id, r.Basic, r.Generic, r.Specific, r.WakeupInterval)
+			r.ID, r.Basic, r.Generic, r.Specific, r.WakeupInterval)
 	}
 	return s
 }

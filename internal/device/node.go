@@ -191,7 +191,8 @@ func (n *Node) transmitFrame(f *protocol.Frame) error {
 // Send transmits an application payload to dst with the ack-request bit
 // set, as ordinary Z-Wave traffic does. With a retry policy installed,
 // unacknowledged unicast frames are retransmitted with capped exponential
-// backoff.
+// backoff. Send does not keep payload after it returns (a retry chain
+// keeps its own encoding), so the caller may reuse the buffer at once.
 func (n *Node) Send(dst protocol.NodeID, payload []byte) error {
 	f := protocol.NewDataFrame(n.cfg.Home, n.cfg.ID, dst, payload)
 	n.seq = (n.seq + 1) & 0x0F

@@ -50,14 +50,18 @@ type Identity struct {
 // response to a REQUEST_NODE_INFO: the protocol-class frame carrying
 // capability, security, type bytes and the advertised class list.
 func (id Identity) NIFPayload() []byte {
-	out := make([]byte, 0, 8+len(id.Classes))
-	out = append(out,
+	return id.AppendNIF(make([]byte, 0, 8+len(id.Classes)))
+}
+
+// AppendNIF appends the NODE_INFO payload NIFPayload builds to b.
+func (id Identity) AppendNIF(b []byte) []byte {
+	b = append(b,
 		byte(cmdclass.ClassZWaveProtocol), byte(cmdclass.CmdProtoNodeInfo),
 		id.Capability, id.Security, 0x00, id.Basic, id.Generic, id.Specific)
 	for _, c := range id.Classes {
-		out = append(out, byte(c))
+		b = append(b, byte(c))
 	}
-	return out
+	return b
 }
 
 // ParseNIF decodes a NODE_INFO payload back into an Identity. It is the

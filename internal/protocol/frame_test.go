@@ -302,3 +302,43 @@ func BenchmarkFrameDecode(b *testing.B) {
 		}
 	}
 }
+
+// TestParseHeaderErrorsAreBareSentinels pins what a malformed routed or
+// multicast header yields: ErrNotRouted or ErrBadRoute itself, with no
+// formatted wrapper allocated per rejected frame.
+func TestParseHeaderErrorsAreBareSentinels(t *testing.T) {
+	routed := []struct {
+		payload []byte
+		want    error
+	}{
+		{[]byte{0x00}, ErrNotRouted},
+		{[]byte{0x00, 0x00, 0x20}, ErrBadRoute},       // no repeaters
+		{[]byte{0x00, 0x13, 0x02}, ErrBadRoute},       // hop past the count
+		{[]byte{0x00, 0x30, 0x02, 0x03}, ErrBadRoute}, // truncated list
+		{[]byte{0x00, 0x10, 0xFF, 0x20}, ErrBadRoute}, // broadcast repeater
+	}
+	for _, tc := range routed {
+		if _, _, err := ParseRoutedPayload(tc.payload); err != tc.want {
+			t.Errorf("ParseRoutedPayload(% X) = %v, want %v", tc.payload, err, tc.want)
+		}
+		if n := testing.AllocsPerRun(10, func() { _, _, _ = ParseRoutedPayload(tc.payload) }); n != 0 {
+			t.Errorf("ParseRoutedPayload(% X) allocates %.0f times", tc.payload, n)
+		}
+	}
+	multicast := []struct {
+		payload []byte
+		want    error
+	}{
+		{[]byte{0x01}, ErrNotRouted},
+		{[]byte{0x00, 0x20}, ErrBadRoute},
+		{[]byte{0x05, 0x01}, ErrBadRoute},
+	}
+	for _, tc := range multicast {
+		if _, _, err := ParseMulticastPayload(tc.payload); err != tc.want {
+			t.Errorf("ParseMulticastPayload(% X) = %v, want %v", tc.payload, err, tc.want)
+		}
+		if n := testing.AllocsPerRun(10, func() { _, _, _ = ParseMulticastPayload(tc.payload) }); n != 0 {
+			t.Errorf("ParseMulticastPayload(% X) allocates %.0f times", tc.payload, n)
+		}
+	}
+}

@@ -38,14 +38,16 @@ func EncodeMulticastPayload(addressees []NodeID, apl []byte) ([]byte, error) {
 }
 
 // ParseMulticastPayload splits a multicast payload into addressees and the
-// application payload. The returned APL aliases payload.
+// application payload. The returned APL aliases payload. As in
+// ParseRoutedPayload, a malformed header yields ErrNotRouted or
+// ErrBadRoute itself, so rejecting a fuzzed frame allocates nothing.
 func ParseMulticastPayload(payload []byte) ([]NodeID, []byte, error) {
 	if len(payload) < 2 {
-		return nil, nil, fmt.Errorf("%w: %d bytes", ErrNotRouted, len(payload))
+		return nil, nil, ErrNotRouted
 	}
 	maskLen := int(payload[0])
 	if maskLen == 0 || maskLen > MaxMulticastMaskLen || len(payload) < 1+maskLen {
-		return nil, nil, fmt.Errorf("%w: mask length %d", ErrBadRoute, maskLen)
+		return nil, nil, ErrBadRoute
 	}
 	var ids []NodeID
 	for i, b := range payload[1 : 1+maskLen] {

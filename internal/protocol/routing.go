@@ -83,18 +83,21 @@ func EncodeRoutedPayload(rh RouteHeader, apl []byte) ([]byte, error) {
 
 // ParseRoutedPayload splits a routed frame's payload into its routing
 // header and the application payload. The returned APL aliases payload.
+// A malformed header yields ErrNotRouted or ErrBadRoute itself, unwrapped:
+// fuzzed MAC headers make this a per-frame path, and a formatted error
+// would allocate on every rejected frame.
 func ParseRoutedPayload(payload []byte) (RouteHeader, []byte, error) {
 	if len(payload) < 3 {
-		return RouteHeader{}, nil, fmt.Errorf("%w: %d bytes", ErrNotRouted, len(payload))
+		return RouteHeader{}, nil, ErrNotRouted
 	}
 	status := payload[0]
 	count := int(payload[1] >> 4)
 	hop := int(payload[1] & 0x0F)
 	if count == 0 || count > MaxRepeaters || hop > count {
-		return RouteHeader{}, nil, fmt.Errorf("%w: count=%d hop=%d", ErrBadRoute, count, hop)
+		return RouteHeader{}, nil, ErrBadRoute
 	}
 	if len(payload) < 2+count {
-		return RouteHeader{}, nil, fmt.Errorf("%w: truncated repeater list", ErrBadRoute)
+		return RouteHeader{}, nil, ErrBadRoute
 	}
 	rh := RouteHeader{
 		Inbound:  status&routeDirInbound != 0,
@@ -105,7 +108,7 @@ func ParseRoutedPayload(payload []byte) (RouteHeader, []byte, error) {
 	for i := 0; i < count; i++ {
 		r := NodeID(payload[2+i])
 		if !r.IsUnicast() {
-			return RouteHeader{}, nil, fmt.Errorf("%w: repeater %s", ErrBadRoute, r)
+			return RouteHeader{}, nil, ErrBadRoute
 		}
 		rh.Repeaters = append(rh.Repeaters, r)
 	}

@@ -1,3 +1,25 @@
+// Package vtime provides the simulated-time substrate used throughout the
+// ZCover reproduction.
+//
+// The paper's evaluation runs wall-clock campaigns (five 24-hour fuzzing
+// trials per controller). Reproducing those campaigns against an emulated
+// testbed would be pointlessly slow and non-deterministic on real time, so
+// every component in this repository — the radio medium, the device models,
+// the fuzzing engine, the liveness monitor — takes time from a *SimClock
+// instead of the time package. A SimClock only advances when told to
+// (directly or through its event queue).
+//
+// # Concurrency
+//
+// SimClock keeps simulated time as int64 nanoseconds since SimEpoch in an
+// atomic, so Now is a lock-free load that is safe from any goroutine and
+// never observes time moving backwards. Queue operations (Schedule,
+// Advance, AdvanceTo, RunUntilIdle, PendingEvents) are serialised by a
+// mutex around the event heap. Each clock is nevertheless driven by
+// one goroutine: determinism comes from the queue's (instant, scheduling
+// order) total order, which concurrent Advance calls would destroy, so
+// parallel fleet campaigns hold one private SimClock each. Events live by
+// value in a typed binary heap: scheduling allocates only to grow it.
 package vtime
 
 import (
@@ -23,8 +45,6 @@ type SimClock struct {
 	nextID uint64
 }
 
-var _ Clock = (*SimClock)(nil)
-
 // SimEpoch is the default origin for simulated time. Its concrete value is
 // irrelevant to results; a fixed non-zero origin makes logged timestamps
 // readable and catches code that wrongly compares against the zero Time.
@@ -33,22 +53,20 @@ var SimEpoch = time.Date(2025, time.January, 1, 0, 0, 0, 0, time.UTC)
 // NewSimClock returns a SimClock starting at SimEpoch.
 func NewSimClock() *SimClock { return new(SimClock) }
 
-// Now implements Clock; time.Unix builds SimEpoch.Add(now) at half the cost.
+// Now reports the current simulated instant; time.Unix builds
+// SimEpoch.Add(now) at half the cost.
 func (c *SimClock) Now() time.Time {
 	ns := c.now.Load()
 	return time.Unix(SimEpoch.Unix()+ns/1e9, ns%1e9).UTC()
 }
 
-// Sleep implements Clock by advancing simulated time, firing any events
-// scheduled inside the interval in timestamp order.
-func (c *SimClock) Sleep(d time.Duration) {
+// Advance moves simulated time forward by d, firing any events scheduled
+// inside the interval in timestamp order. A non-positive d is a no-op.
+func (c *SimClock) Advance(d time.Duration) {
 	if d > 0 {
 		c.advanceTo(addSat(c.now.Load(), d))
 	}
 }
-
-// Advance moves simulated time forward by d, firing due events in order.
-func (c *SimClock) Advance(d time.Duration) { c.Sleep(d) }
 
 // AdvanceTo moves simulated time forward to instant t, firing due events in
 // order. Moving backwards is a no-op.
@@ -81,11 +99,6 @@ func (c *SimClock) fireDue(t int64, budget int) {
 		fn()
 		c.mu.Lock()
 	}
-}
-
-// Elapsed reports how much simulated time has passed since the given origin.
-func (c *SimClock) Elapsed(origin time.Time) time.Duration {
-	return c.Now().Sub(origin)
 }
 
 // Schedule registers fn to run when simulated time reaches now+delay.

@@ -32,29 +32,29 @@ func TestSimClockNowIsEpochPlusElapsed(t *testing.T) {
 	}
 }
 
-func TestSimClockSleepAdvances(t *testing.T) {
+func TestSimClockAdvanceMovesNow(t *testing.T) {
 	c := NewSimClock()
-	c.Sleep(3 * time.Second)
-	if got, want := c.Elapsed(SimEpoch), 3*time.Second; got != want {
-		t.Fatalf("Elapsed = %v, want %v", got, want)
+	c.Advance(3 * time.Second)
+	if got, want := c.Now().Sub(SimEpoch), 3*time.Second; got != want {
+		t.Fatalf("Now()-SimEpoch = %v, want %v", got, want)
 	}
 }
 
-func TestSimClockSleepNonPositive(t *testing.T) {
+func TestSimClockAdvanceNonPositive(t *testing.T) {
 	c := NewSimClock()
-	c.Sleep(0)
-	c.Sleep(-time.Second)
-	if got := c.Elapsed(SimEpoch); got != 0 {
-		t.Fatalf("Elapsed = %v, want 0", got)
+	c.Advance(0)
+	c.Advance(-time.Second)
+	if got := c.Now().Sub(SimEpoch); got != 0 {
+		t.Fatalf("Now()-SimEpoch = %v, want 0", got)
 	}
 }
 
 func TestSimClockAdvanceToBackwardsIsNoop(t *testing.T) {
 	c := NewSimClock()
-	c.Sleep(time.Minute)
+	c.Advance(time.Minute)
 	c.AdvanceTo(SimEpoch)
-	if got, want := c.Elapsed(SimEpoch), time.Minute; got != want {
-		t.Fatalf("Elapsed = %v, want %v", got, want)
+	if got, want := c.Now().Sub(SimEpoch), time.Minute; got != want {
+		t.Fatalf("Now()-SimEpoch = %v, want %v", got, want)
 	}
 }
 
@@ -171,15 +171,6 @@ func TestSimClockScheduleNilPanics(t *testing.T) {
 	NewSimClock().Schedule(time.Second, nil)
 }
 
-func TestSystemClockNow(t *testing.T) {
-	before := time.Now()
-	got := SystemClock{}.Now()
-	after := time.Now()
-	if got.Before(before) || got.After(after) {
-		t.Fatalf("SystemClock.Now() = %v outside [%v, %v]", got, before, after)
-	}
-}
-
 // Property: advancing by a sequence of non-negative durations always yields
 // an elapsed time equal to their sum, regardless of interleaved scheduling.
 func TestSimClockAdvanceSumProperty(t *testing.T) {
@@ -192,7 +183,7 @@ func TestSimClockAdvanceSumProperty(t *testing.T) {
 			c.Advance(d)
 			total += d
 		}
-		return c.Elapsed(SimEpoch) == total
+		return c.Now().Sub(SimEpoch) == total
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
