@@ -124,11 +124,12 @@ func (t *NodeTable) Snapshot() *NodeTable {
 	return out
 }
 
-// Restore replaces the table contents with a snapshot's.
+// Restore replaces the table contents with a snapshot's, reusing the
+// table's own storage (no caller holds a reference into it).
 func (t *NodeTable) Restore(snap *NodeTable) {
-	t.records = make([]NodeRecord, len(snap.records))
-	for i, r := range snap.records {
-		t.records[i] = r.clone()
+	t.records = t.records[:0]
+	for _, r := range snap.records {
+		t.records = append(t.records, r.clone())
 	}
 }
 
