@@ -32,18 +32,33 @@ func transmitAndSettle(tb testing.TB, clock *vtime.SimClock, tx *radio.Transceiv
 }
 
 // TestInterceptedPassThroughAllocs is TestTransmitCleanPathAllocs behind
-// the injector: with the none profile every delivery is the shared
-// pass-through, so a Transmit to three receivers plus the run past its
-// airtime allocates nothing once the link streams and the event heap are
-// warm.
+// the injector, for every built-in profile: a Transmit to three receivers
+// plus the run past every delayed and duplicated delivery allocates
+// nothing once the link streams, the medium's event records and the
+// event heap are warm. The decisions go into the medium's storage and a
+// corruption is an offset and a mask, so drops, flips, delays and
+// duplicates cost no more than a pass-through.
 func TestInterceptedPassThroughAllocs(t *testing.T) {
-	clock, tx, got := interceptedMedium(t, "none", 3)
-	raw := make([]byte, 32)
-	if allocs := testing.AllocsPerRun(100, func() { transmitAndSettle(t, clock, tx, raw) }); allocs != 0 {
-		t.Fatalf("intercepted Transmit+Advance allocates %.1f times per frame, want 0", allocs)
-	}
-	if want := 3 * 101; *got != want || clock.PendingEvents() != 0 {
-		t.Fatalf("receivers saw %d frames (want %d), %d events left queued", *got, want, clock.PendingEvents())
+	for _, profile := range Profiles() {
+		t.Run(profile, func(t *testing.T) {
+			clock, tx, got := interceptedMedium(t, profile, 3)
+			raw := make([]byte, 32)
+			for i := 0; i < 200; i++ {
+				transmitAndSettle(t, clock, tx, raw)
+			}
+			warm := *got
+			// Under -race sync.Pool drops items, so only the deliveries are
+			// checked there.
+			if allocs := testing.AllocsPerRun(100, func() { transmitAndSettle(t, clock, tx, raw) }); allocs != 0 && !raceEnabled {
+				t.Fatalf("intercepted Transmit+RunUntilIdle allocates %.1f times per frame, want 0", allocs)
+			}
+			if *got == warm || clock.PendingEvents() != 0 {
+				t.Fatalf("receivers saw no frame while measured, or %d events left queued", clock.PendingEvents())
+			}
+			if profile == "none" && *got != 3*301 {
+				t.Fatalf("receivers saw %d frames through the none profile, want %d", *got, 3*301)
+			}
+		})
 	}
 }
 

@@ -11,16 +11,18 @@
 // count or of which unrelated transceivers share the medium, preserving
 // the repository's tier-1 determinism gate.
 //
-// # Concurrency and pooling
+// # Concurrency and storage
 //
 // An Injector is safe for concurrent use (one mutex guards the per-link
 // RNG streams and fault counters), but like the medium it attaches to it
 // is normally driven by the single goroutine running one campaign's
 // simulation; parallel fleet campaigns each build their own injector.
-// The interceptor hook reads the transmitter's buffer (per the radio
-// package's ownership contract): the corruption fault flips a bit in a
-// fresh copy, and a delivery left alone gets a shared pass-through answer
-// that allocates nothing. Stats returns a snapshot by value.
+// The interceptor reads the transmitter's buffer and never writes it (per
+// the radio package's ownership contract): it appends its answer, with a
+// corruption as a byte offset and XOR mask, into the medium's storage,
+// and the medium applies the flip to its own copy. Link streams are found
+// by the transceivers' attach-order IDs, so a delivery neither allocates
+// nor hashes. Stats returns a snapshot by value.
 package chaos
 
 import (
@@ -59,11 +61,12 @@ func (s Stats) Faults() int64 {
 // linkKey identifies one directed link on the medium.
 type linkKey struct{ from, to string }
 
-// linkState is the per-link fault stream: an independent RNG plus the
-// Gilbert–Elliott channel state.
+// linkState is the per-link fault stream: an independent RNG, the
+// Gilbert–Elliott channel state, and the partitions that cover the link.
 type linkState struct {
-	rng *rand.Rand
-	bad bool
+	rng        *rand.Rand
+	bad        bool
+	partitions []Partition
 }
 
 // Injector applies a Profile to every frame crossing the medium. Create
@@ -77,6 +80,7 @@ type Injector struct {
 	clock     *vtime.SimClock
 	epoch     time.Time
 	links     map[linkKey]*linkState
+	byID      [][]*linkState // [from.ID()][to.ID()], filled from links on first use
 	lastFault time.Time
 	haveFault bool
 	stats     Stats
@@ -98,12 +102,16 @@ func (i *Injector) Profile() Profile { return i.profile }
 
 // Attach installs the injector on the medium as its frame interceptor.
 // Partition schedules are anchored at the medium's current simulated time.
+// An injector serves the medium it was last attached to: transceiver IDs
+// are per medium, so Attach forgets the ID table (the streams, keyed by
+// name, carry on).
 func (i *Injector) Attach(m *radio.Medium) {
 	i.mu.Lock()
 	i.clock = m.Clock()
 	i.epoch = i.clock.Now()
+	i.byID = nil
 	i.mu.Unlock()
-	m.SetInterceptor(i.Intercept)
+	m.SetInterceptFunc(i.AppendIntercept)
 }
 
 // Stats returns a snapshot of the injector's fault counters.
@@ -124,16 +132,43 @@ func (i *Injector) ImpairedSince(t time.Time) bool {
 }
 
 // link returns the fault stream for a directed link, creating it on first
-// use with a seed mixed from the injector seed and both endpoint names.
+// use with a seed mixed from the injector seed and both endpoint names,
+// and with the partitions whose node either name contains. Callers hold
+// i.mu.
 func (i *Injector) link(from, to string) *linkState {
 	k := linkKey{from, to}
 	st, ok := i.links[k]
 	if !ok {
 		mixed := i.seed ^ int64(fnv64a(from)) ^ int64(fnv64a(to)*0x9E3779B97F4A7C15)
 		st = &linkState{rng: rand.New(rand.NewSource(mixed))}
+		for _, p := range i.profile.Partitions {
+			if p.For > 0 && p.Node != "" && (strings.Contains(from, p.Node) || strings.Contains(to, p.Node)) {
+				st.partitions = append(st.partitions, p)
+			}
+		}
 		i.links[k] = st
 	}
 	return st
+}
+
+// linkOf returns the fault stream for from->to by the transceivers' IDs.
+// A pair seen for the first time is resolved by name, so transceivers
+// that share a name share a stream. Callers hold i.mu.
+func (i *Injector) linkOf(from, to *radio.Transceiver) *linkState {
+	f, t := from.ID(), to.ID()
+	if f >= len(i.byID) {
+		i.byID = append(i.byID, make([][]*linkState, f+1-len(i.byID))...)
+	}
+	row := i.byID[f]
+	if t < len(row) && row[t] != nil {
+		return row[t]
+	}
+	if t >= len(row) {
+		row = append(row, make([]*linkState, t+1-len(row))...)
+		i.byID[f] = row
+	}
+	row[t] = i.link(from.Name(), to.Name())
+	return row[t]
 }
 
 // noteFault records the simulated instant of a fault decision (callers
@@ -145,40 +180,45 @@ func (i *Injector) noteFault(now time.Time) {
 	}
 }
 
-// passThrough is Intercept's answer for a delivery it leaves alone: the
-// frame as transmitted, inline. It is shared and read-only.
-var passThrough = []radio.Delivery{{}}
+// AppendIntercept is the injector's radio.InterceptFunc: it decides, per
+// frame delivery, whether the receiver sees the frame and in what form,
+// and appends that answer to dst. Fault order per delivery is fixed —
+// partition, burst loss, corruption, jitter, duplication — and each
+// decision draws from the link's own stream, so the sequence is
+// reproducible per link whatever else is on the air.
+func (i *Injector) AppendIntercept(dst []radio.Delivery, from, to *radio.Transceiver, raw []byte) []radio.Delivery {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	return i.decide(dst, i.linkOf(from, to), raw)
+}
 
-// Intercept is the radio.InterceptFunc: it decides, per frame delivery,
-// whether the receiver sees the frame and in what form. Fault order per
-// delivery is fixed — partition, burst loss, corruption, jitter,
-// duplication — and each decision draws from the link's own stream, so
-// the sequence is reproducible per link whatever else is on the air.
+// Intercept is AppendIntercept for a caller that knows the endpoints by
+// name only (radio.Medium.SetInterceptor): the same streams and the same
+// decisions, in a slice of its own. It allocates that slice for every
+// delivered frame; Attach installs AppendIntercept, which does not.
 func (i *Injector) Intercept(from, to string, raw []byte) []radio.Delivery {
 	i.mu.Lock()
 	defer i.mu.Unlock()
+	return i.decide(nil, i.link(from, to), raw)
+}
+
+// decide draws one delivery's faults from st and appends the deliveries
+// the receiver gets to dst. Callers hold i.mu.
+func (i *Injector) decide(dst []radio.Delivery, st *linkState, raw []byte) []radio.Delivery {
 	var now time.Time
 	if i.clock != nil {
 		now = i.clock.Now()
 	}
 	i.stats.Deliveries++
 
-	for _, p := range i.profile.Partitions {
-		if p.For <= 0 || p.Node == "" {
-			continue
-		}
+	for _, p := range st.partitions {
 		start := i.epoch.Add(p.From)
-		if now.Before(start) || !now.Before(start.Add(p.For)) {
-			continue
-		}
-		if strings.Contains(from, p.Node) || strings.Contains(to, p.Node) {
+		if !now.Before(start) && now.Before(start.Add(p.For)) {
 			i.stats.Partitioned++
 			i.noteFault(now)
-			return nil
+			return dst
 		}
 	}
-
-	st := i.link(from, to)
 
 	// Advance the Gilbert–Elliott channel one step, then draw the loss.
 	if st.bad {
@@ -195,35 +235,33 @@ func (i *Injector) Intercept(from, to string, raw []byte) []radio.Delivery {
 	if lossP > 0 && st.rng.Float64() < lossP {
 		i.stats.Dropped++
 		i.noteFault(now)
-		return nil
+		return dst
 	}
 
-	var out []byte // nil: the frame as transmitted
+	var d radio.Delivery // the frame as transmitted, inline
 	if i.profile.Corrupt > 0 && len(raw) > 0 && st.rng.Float64() < i.profile.Corrupt {
-		out = append([]byte(nil), raw...)
-		out[st.rng.Intn(len(out))] ^= 1 << st.rng.Intn(8)
+		d.Offset = st.rng.Intn(len(raw))
+		d.Mask = 1 << st.rng.Intn(8)
 		i.stats.Corrupted++
 		i.noteFault(now)
 	}
 
-	var delay time.Duration
 	if i.profile.Jitter > 0 && i.profile.JitterMax > 0 && st.rng.Float64() < i.profile.Jitter {
-		delay = time.Duration(1 + st.rng.Int63n(int64(i.profile.JitterMax)))
+		d.Delay = time.Duration(1 + st.rng.Int63n(int64(i.profile.JitterMax)))
 		i.stats.Delayed++
 		i.noteFault(now)
 	}
 
 	if i.profile.Duplicate <= 0 || st.rng.Float64() >= i.profile.Duplicate {
-		if out == nil && delay == 0 {
-			return passThrough
-		}
-		return []radio.Delivery{{Delay: delay, Raw: out}}
+		return append(dst, d)
 	}
 	// The copy trails the original by a couple of milliseconds, like a
 	// retransmission the receiver's MAC never asked for.
 	i.stats.Duplicated++
 	i.noteFault(now)
-	return []radio.Delivery{{Delay: delay, Raw: out}, {Delay: delay + 2*time.Millisecond, Raw: out}}
+	dup := d
+	dup.Delay += 2 * time.Millisecond
+	return append(dst, d, dup)
 }
 
 // fnv64a is the FNV-1a hash, used to derive per-link seeds.

@@ -34,11 +34,11 @@ func (c *Controller) dispatchPayload(src protocol.NodeID, payload []byte, depth 
 		switch {
 		case class == cmdclass.ClassCRC16Encap && cmd == 0x01:
 			// CRC_16_ENCAP: [inner command..., crc16(2)]. The checksum
-			// covers the encapsulation header plus the inner command.
+			// covers the encapsulation header plus the inner command,
+			// which is the payload up to the trailer.
 			if len(inner) >= 4 {
 				body, trailer := inner[:len(inner)-2], inner[len(inner)-2:]
-				whole := append([]byte{byte(class), byte(cmd)}, body...)
-				want := protocol.CRC16(whole)
+				want := protocol.CRC16(payload[:len(payload)-2])
 				if trailer[0] == byte(want>>8) && trailer[1] == byte(want) {
 					c.dispatchPayload(src, body, depth+1)
 					return

@@ -16,14 +16,14 @@ import (
 // dropFirstN returns an interceptor that swallows the first n non-ack
 // data frames from the named sender and passes everything else.
 func dropFirstN(from string, n *int) radio.InterceptFunc {
-	return func(f, to string, raw []byte) []radio.Delivery {
+	return func(dst []radio.Delivery, f, _ *radio.Transceiver, raw []byte) []radio.Delivery {
 		// Data frames carry a payload beyond the 9-byte header + checksum;
 		// MAC acks do not. Dropping only data keeps the ack path clean.
-		if f == from && *n > 0 && len(raw) > 11 {
+		if f.Name() == from && *n > 0 && len(raw) > 11 {
 			*n--
-			return nil
+			return dst
 		}
-		return []radio.Delivery{{Raw: raw}}
+		return append(dst, radio.Delivery{})
 	}
 }
 
@@ -36,7 +36,7 @@ func TestSendRetransmitsUntilAcked(t *testing.T) {
 	peer.Handler = func(*protocol.Frame) { delivered++ }
 
 	drops := 2
-	m.SetInterceptor(dropFirstN("hub", &drops))
+	m.SetInterceptFunc(dropFirstN("hub", &drops))
 	hub.SetRetry(&RetryPolicy{MaxAttempts: 4, Backoff: 50 * time.Millisecond, MaxBackoff: 400 * time.Millisecond})
 
 	if err := hub.Send(0x02, []byte{0x20, 0x01, 0xFF}); err != nil {
@@ -60,7 +60,7 @@ func TestSendGivesUpAfterMaxAttempts(t *testing.T) {
 	peer.Handler = func(*protocol.Frame) { delivered++ }
 
 	drops := 100 // more than the policy will ever attempt
-	m.SetInterceptor(dropFirstN("hub", &drops))
+	m.SetInterceptFunc(dropFirstN("hub", &drops))
 	hub.SetRetry(&RetryPolicy{MaxAttempts: 3, Backoff: 10 * time.Millisecond, MaxBackoff: 40 * time.Millisecond})
 
 	if err := hub.Send(0x02, []byte{0x20, 0x01, 0xFF}); err != nil {
@@ -85,7 +85,7 @@ func TestSendWithoutRetryTransmitsOnce(t *testing.T) {
 	NewNode(Config{Medium: m, Region: radio.RegionUS, Home: testHome, ID: 0x02, Name: "peer"})
 
 	drops := 100
-	m.SetInterceptor(dropFirstN("hub", &drops))
+	m.SetInterceptFunc(dropFirstN("hub", &drops))
 
 	if err := hub.Send(0x02, []byte{0x20, 0x01, 0xFF}); err != nil {
 		t.Fatal(err)
@@ -119,10 +119,6 @@ func TestRetryHealthyPathSchedulesNothing(t *testing.T) {
 	}
 }
 
-// passThrough delivers a frame as transmitted; one shared slice, so the
-// interceptor below allocates nothing.
-var passThrough = []radio.Delivery{{}}
-
 // TestRetransmissionAllocatesNothing pins the retry chain's cost: on a
 // link that drops every ack, each retransmission after the first reuses
 // the chain's timer and encoding and allocates nothing.
@@ -136,11 +132,11 @@ func TestRetransmissionAllocatesNothing(t *testing.T) {
 	peer := NewNode(Config{Medium: m, Region: radio.RegionUS, Home: testHome, ID: 0x02, Name: "peer"})
 	var delivered int
 	peer.Handler = func(*protocol.Frame) { delivered++ }
-	m.SetInterceptor(func(from, _ string, _ []byte) []radio.Delivery {
-		if from == "peer" {
-			return nil // the ack never makes it back
+	m.SetInterceptFunc(func(dst []radio.Delivery, from, _ *radio.Transceiver, _ []byte) []radio.Delivery {
+		if from.Name() == "peer" {
+			return dst // the ack never makes it back
 		}
-		return passThrough
+		return append(dst, radio.Delivery{})
 	})
 	const backoff = 10 * time.Millisecond
 	hub.SetRetry(&RetryPolicy{MaxAttempts: 1000, Backoff: backoff, MaxBackoff: backoff})

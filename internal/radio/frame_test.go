@@ -29,7 +29,7 @@ func frameCopy(f *protocol.Frame) protocol.Frame {
 }
 
 // Property: whatever an interceptor does to a delivery — passes it,
-// hands back an equal copy, flips a bit, duplicates it, delays it or
+// flips a bit inline or in a delayed copy, duplicates it, delays it or
 // drops it — every receiver's Capture.Frame equals its own
 // protocol.DecodeInto of the bytes it got. Receivers handed the
 // transmitted bytes within Transmit share one decoded frame, and Stats
@@ -66,22 +66,21 @@ func TestCaptureFrameMatchesPerReceiverDecode(t *testing.T) {
 			}
 		})
 	}
-	m.SetInterceptor(func(_, _ string, raw []byte) []Delivery {
+	m.SetInterceptFunc(func(dst []Delivery, _, _ *Transceiver, raw []byte) []Delivery {
 		switch rng.Intn(7) {
 		case 0:
-			return nil
+			return dst
 		case 1:
-			return []Delivery{{Raw: append([]byte(nil), raw...)}}
+			return append(dst, Delivery{Delay: time.Duration(1+rng.Intn(50)) * time.Millisecond,
+				Offset: rng.Intn(len(raw)), Mask: 1 << rng.Intn(8)})
 		case 2:
-			cp := append([]byte(nil), raw...)
-			cp[rng.Intn(len(cp))] ^= 1 << rng.Intn(8)
-			return []Delivery{{Raw: cp}}
+			return append(dst, Delivery{Offset: rng.Intn(len(raw)), Mask: 1 << rng.Intn(8)})
 		case 3:
-			return []Delivery{{}, {}}
+			return append(dst, Delivery{}, Delivery{})
 		case 4:
-			return []Delivery{{Delay: time.Duration(1+rng.Intn(50)) * time.Millisecond}}
+			return append(dst, Delivery{Delay: time.Duration(1+rng.Intn(50)) * time.Millisecond})
 		default:
-			return []Delivery{{}}
+			return append(dst, Delivery{})
 		}
 	})
 

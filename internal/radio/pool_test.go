@@ -11,7 +11,7 @@ import (
 )
 
 // TestRecorderUnaffectedByPooledDelivery drives the intercepted delivery
-// path (with an interceptor that corrupts a copy of every frame) with a
+// path (with an interceptor that flips a bit of every frame) with a
 // flight recorder attached, then keeps transmitting from pooled encode
 // buffers. Earlier recorder snapshots must stay byte-identical — the
 // recorder copies into ring-owned storage, so neither the corruption nor
@@ -19,7 +19,7 @@ import (
 func TestRecorderUnaffectedByPooledDelivery(t *testing.T) {
 	clock := vtime.NewSimClock()
 	m := NewMedium(clock)
-	m.SetInterceptor(flipBit)
+	m.SetInterceptFunc(flipBit)
 	rec := telemetry.NewFlightRecorder(64)
 	m.SetFlightRecorder(rec)
 	tx := m.Attach("tx", RegionEU)
@@ -53,28 +53,24 @@ func TestRecorderUnaffectedByPooledDelivery(t *testing.T) {
 }
 
 // TestDelayedDeliveryOutlivesTransmitBuffer checks that a delayed
-// delivery, whether its Raw is nil or aliases the interceptor's input,
-// still carries the transmitted bytes after the transmitter overwrites its
-// pooled buffer and returns it to the pool.
+// delivery, flipped or not, still carries the transmitted bytes after the
+// transmitter overwrites its pooled buffer and returns it to the pool.
 func TestDelayedDeliveryOutlivesTransmitBuffer(t *testing.T) {
-	for _, alias := range []bool{false, true} {
+	for _, mask := range []byte{0, 0x21} {
 		clock := vtime.NewSimClock()
 		m := NewMedium(clock)
-		m.SetInterceptor(func(_, _ string, raw []byte) []Delivery {
-			d := Delivery{Delay: 50 * time.Millisecond}
-			if alias {
-				d.Raw = raw
-			}
-			return []Delivery{d}
+		m.SetInterceptFunc(func(dst []Delivery, _, _ *Transceiver, _ []byte) []Delivery {
+			return append(dst, Delivery{Delay: 50 * time.Millisecond, Offset: 1, Mask: mask})
 		})
 		tx := m.Attach("tx", RegionEU)
 		rx := m.Attach("rx", RegionEU)
 		var got [][]byte
 		rx.SetReceiver(func(c Capture) { got = append(got, append([]byte(nil), c.Raw...)) })
 
-		want := []byte{0x11, 0x22, 0x33, 0x44}
+		sent := []byte{0x11, 0x22, 0x33, 0x44}
+		want := []byte{0x11, 0x22 ^ mask, 0x33, 0x44}
 		buf := protocol.GetBuf()
-		*buf = append(*buf, want...)
+		*buf = append(*buf, sent...)
 		if err := tx.Transmit(*buf); err != nil {
 			t.Fatal(err)
 		}
@@ -83,11 +79,11 @@ func TestDelayedDeliveryOutlivesTransmitBuffer(t *testing.T) {
 		}
 		protocol.PutBuf(buf)
 		if len(got) != 0 {
-			t.Fatalf("alias=%v: delayed frame delivered inline", alias)
+			t.Fatalf("mask %#x: delayed frame delivered inline", mask)
 		}
 		clock.RunUntilIdle()
 		if len(got) != 1 || !bytes.Equal(got[0], want) {
-			t.Fatalf("alias=%v: receiver saw %x, want %x", alias, got, want)
+			t.Fatalf("mask %#x: receiver saw %x, want %x", mask, got, want)
 		}
 	}
 }
@@ -99,7 +95,7 @@ func TestDelayedDeliveryOutlivesTransmitBuffer(t *testing.T) {
 func TestCorruptDeliveryIsPrivatePerReceiver(t *testing.T) {
 	clock := vtime.NewSimClock()
 	m := NewMedium(clock)
-	m.SetInterceptor(flipBit)
+	m.SetInterceptFunc(flipBit)
 	tx := m.Attach("tx", RegionEU)
 	raw := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	orig := append([]byte(nil), raw...)
@@ -130,16 +126,16 @@ func TestCorruptDeliveryIsPrivatePerReceiver(t *testing.T) {
 // TestPooledEncodeBufferConcurrentTransmit exercises GetBuf/PutBuf reuse
 // across concurrent transmitters under -race: many goroutines each append
 // into pooled buffers (via the device send path shape) and transmit, while
-// a recorder copies every frame and an interceptor corrupts every other
-// one.
+// a recorder copies every frame and an interceptor flips a bit of every
+// other one.
 func TestPooledEncodeBufferConcurrentTransmit(t *testing.T) {
 	clock := vtime.NewSimClock()
 	m := NewMedium(clock)
-	m.SetInterceptor(func(from, to string, raw []byte) []Delivery {
+	m.SetInterceptFunc(func(dst []Delivery, from, to *Transceiver, raw []byte) []Delivery {
 		if raw[2]%2 == 0 {
-			return flipBit(from, to, raw)
+			return flipBit(dst, from, to, raw)
 		}
-		return []Delivery{{Raw: raw}}
+		return append(dst, Delivery{})
 	})
 	rec := telemetry.NewFlightRecorder(16)
 	m.SetFlightRecorder(rec)

@@ -131,7 +131,7 @@ func TestFlightRecorderCapturesTransmissions(t *testing.T) {
 	}
 
 	// Interceptor loss shows up in the verdict.
-	m.SetInterceptor(dropAll)
+	m.SetInterceptFunc(dropAll)
 	if err := a.Transmit(clear); err != nil {
 		t.Fatal(err)
 	}

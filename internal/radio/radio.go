@@ -23,15 +23,18 @@
 // Medium and Transceiver are safe for concurrent use; each campaign in a
 // fleet runs its own Medium, so cross-goroutine traffic never mixes. Frame
 // delivery is synchronous and zero-copy: the Capture handed to a receiver
-// callback on the clean path aliases the transmitter's buffer and is valid
-// only for the duration of the callback. Receiver callbacks must not
+// callback on a clean delivery aliases the transmitter's buffer and is
+// valid only for the duration of the callback. Receiver callbacks must not
 // mutate Capture.Raw and must copy it before retaining it. The interceptor
-// hook gets the same read-only, call-scoped view (InterceptFunc); only a
-// delayed delivery is copied, into a pooled buffer, because the
+// hook gets the same read-only, call-scoped view (InterceptFunc) and
+// answers with data, not bytes: it appends Deliveries (a delay and an
+// optional bit flip) into storage the medium owns. The medium copies a
+// frame only to apply a flip, into a pooled buffer, and for a delayed
+// delivery, into the pooled event record that carries it, because the
 // transmitter reuses its buffer once Transmit returns.
 //
 // Each transmission is decoded at most once: its receivers share one
-// pooled decode (Capture.Frame), made when the first asks; a rewrite or a
+// pooled decode (Capture.Frame), made when the first asks; a flipped or
 // delayed copy gets its own. The frame is read-only and valid only for the
 // callback, like Raw; Capture.Clone keeps a capture past it.
 //
@@ -41,7 +44,6 @@
 package radio
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
@@ -109,10 +111,11 @@ type Capture struct {
 	At time.Time
 	// Raw is the frame bytes as received. The slice is owned by the medium
 	// and valid only for the duration of the receiver callback: it is the
-	// transmitter's buffer, an interceptor's rewrite, or for a delayed
-	// delivery a pooled copy. Receivers must not mutate it, and must
-	// Clone the capture before retaining it past the callback (Sniffer
-	// and the attacker dongle both do).
+	// transmitter's buffer, a pooled copy with an interceptor's bit flip
+	// applied, or for a delayed delivery the copy its event record holds.
+	// Receivers must not mutate it, and must Clone the capture before
+	// retaining it past the callback (Sniffer and the attacker dongle both
+	// do).
 	Raw []byte
 
 	m    *Medium    // counts Frame's outcomes
@@ -120,18 +123,11 @@ type Capture struct {
 }
 
 // frameSlot is one delivery's receive decode, made by the first Frame
-// call and shared by every later one until the delivery returns it.
+// call and shared by every later one until the delivery ends.
 type frameSlot struct {
 	done bool
 	err  error
 	f    protocol.Frame
-}
-
-var slotPool = sync.Pool{New: func() any { return new(frameSlot) }}
-
-func putSlot(s *frameSlot) {
-	*s = frameSlot{}
-	slotPool.Put(s)
 }
 
 // Frame is the chipset's receive decode: Raw parsed under the CS-8
@@ -162,26 +158,30 @@ func (c Capture) Clone() Capture {
 }
 
 // Delivery is one frame instance an interceptor wants delivered to a
-// receiver: the (possibly rewritten) bytes plus an extra delay beyond the
-// frame's airtime. A zero delay delivers inline, exactly like the
-// unintercepted path.
+// receiver, described as data: an extra delay beyond the frame's airtime
+// and an optional single-byte XOR. The zero Delivery is the frame as
+// transmitted, inline, exactly like the unintercepted path.
 type Delivery struct {
 	// Delay is added on top of the airtime before the frame arrives.
 	Delay time.Duration
-	// Raw is the frame as the receiver will see it; nil means the frame
-	// as transmitted. It may alias the interceptor's input. The medium
-	// reads it after further, nested interceptor calls, so neither it
-	// nor the returned slice may be reused by a later call.
-	Raw []byte
+	// Offset is the byte Mask is XORed into. It must lie inside the
+	// frame when Mask is non-zero; the medium panics otherwise.
+	Offset int
+	// Mask is XORed into the receiver's copy of byte Offset; zero means
+	// the frame as transmitted. A delivery with a non-zero Mask counts as
+	// corrupted (Stats.Corrupted).
+	Mask byte
 }
 
 // InterceptFunc sees every frame en route from one transceiver to another
-// and decides what the receiver observes: return nil to drop the frame,
-// one Delivery to pass or rewrite it, or several to duplicate it. The
-// input slice is read-only and valid only for the call, like Capture.Raw:
-// copy it before changing or retaining it. Interceptors run outside the
+// and decides what the receiver observes: it appends to dst the
+// deliveries the receiver gets and returns the extended slice, as
+// AppendEncode does. Returning dst unextended drops the frame, one
+// Delivery passes, delays or flips it, and several duplicate it. dst is
+// the medium's storage for this call; the input frame is read-only and
+// valid only for the call, like Capture.Raw. Interceptors run outside the
 // medium lock and must be safe for concurrent use.
-type InterceptFunc func(from, to string, raw []byte) []Delivery
+type InterceptFunc func(dst []Delivery, from, to *Transceiver, raw []byte) []Delivery
 
 // Medium is the shared simulated air. Construct with NewMedium. Medium is
 // safe for concurrent use, though the simulation driver is single-threaded.
@@ -194,6 +194,7 @@ type Medium struct {
 	rangeLim  float64
 	recorder  *telemetry.FlightRecorder
 	gen       atomic.Uint64 // bumped when any fan-out cache goes stale
+	idle      []*delayed    // delivered event records, reused by newDelayed
 
 	tx, rx, lost, corrupted, tooLong  atomic.Int64
 	decoded, decodeFail, checksumFail atomic.Int64
@@ -245,12 +246,28 @@ func (m *Medium) Stats() Stats {
 	}
 }
 
-// SetInterceptor installs a frame interceptor pipeline stage (nil removes
-// it). The chaos fault injector composes onto the medium through this hook.
-func (m *Medium) SetInterceptor(fn InterceptFunc) {
+// SetInterceptFunc installs a frame interceptor (nil removes it). The
+// chaos fault injector composes onto the medium through this hook.
+func (m *Medium) SetInterceptFunc(fn InterceptFunc) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.intercept = fn
+}
+
+// SetInterceptor installs an interceptor that sees endpoint names and
+// answers with a slice of its own, which the medium appends to its
+// storage before delivering anything; nil removes the interceptor. It
+// suits a wrapper that only knows names (the campaign benchmark times
+// chaos.Injector.Intercept through it) and costs whatever fn allocates;
+// SetInterceptFunc is the allocation-free form.
+func (m *Medium) SetInterceptor(fn func(from, to string, raw []byte) []Delivery) {
+	if fn == nil {
+		m.SetInterceptFunc(nil)
+		return
+	}
+	m.SetInterceptFunc(func(dst []Delivery, from, to *Transceiver, raw []byte) []Delivery {
+		return append(dst, fn(from.name, to.name, raw)...)
+	})
 }
 
 // SetRange enables the geometric propagation model: transmissions reach
@@ -275,11 +292,13 @@ func (m *Medium) SetFlightRecorder(rec *telemetry.FlightRecorder) {
 }
 
 // Attach adds a transceiver tuned to the given region. The name appears in
-// diagnostics only.
+// diagnostics and in interceptors' per-link keys; the transceiver's ID is
+// its attach order on this medium.
 func (m *Medium) Attach(name string, region Region) *Transceiver {
 	t := &Transceiver{medium: m, name: name, region: region}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	t.id = len(m.nodes)
 	m.nodes = append(m.nodes, t)
 	m.gen.Add(1)
 	return t
@@ -302,13 +321,62 @@ func (m *Medium) peersOf(from *Transceiver) []*Transceiver {
 	return peers
 }
 
+// txState is one transmit call's working storage: the decode the
+// transmission's receivers share, the decode of an inline flipped copy,
+// and the interceptor's answers for the current receiver. It is pooled
+// and per call, not on Medium, because a receiver may transmit from its
+// callback, even back through the transmitting transceiver.
+type txState struct {
+	shared, flipped frameSlot
+	out             []Delivery
+}
+
+var txPool = sync.Pool{New: func() any { return new(txState) }}
+
+// delayed is one scheduled delivery: the receiver, the arrival instant,
+// and the record's own copy of the frame with any flip applied. A medium
+// reuses its records, each with fire bound once, so a delayed delivery
+// allocates nothing once the medium has as many records as it ever has
+// in flight.
+type delayed struct {
+	t    *Transceiver
+	at   time.Time
+	buf  []byte
+	slot frameSlot
+	fire func()
+}
+
+// newDelayed returns an idle event record, or a new one.
+func (m *Medium) newDelayed() *delayed {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if n := len(m.idle); n > 0 {
+		d := m.idle[n-1]
+		m.idle = m.idle[:n-1]
+		return d
+	}
+	d := &delayed{buf: make([]byte, 0, protocol.MaxFrameSize)}
+	d.fire = d.deliver
+	return d
+}
+
+// deliver hands the record's frame to its receiver, then returns the
+// record to its medium's idle list.
+func (d *delayed) deliver() {
+	d.t.deliver(Capture{At: d.at, Raw: d.buf, slot: &d.slot})
+	m := d.t.medium
+	d.t, d.buf, d.slot = nil, d.buf[:0], frameSlot{}
+	m.mu.Lock()
+	m.idle = append(m.idle, d)
+	m.mu.Unlock()
+}
+
 // transmit delivers raw to all other transceivers in region.
 //
 // Delivery is synchronous and zero-copy: receivers and the interceptor
 // see the transmitter's buffer (see Capture.Raw for the ownership
-// contract). Only a delayed delivery copies, since it outlives Transmit.
-// The decode slot is per call, not per transceiver: a receiver may
-// transmit from its callback, even back through this transceiver.
+// contract). A flipped delivery is a pooled copy, and a delayed one the
+// copy in its event record, since it outlives Transmit.
 func (m *Medium) transmit(from *Transceiver, raw []byte) error {
 	if len(raw) > protocol.MaxFrameSize {
 		m.tooLong.Add(1)
@@ -324,37 +392,47 @@ func (m *Medium) transmit(from *Transceiver, raw []byte) error {
 	airtime := Airtime(len(raw))
 	at := m.clock.Now().Add(airtime)
 	lost, corrupted := 0, 0
-	shared := slotPool.Get().(*frameSlot)
+	st := txPool.Get().(*txState)
 	for _, t := range targets {
 		if intercept == nil {
-			t.deliver(Capture{At: at, Raw: raw, slot: shared})
+			t.deliver(Capture{At: at, Raw: raw, slot: &st.shared})
 			continue
 		}
-		deliveries := intercept(from.name, t.name, raw)
-		if len(deliveries) == 0 {
+		st.out = intercept(st.out[:0], from, t, raw)
+		if len(st.out) == 0 {
 			lost++
 			continue
 		}
-		for _, d := range deliveries {
-			out, slot := raw, shared
-			if d.Raw != nil && !bytes.Equal(d.Raw, raw) {
-				out, slot = d.Raw, nil
+		for _, d := range st.out {
+			if d.Mask != 0 {
+				if d.Offset < 0 || d.Offset >= len(raw) {
+					panic(fmt.Sprintf("radio: interceptor on %s->%s flips byte %d of a %d-byte frame",
+						from.name, t.name, d.Offset, len(raw)))
+				}
 				corrupted++
 			}
-			if d.Delay <= 0 {
-				t.deliver(Capture{At: at, Raw: out, slot: slot})
-				continue
-			}
-			// Shadow t so only this branch's copy escapes to the heap.
-			t, arrive, buf := t, at.Add(d.Delay), protocol.GetBuf()
-			*buf = append(*buf, out...)
-			m.clock.Schedule(airtime+d.Delay, func() {
-				t.deliver(Capture{At: arrive, Raw: *buf})
+			switch {
+			case d.Delay > 0:
+				e := m.newDelayed()
+				e.t, e.at, e.buf = t, at.Add(d.Delay), append(e.buf, raw...)
+				if d.Mask != 0 {
+					e.buf[d.Offset] ^= d.Mask
+				}
+				m.clock.Schedule(airtime+d.Delay, e.fire)
+			case d.Mask == 0:
+				t.deliver(Capture{At: at, Raw: raw, slot: &st.shared})
+			default:
+				buf := protocol.GetBuf()
+				*buf = append(*buf, raw...)
+				(*buf)[d.Offset] ^= d.Mask
+				t.deliver(Capture{At: at, Raw: *buf, slot: &st.flipped})
+				st.flipped = frameSlot{}
 				protocol.PutBuf(buf)
-			})
+			}
 		}
 	}
-	putSlot(shared)
+	st.shared, st.out = frameSlot{}, st.out[:0]
+	txPool.Put(st)
 	if intercept != nil {
 		m.lost.Add(int64(lost))
 		m.corrupted.Add(int64(corrupted))
@@ -420,6 +498,7 @@ func (m *Medium) inRange(a, b *Transceiver) bool {
 // and the peers cache are guarded by the medium's lock.
 type Transceiver struct {
 	medium   *Medium
+	id       int
 	name     string
 	region   Region
 	detached atomic.Bool
@@ -433,6 +512,11 @@ type Transceiver struct {
 
 // Name reports the diagnostic name given at Attach.
 func (t *Transceiver) Name() string { return t.name }
+
+// ID reports the transceiver's attach order on its medium: 0 for the
+// first attached, then 1, 2, ... with no gaps. Detach keeps the ID
+// retired, so an interceptor may index per-link state by it.
+func (t *Transceiver) ID() int { return t.id }
 
 // Region reports the RF region the transceiver is tuned to.
 func (t *Transceiver) Region() Region { return t.region }
@@ -467,9 +551,7 @@ func (t *Transceiver) Place(x, y float64) {
 }
 
 // deliver hands a capture to the installed handler. A transceiver detached
-// after target selection drops the frame instead of delivering late. A
-// capture without the transmission's decode slot (a rewrite, a delayed
-// copy) gets one of its own for the call.
+// after target selection drops the frame instead of delivering late.
 func (t *Transceiver) deliver(c Capture) {
 	if t.detached.Load() {
 		return
@@ -480,9 +562,5 @@ func (t *Transceiver) deliver(c Capture) {
 		return
 	}
 	c.m = t.medium
-	if c.slot == nil {
-		c.slot = slotPool.Get().(*frameSlot)
-		defer putSlot(c.slot)
-	}
 	(*fn)(c)
 }

@@ -201,7 +201,7 @@ func TestReceiverOwnershipContract(t *testing.T) {
 
 func TestLossImpairment(t *testing.T) {
 	m := newTestMedium()
-	m.SetInterceptor(dropAll)
+	m.SetInterceptFunc(dropAll)
 	a := m.Attach("a", RegionEU)
 	b := m.Attach("b", RegionEU)
 	got := 0
@@ -221,7 +221,7 @@ func TestLossImpairment(t *testing.T) {
 
 func TestNoiseImpairmentCorruptsChecksum(t *testing.T) {
 	m := newTestMedium()
-	m.SetInterceptor(flipBit) // every frame corrupted by one bit
+	m.SetInterceptFunc(flipBit) // every frame corrupted by one bit
 	a := m.Attach("a", RegionEU)
 	b := m.Attach("b", RegionEU)
 	bad := 0
