@@ -156,19 +156,18 @@ func (i *Injector) link(from, to string) *linkState {
 // that share a name share a stream. Callers hold i.mu.
 func (i *Injector) linkOf(from, to *radio.Transceiver) *linkState {
 	f, t := from.ID(), to.ID()
-	if f >= len(i.byID) {
-		i.byID = append(i.byID, make([][]*linkState, f+1-len(i.byID))...)
+	for len(i.byID) <= f {
+		i.byID = append(i.byID, nil)
 	}
-	row := i.byID[f]
-	if t < len(row) && row[t] != nil {
-		return row[t]
+	for len(i.byID[f]) <= t {
+		i.byID[f] = append(i.byID[f], nil)
 	}
-	if t >= len(row) {
-		row = append(row, make([]*linkState, t+1-len(row))...)
-		i.byID[f] = row
+	st := i.byID[f][t]
+	if st == nil {
+		st = i.link(from.Name(), to.Name())
+		i.byID[f][t] = st
 	}
-	row[t] = i.link(from.Name(), to.Name())
-	return row[t]
+	return st
 }
 
 // noteFault records the simulated instant of a fault decision (callers

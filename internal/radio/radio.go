@@ -30,8 +30,9 @@
 // answers with data, not bytes: it appends Deliveries (a delay and an
 // optional bit flip) into storage the medium owns. The medium copies a
 // frame only to apply a flip, into a pooled buffer, and for a delayed
-// delivery, into the pooled event record that carries it, because the
-// transmitter reuses its buffer once Transmit returns.
+// delivery, into the event record that carries it (the medium reuses its
+// records), because the transmitter reuses its buffer once Transmit
+// returns.
 //
 // Each transmission is decoded at most once: its receivers share one
 // pooled decode (Capture.Frame), made when the first asks; a flipped or
@@ -514,8 +515,9 @@ type Transceiver struct {
 func (t *Transceiver) Name() string { return t.name }
 
 // ID reports the transceiver's attach order on its medium: 0 for the
-// first attached, then 1, 2, ... with no gaps. Detach keeps the ID
-// retired, so an interceptor may index per-link state by it.
+// first attached, then 1, 2, ... with no gaps. A detached transceiver
+// keeps its ID and no later one reuses it, so an interceptor may index
+// per-link state by it.
 func (t *Transceiver) ID() int { return t.id }
 
 // Region reports the RF region the transceiver is tuned to.
