@@ -5,9 +5,15 @@
 // Usage:
 //
 //	zcover -target D4 -strategy full -duration 24h -seed 1
+//	zcover -target D1 -flight-recorder 16 -buglog-out bugs.jsonl
 //
 // Targets are the paper's Table II controllers (D1..D7). Strategies are
 // full (default), beta (known command classes only), and gamma (random).
+// -buglog-out saves the findings as a JSON-lines bug log, with frame
+// traces when a flight recorder is attached; zreplay -log replays it as
+// single-packet PoCs. It is the one command-line way to run a single
+// campaign: -checkpoint-dir journals it, and zcover coordinate/work
+// distribute whole sweeps.
 package main
 
 import (
@@ -22,6 +28,7 @@ import (
 	"zcover/internal/obs"
 	"zcover/internal/report"
 	"zcover/internal/telemetry"
+	"zcover/internal/zcover/fuzz"
 )
 
 func main() {
@@ -59,6 +66,7 @@ func run(args []string) error {
 	fuzzMode := fs.String("fuzz-mode", "zcover", "fuzzing engine: zcover (generational Algorithm 1) or coverage (behavioral-coverage-guided)")
 	corpusDir := fs.String("corpus-dir", "", "coverage mode: journal every admitted corpus seed into this directory (crash-safe; resumable with -resume)")
 	coverageOut := fs.String("coverage-out", "", "coverage mode: write the final coverage-map stats to this file as JSON")
+	buglogOut := fs.String("buglog-out", "", "write the campaign's findings to this file as bug-log JSON lines (replay with zreplay -log)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -114,16 +122,14 @@ func run(args []string) error {
 		return fmt.Errorf("unknown strategy %q (want full, beta, or gamma)", *strategy)
 	}
 
-	tb, err := zcover.NewTestbed(*target, *seed)
+	job := zcover.FleetJob{Device: *target, Strategy: strat, Budget: *duration, Seed: *seed,
+		ChaosProfile: *chaosProfile, ChaosSeed: *chaosSeed}
+	if *fuzzMode == "coverage" {
+		job.FuzzMode = zcover.FuzzModeCoverage
+	}
+	tb, err := job.Build()
 	if err != nil {
 		return err
-	}
-	if *chaosProfile != "" {
-		p, err := zcover.ParseChaosProfile(*chaosProfile)
-		if err != nil {
-			return err
-		}
-		tb.ApplyChaos(p, *chaosSeed)
 	}
 	fmt.Printf("ZCover %s — target %s (%s %s), strategy %s, budget %s\n",
 		zcover.Version, *target, tb.Controller.Profile().Brand,
@@ -148,11 +154,15 @@ func run(args []string) error {
 		defer tf.Close()
 		tracer = telemetry.NewTracer(tf, nil)
 	}
-	job := zcover.FleetJob{Device: *target, Strategy: strat, Budget: *duration, Seed: *seed,
-		ChaosProfile: *chaosProfile, ChaosSeed: *chaosSeed}
+	var buglog *os.File
+	if *buglogOut != "" {
+		if buglog, err = os.Create(*buglogOut); err != nil {
+			return err
+		}
+		defer buglog.Close()
+	}
 	opts.OnPhase = func(phase string) { timeline.Phase(0, job.Label(), phase, tb.Clock.Now()) }
-	if *fuzzMode == "coverage" {
-		job.FuzzMode = zcover.FuzzModeCoverage
+	if job.FuzzMode == zcover.FuzzModeCoverage {
 		opts.CorpusDir, opts.ResumeCorpus, opts.Minimize = *corpusDir, *resume, true
 		if *corpusDir != "" {
 			if err := os.MkdirAll(*corpusDir, 0o755); err != nil {
@@ -164,11 +174,7 @@ func run(args []string) error {
 	resumed := false
 	timeline.StartWorker(0)
 	if *ckptDir != "" {
-		key := zcover.CampaignKey{
-			Target: job.Device, Strategy: job.Strategy, Duration: job.Budget, Seed: job.Seed,
-			ChaosProfile: job.ChaosProfile, ChaosSeed: job.ChaosSeed,
-		}
-		out.Campaign, resumed, err = zcover.RunResumable(*ckptDir, *resume, key, tb, opts)
+		out, resumed, err = zcover.RunResumable(*ckptDir, *resume, tb, job, opts)
 	} else {
 		out, err = zcover.Run(tb, job, opts)
 	}
@@ -186,6 +192,14 @@ func run(args []string) error {
 	}
 	if *metricsOut != "" {
 		if err := telemetry.Default().WriteFile(*metricsOut); err != nil {
+			return err
+		}
+	}
+	if buglog != nil {
+		if err := fuzz.WriteLog(buglog, out.Fuzz()); err != nil {
+			return err
+		}
+		if err := buglog.Close(); err != nil {
 			return err
 		}
 	}

@@ -212,3 +212,59 @@ func TestCoverageModeCLI(t *testing.T) {
 		t.Error("resumed coverage map differs")
 	}
 }
+
+// TestBugLogOutGolden: -buglog-out writes the campaign's findings as a
+// bug log. The two committed logs are the ones cmd/zreplay's tests
+// replay, so this pins what they read to what zcover writes now; a
+// change that moves the findings regenerates both with the args below.
+func TestBugLogOutGolden(t *testing.T) {
+	cases := []struct {
+		golden string
+		args   []string
+	}{
+		{"bugs-D1-20m-seed1.jsonl", []string{"-target", "D1", "-duration", "20m", "-seed", "1"}},
+		{"bugs-D4-15m-seed1.jsonl", []string{"-target", "D4", "-duration", "15m", "-seed", "1"}},
+	}
+	for _, tc := range cases {
+		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := filepath.Join(t.TempDir(), "bugs.jsonl")
+		capture(t, func() error { return run(append(tc.args, "-buglog-out", out)) })
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%v -buglog-out differs from testdata/%s:\n%s", tc.args, tc.golden, got)
+		}
+	}
+}
+
+// TestBugLogOutResumed: a campaign replayed from its checkpoint journal
+// writes the same bug log, byte for byte, as the run that journaled it;
+// so does the coverage-guided engine replayed from its corpus journal.
+func TestBugLogOutResumed(t *testing.T) {
+	for _, args := range [][]string{
+		{"-target", "D1", "-duration", "20m", "-seed", "3", "-flight-recorder", "64", "-checkpoint-dir"},
+		{"-target", "D1", "-duration", "5m", "-seed", "7", "-fuzz-mode", "coverage", "-corpus-dir"},
+	} {
+		dir := t.TempDir()
+		args = append(args, dir)
+		a, b := filepath.Join(dir, "a.jsonl"), filepath.Join(dir, "b.jsonl")
+		capture(t, func() error { return run(append(args, "-buglog-out", a)) })
+		capture(t, func() error { return run(append(args, "-resume", "-buglog-out", b)) })
+		logA, err := os.ReadFile(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logB, err := os.ReadFile(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(logA) == 0 || !bytes.Equal(logA, logB) {
+			t.Errorf("%v: resumed bug log differs from the journaled run's (%d vs %d bytes)", args, len(logA), len(logB))
+		}
+	}
+}

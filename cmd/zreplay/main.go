@@ -1,14 +1,14 @@
-// Command zreplay works with ZCover bug logs: it can run a campaign and
-// save its findings as a JSON-lines log, replay a saved log as
-// single-packet proof-of-concept exploits against fresh devices, replay
-// the built-in catalogue of the paper's fifteen PoCs, or summarise a span
-// trace written by -trace-out.
+// Command zreplay works with ZCover bug logs: it replays a saved log
+// (from zcover -buglog-out, or the -buglog-out of experiments and
+// zcover coordinate) as single-packet proof-of-concept exploits against
+// fresh devices, replays the built-in catalogue of the paper's fifteen
+// PoCs, or summarises a span trace written by -trace-out.
 //
 // Usage:
 //
-//	zreplay -hunt -target D1 -duration 1h -out bugs.jsonl   # fuzz + save
-//	zreplay -hunt -flight-recorder 16 -out bugs.jsonl        # + frame traces
+//	zcover -target D1 -duration 1h -buglog-out bugs.jsonl   # fuzz + save
 //	zreplay -log bugs.jsonl                                  # replay a log
+//	zreplay -log bugs.jsonl -minimize                        # minimise, then replay
 //	zreplay -catalog                                         # replay Table III PoCs
 //	zreplay -trace spans.jsonl                               # summarise a trace
 package main
@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"zcover"
 	"zcover/internal/cmdclass"
@@ -38,26 +37,15 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("zreplay", flag.ContinueOnError)
-	hunt := fs.Bool("hunt", false, "run a fuzzing campaign and save the bug log")
-	target := fs.String("target", "D1", "testbed controller (D1..D7)")
-	duration := fs.Duration("duration", time.Hour, "campaign budget (with -hunt)")
-	out := fs.String("out", "bugs.jsonl", "bug log path (with -hunt)")
 	logPath := fs.String("log", "", "bug log to replay")
 	catalog := fs.Bool("catalog", false, "replay the paper's Table III PoC catalogue")
 	minimise := fs.Bool("minimize", false, "minimise each trigger payload before replaying")
 	seed := fs.Int64("seed", 1, "deterministic seed")
-	flightDepth := fs.Int("flight-recorder", 0, "with -hunt: attach a packet flight recorder of this depth so findings carry frame traces (0 = off)")
 	tracePath := fs.String("trace", "", "span trace file (from -trace-out) to summarise")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *duration <= 0 {
-		return fmt.Errorf("-duration must be positive, got %s", *duration)
-	}
-
 	switch {
-	case *hunt:
-		return runHunt(*target, *duration, *out, *seed, *flightDepth)
 	case *tracePath != "":
 		return summariseTrace(*tracePath)
 	case *logPath != "":
@@ -86,44 +74,8 @@ func run(args []string) error {
 		}
 		return replay(entries, *seed)
 	default:
-		return fmt.Errorf("one of -hunt, -log, or -catalog is required")
+		return fmt.Errorf("one of -log, -catalog, or -trace is required")
 	}
-}
-
-// runHunt fuzzes and saves the bug log, with frame traces when a flight
-// recorder is attached.
-func runHunt(target string, duration time.Duration, out string, seed int64, flightDepth int) error {
-	tb, err := zcover.NewTestbed(target, seed)
-	if err != nil {
-		return err
-	}
-	job := zcover.FleetJob{Device: target, Strategy: zcover.StrategyFull, Budget: duration, Seed: seed}
-	res, err := zcover.Run(tb, job, zcover.Options{FlightRecorderDepth: flightDepth})
-	if err != nil {
-		return err
-	}
-	c := res.Campaign
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := fuzz.WriteLog(f, c.Fuzz); err != nil {
-		return err
-	}
-	traced := 0
-	for _, finding := range c.Fuzz.Findings {
-		if len(finding.Trace) > 0 {
-			traced++
-		}
-	}
-	fmt.Printf("campaign on %s: %d unique findings in %s; bug log written to %s\n",
-		target, len(c.Fuzz.Findings), c.Fuzz.Elapsed.Round(time.Second), out)
-	if flightDepth > 0 {
-		fmt.Printf("flight recorder: %d/%d findings carry frame traces (depth %d)\n",
-			traced, len(c.Fuzz.Findings), flightDepth)
-	}
-	return nil
 }
 
 // summariseTrace prints the spans of a -trace-out file in order, each with

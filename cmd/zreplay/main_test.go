@@ -11,15 +11,18 @@ import (
 	"zcover/internal/telemetry"
 )
 
-func TestHuntThenReplay(t *testing.T) {
-	log := filepath.Join(t.TempDir(), "bugs.jsonl")
-	if err := run([]string{"-hunt", "-target", "D1", "-duration", "20m", "-out", log}); err != nil {
+// The bug logs replayed below are what zcover -buglog-out writes; the
+// zcover tests pin them (TestBugLogOutGolden).
+const (
+	bugLogD1 = "../zcover/testdata/bugs-D1-20m-seed1.jsonl" // -target D1 -duration 20m -seed 1
+	bugLogD4 = "../zcover/testdata/bugs-D4-15m-seed1.jsonl" // -target D4 -duration 15m -seed 1
+)
+
+func TestBugLogThenReplay(t *testing.T) {
+	if _, err := os.Stat(bugLogD1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(log); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-log", log}); err != nil {
+	if err := run([]string{"-log", bugLogD1}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -37,20 +40,10 @@ func TestRunRequiresAMode(t *testing.T) {
 	if err := run([]string{"-log", "/nonexistent/x.jsonl"}); err == nil {
 		t.Fatal("accepted missing log file")
 	}
-	out := filepath.Join(t.TempDir(), "bugs.jsonl")
-	for _, d := range []string{"0s", "-1h"} {
-		if err := run([]string{"-hunt", "-duration", d, "-out", out}); err == nil || !strings.Contains(err.Error(), "-duration") {
-			t.Errorf("-hunt -duration %s: err = %v", d, err)
-		}
-	}
 }
 
-func TestHuntMinimizeReplay(t *testing.T) {
-	log := filepath.Join(t.TempDir(), "bugs.jsonl")
-	if err := run([]string{"-hunt", "-target", "D4", "-duration", "15m", "-out", log}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-log", log, "-minimize"}); err != nil {
+func TestBugLogMinimizeReplay(t *testing.T) {
+	if err := run([]string{"-log", bugLogD4, "-minimize"}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -3,6 +3,7 @@ package device
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -164,6 +165,32 @@ func TestPairS2EstablishesInteroperableSessions(t *testing.T) {
 	got, err := p.DeviceSession.Decapsulate(security.FlowAtoB, aad, encap)
 	if err != nil || string(got) != "lock" {
 		t.Fatalf("device decap: %q, %v", got, err)
+	}
+}
+
+// TestPairS2IsSeeded: the seed alone decides a pairing. Every pairing
+// from the same seeded reader grants the same network key and sets up
+// the same two sessions, so the lock's S2 ciphertext in a frame trace is
+// the same in every run.
+func TestPairS2IsSeeded(t *testing.T) {
+	first, err := PairS2(rand.New(rand.NewSource(42)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	differ := 0
+	for i := 1; i < 64; i++ {
+		p, err := PairS2(rand.New(rand.NewSource(42)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(p.NetworkKey, first.NetworkKey) ||
+			!reflect.DeepEqual(p.ControllerSession, first.ControllerSession) ||
+			!reflect.DeepEqual(p.DeviceSession, first.DeviceSession) {
+			differ++
+		}
+	}
+	if differ > 0 {
+		t.Fatalf("%d of 63 pairings at seed 42 differ from the first", differ)
 	}
 }
 

@@ -116,10 +116,10 @@ func (j Job) Label() string {
 	return label
 }
 
-// build assembles the job's private testbed. Every attempt gets a fresh
+// Build assembles the job's private testbed. Every attempt gets a fresh
 // one, so campaigns share nothing and retries start clean — including the
 // fault injector, whose burst/partition state is rebuilt from ChaosSeed.
-func (j Job) build() (*testbed.Testbed, error) {
+func (j Job) Build() (*testbed.Testbed, error) {
 	var tb *testbed.Testbed
 	var err error
 	if j.Patched {
@@ -424,7 +424,7 @@ func (f *Fleet[T]) attempt(w int, job Job, ob *Observer) (val T, err error) {
 		f.cfg.Timeline.EndRun(w, sim, err)
 	}()
 	f.cfg.Timeline.Phase(w, job.Label(), obs.PhaseBuild, time.Time{})
-	tb, err := job.build()
+	tb, err := job.Build()
 	if err != nil {
 		return val, err
 	}

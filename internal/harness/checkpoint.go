@@ -205,36 +205,69 @@ func writeBugLog(outs []FleetOutcome) error {
 	return nil
 }
 
-// runCheckpointed is runCampaigns with a checkpoint spec. The campaign's
-// coordinator, used in-process, owns the journal: the fleet runs only the
-// jobs the journal lacks, each outcome is journaled through Submit, and
-// the table is rendered from the journal's records. Journaled records
-// are decoded before any job runs, so codec drift fails before any work
-// is spent; a complete journal renders with nothing executed.
+// journal is a campaign's checkpoint journal, opened through the
+// campaign's coordinator used in-process: local resume and distributed
+// sweeps share one journal path. done holds every outcome the journal
+// already had when it was opened, decoded, by job index.
+type journal struct {
+	c    *coord.Coordinator
+	hash string
+	done []*FleetOutcome
+}
+
+// openJournal opens (or, with resume, continues) the campaign's journal
+// under dir and decodes every journaled record before any job runs, so
+// codec drift fails before any work is spent.
+func openJournal(name, hash string, jobs []fleet.Job, dir string, resume bool) (*journal, error) {
+	c, err := coord.New(coord.Config{
+		Campaign: name, Jobs: jobs, SpecHash: hash, Dir: dir, Resume: resume,
+	})
+	if err != nil {
+		return nil, err
+	}
+	j := &journal{c: c, hash: hash, done: make([]*FleetOutcome, len(jobs))}
+	for _, rec := range c.Journaled() {
+		out, err := DecodeOutcome(rec.Body)
+		if err != nil {
+			c.Close()
+			return nil, fmt.Errorf("harness: %s job %d (%s): %w", name, rec.Index, rec.Label, err)
+		}
+		j.done[rec.Index] = &out
+	}
+	return j, nil
+}
+
+// submit journals job index's outcome, as a local worker's result.
+func (j *journal) submit(index, attempts int, out FleetOutcome) error {
+	raw, err := EncodeOutcome(out)
+	if err != nil {
+		return err
+	}
+	_, err = j.c.Submit(coord.ResultRequest{
+		Worker: "local", JobIndex: index, SpecHash: j.hash, Attempts: attempts, Body: raw,
+	})
+	return err
+}
+
+// runCheckpointed is runCampaigns with a checkpoint spec. The journal
+// owns the outcomes: the fleet runs only the jobs the journal lacks, each
+// outcome is journaled as it completes, and the table is rendered from
+// the journal's records. A complete journal renders with nothing
+// executed.
 func runCheckpointed(name string, jobs []fleet.Job, cfg fleet.Config) ([]FleetOutcome, error) {
 	hash, err := CampaignSpecHash(name, jobs)
 	if err != nil {
 		return nil, err
 	}
-	c, err := coord.New(coord.Config{
-		Campaign: name, Jobs: jobs, SpecHash: hash,
-		Dir: cfg.Checkpoint.Dir, Resume: cfg.Checkpoint.Resume,
-	})
+	j, err := openJournal(name, hash, jobs, cfg.Checkpoint.Dir, cfg.Checkpoint.Resume)
 	if err != nil {
 		return nil, err
 	}
-	defer c.Close()
+	defer j.c.Close()
 
-	journaled := make([]bool, len(jobs))
-	for _, rec := range c.Journaled() {
-		if _, err := DecodeOutcome(rec.Body); err != nil {
-			return nil, fmt.Errorf("harness: %s job %d (%s): %w", name, rec.Index, rec.Label, err)
-		}
-		journaled[rec.Index] = true
-	}
 	var pending []int
 	for i := range jobs {
-		if !journaled[i] {
+		if j.done[i] == nil {
 			pending = append(pending, i)
 		}
 	}
@@ -245,32 +278,24 @@ func runCheckpointed(name string, jobs []fleet.Job, cfg fleet.Config) ([]FleetOu
 		}
 		results := fleet.New(subJobs, RunFleetJob, cfg).WithResume(
 			func(k int, job fleet.Job, res fleet.Result[FleetOutcome]) error {
-				raw, err := EncodeOutcome(res.Value)
-				if err != nil {
-					return err
-				}
-				_, err = c.Submit(coord.ResultRequest{
-					Worker: "local", JobIndex: pending[k], SpecHash: hash,
-					Attempts: res.Attempts, Body: raw,
-				})
-				return err
+				return j.submit(pending[k], res.Attempts, res.Value)
 			}).Run()
 		if err := fleet.FirstError(results); err != nil {
 			return nil, err
 		}
 	}
-	recs, err := c.Records()
+	recs, err := j.c.Records()
 	if err != nil {
 		return nil, err
 	}
 	return DecodeRecords(recs, len(jobs))
 }
 
-// CampaignKey identifies a single-campaign checkpoint: every input that
-// determines the campaign's output. Two runs with equal keys produce
-// byte-identical campaigns, which is what makes replaying a journaled
-// outcome sound.
-type CampaignKey struct {
+// campaignKey is what a single campaign's journal fingerprints: every
+// input that determines a generational ZCover campaign's output. Its
+// fields and tags are the journal format; changing them changes the
+// hash and refuses every existing single-campaign journal.
+type campaignKey struct {
 	Target       string        `json:"target"`
 	Strategy     fuzz.Strategy `json:"strategy"`
 	Duration     time.Duration `json:"duration"`
@@ -279,53 +304,53 @@ type CampaignKey struct {
 	ChaosSeed    int64         `json:"chaos_seed,omitempty"`
 }
 
-// RunZCoverResumable runs the key's ZCover campaign through Run as a
-// one-job checkpointed campaign under dir, on the same coordinator path
-// as runCheckpointed. A completed campaign already journaled for the same
-// key is decoded and returned (resumed=true) without executing anything;
-// a journal that exists but holds no completed outcome — the process died
-// mid-campaign — re-runs the campaign from its seed and journals the
-// outcome. An existing journal is refused unless resume is set.
-func RunZCoverResumable(dir string, resume bool, key CampaignKey, tb *testbed.Testbed, opts Options) (*Campaign, bool, error) {
-	hash, err := checkpoint.SpecHash(key)
-	if err != nil {
-		return nil, false, err
+// RunZCoverResumable runs the job through Run as a one-job checkpointed
+// campaign under dir, on runCheckpointed's journal path. A campaign
+// already journaled for the same spec is decoded and returned
+// (resumed=true) without executing anything; a journal that exists but
+// holds no outcome (the process died mid-campaign) re-runs the job from
+// its seed and journals the outcome. An existing journal is refused
+// unless resume is set.
+//
+// The journal's key covers the device, strategy, budget, seed and chaos
+// fields of a generational ZCover job. A job that sets anything else
+// (Baseline, FuzzMode, Patched, Frames) is refused before any journal is
+// created. An empty Device is the testbed's.
+func RunZCoverResumable(dir string, resume bool, tb *testbed.Testbed, job fleet.Job, opts Options) (FleetOutcome, bool, error) {
+	if job.Baseline || job.FuzzMode != "" || job.Patched || job.Frames != 0 {
+		return FleetOutcome{}, false, fmt.Errorf("harness: a checkpointed campaign journals only device, strategy, budget, seed and chaos; job %s sets more", job.Label())
 	}
-	name := "zcover-" + key.Target
-	job := fleet.Job{
-		Name: name, Device: key.Target, Strategy: key.Strategy, Seed: key.Seed,
-		Budget: key.Duration, ChaosProfile: key.ChaosProfile, ChaosSeed: key.ChaosSeed,
+	if job.Device == "" {
+		job.Device = tb.Controller.Profile().Index
 	}
-	c, err := coord.New(coord.Config{
-		Campaign: name, SpecHash: hash, Dir: dir, Resume: resume, Jobs: []fleet.Job{job},
+	hash, err := checkpoint.SpecHash(campaignKey{
+		Target: job.Device, Strategy: job.Strategy, Duration: job.Budget, Seed: job.Seed,
+		ChaosProfile: job.ChaosProfile, ChaosSeed: job.ChaosSeed,
 	})
 	if err != nil {
-		return nil, false, err
+		return FleetOutcome{}, false, err
 	}
-	defer c.Close()
-	if recs := c.Journaled(); len(recs) == 1 {
-		out, err := DecodeOutcome(recs[0].Body)
-		if err == nil && out.Campaign == nil {
-			err = fmt.Errorf("journaled outcome is not a ZCover campaign")
+	name := "zcover-" + job.Device
+	journaled := job
+	journaled.Name = name
+	j, err := openJournal(name, hash, []fleet.Job{journaled}, dir, resume)
+	if err != nil {
+		return FleetOutcome{}, false, err
+	}
+	defer j.c.Close()
+	if out := j.done[0]; out != nil {
+		if out.Campaign == nil {
+			return FleetOutcome{}, false, fmt.Errorf("harness: %s: journaled outcome is not a ZCover campaign", name)
 		}
-		if err != nil {
-			return nil, false, fmt.Errorf("harness: %s: %w", name, err)
-		}
-		return out.Campaign, true, nil
+		return *out, true, nil
 	}
 
 	out, err := Run(tb, job, opts)
 	if err != nil {
-		return nil, false, err
+		return FleetOutcome{}, false, err
 	}
-	raw, err := EncodeOutcome(out)
-	if err != nil {
-		return nil, false, err
+	if err := j.submit(0, 1, out); err != nil {
+		return FleetOutcome{}, false, err
 	}
-	if _, err := c.Submit(coord.ResultRequest{
-		Worker: "local", JobIndex: 0, SpecHash: hash, Attempts: 1, Body: raw,
-	}); err != nil {
-		return nil, false, err
-	}
-	return out.Campaign, false, nil
+	return out, false, nil
 }

@@ -188,7 +188,7 @@ func TestResumeReportsUndecodableRecord(t *testing.T) {
 // refused without resume.
 func TestRunZCoverResumable(t *testing.T) {
 	dir := t.TempDir()
-	key := CampaignKey{Target: "D1", Strategy: fuzz.StrategyFull, Duration: 2 * time.Minute, Seed: 41}
+	job := fleet.Job{Device: "D1", Strategy: fuzz.StrategyFull, Budget: 2 * time.Minute, Seed: 41}
 	newTB := func() *testbed.Testbed {
 		tb, err := testbed.New("D1", 41)
 		if err != nil {
@@ -196,17 +196,19 @@ func TestRunZCoverResumable(t *testing.T) {
 		}
 		return tb
 	}
-	c1, resumed, err := RunZCoverResumable(dir, false, key, newTB(), Options{})
+	out1, resumed, err := RunZCoverResumable(dir, false, newTB(), job, Options{})
+	c1 := out1.Campaign
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resumed {
 		t.Fatal("fresh run claimed to be resumed")
 	}
-	if _, _, err := RunZCoverResumable(dir, false, key, newTB(), Options{}); err == nil {
+	if _, _, err := RunZCoverResumable(dir, false, newTB(), job, Options{}); err == nil {
 		t.Fatal("existing journal accepted without resume")
 	}
-	c2, resumed, err := RunZCoverResumable(dir, true, key, newTB(), Options{})
+	out2, resumed, err := RunZCoverResumable(dir, true, newTB(), job, Options{})
+	c2 := out2.Campaign
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,10 +227,38 @@ func TestRunZCoverResumable(t *testing.T) {
 		t.Error("replayed campaign differs from the original")
 	}
 	// A drifted key (different seed) must be refused, not replayed.
-	drifted := key
+	drifted := job
 	drifted.Seed = 99
-	if _, _, err := RunZCoverResumable(dir, true, drifted, newTB(), Options{}); err == nil {
+	if _, _, err := RunZCoverResumable(dir, true, newTB(), drifted, Options{}); err == nil {
 		t.Error("drifted campaign key accepted")
+	}
+}
+
+// TestRunZCoverResumableRefusesUnkeyedJobs: the single-campaign journal
+// is keyed by device, strategy, budget, seed and chaos only, so a job
+// that sets anything else is refused before any journal exists, rather
+// than journaled under a key that does not describe it.
+func TestRunZCoverResumableRefusesUnkeyedJobs(t *testing.T) {
+	base := fleet.Job{Device: "D1", Strategy: fuzz.StrategyFull, Budget: 2 * time.Minute, Seed: 41}
+	for name, edit := range map[string]func(*fleet.Job){
+		"baseline": func(j *fleet.Job) { j.Baseline = true },
+		"coverage": func(j *fleet.Job) { j.FuzzMode = fleet.ModeCoverage },
+		"patched":  func(j *fleet.Job) { j.Patched = true },
+		"frames":   func(j *fleet.Job) { j.Frames = 100 },
+	} {
+		job := base
+		edit(&job)
+		tb, err := job.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if _, _, err := RunZCoverResumable(dir, false, tb, job, Options{}); err == nil {
+			t.Errorf("%s job accepted", name)
+		}
+		if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+			t.Errorf("%s job left %d files in the checkpoint dir (err %v)", name, len(entries), err)
+		}
 	}
 }
 
@@ -268,7 +298,7 @@ func TestParentJournalsStillResume(t *testing.T) {
 		t.Error("parent journal renders differently from a fresh run")
 	}
 
-	key := CampaignKey{Target: "D1", Strategy: fuzz.StrategyFull, Duration: 2 * time.Minute, Seed: 41}
+	job := fleet.Job{Device: "D1", Strategy: fuzz.StrategyFull, Budget: 2 * time.Minute, Seed: 41}
 	newTB := func() *testbed.Testbed {
 		tb, err := testbed.New("D1", 41)
 		if err != nil {
@@ -276,12 +306,13 @@ func TestParentJournalsStillResume(t *testing.T) {
 		}
 		return tb
 	}
-	out, err := Run(newTB(), fleet.Job{Strategy: key.Strategy, Budget: key.Duration, Seed: key.Seed}, Options{})
+	out, err := Run(newTB(), job, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fresh := out.Campaign
-	replayed, wasResumed, err := RunZCoverResumable(dir, true, key, newTB(), Options{})
+	replayedOut, wasResumed, err := RunZCoverResumable(dir, true, newTB(), job, Options{})
+	replayed := replayedOut.Campaign
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,10 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
-	"zcover/internal/oracle"
-	"zcover/internal/testbed"
-	"zcover/internal/zcover/dongle"
 	"zcover/internal/zcover/fuzz"
-	"zcover/internal/zcover/scan"
+	"zcover/internal/zcover/minimize"
 )
 
 // PoCResult is the outcome of replaying one logged trigger against a
@@ -23,9 +21,8 @@ type PoCResult struct {
 }
 
 // VerifyPoCs replays each logged trigger payload against a *fresh*
-// instance of its device (the single-packet PoC condition: no fuzzing
-// history, just the one injection) and checks that the same anomaly
-// reproduces.
+// instance of its device (minimize.Probe) and checks that the same
+// anomaly reproduces.
 func VerifyPoCs(entries []fuzz.LogEntry, seed int64) ([]PoCResult, error) {
 	out := make([]PoCResult, 0, len(entries))
 	for i, e := range entries {
@@ -33,27 +30,12 @@ func VerifyPoCs(entries []fuzz.LogEntry, seed int64) ([]PoCResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("harness: entry %d: %w", i, err)
 		}
-		tb, err := testbed.New(e.Device, seed)
+		observed, err := minimize.Probe(e.Device, seed, payload)
 		if err != nil {
 			return nil, fmt.Errorf("harness: entry %d: %w", i, err)
 		}
-		var observed []string
-		tb.Bus.Subscribe(func(ev oracle.Event) { observed = append(observed, ev.Signature()) })
-
-		d := dongle.New(tb.Medium, tb.Region)
-		if _, err := d.SendAndObserve(tb.Home(), scan.AttackerNodeID, testbed.ControllerID,
-			payload, dongle.DefaultResponseWindow); err != nil {
-			return nil, fmt.Errorf("harness: entry %d: %w", i, err)
-		}
-		tb.Publish()
-
-		res := PoCResult{Entry: e, Observed: observed}
-		for _, sig := range observed {
-			if sig == e.Signature {
-				res.Reproduced = true
-			}
-		}
-		out = append(out, res)
+		out = append(out, PoCResult{Entry: e, Observed: observed,
+			Reproduced: slices.Contains(observed, e.Signature)})
 	}
 	return out, nil
 }

@@ -42,11 +42,18 @@ type Keypair struct {
 
 // GenerateKeypair creates a Curve25519 key pair from the given entropy
 // source (crypto/rand.Reader in production, a seeded reader in tests).
+// It reads exactly 32 bytes: ecdh's GenerateKey may read one more byte
+// at random (randutil.MaybeReadByte), which would make every later draw
+// from a seeded reader differ from run to run.
 func GenerateKeypair(rng io.Reader) (*Keypair, error) {
 	if rng == nil {
 		rng = rand.Reader
 	}
-	priv, err := ecdh.X25519().GenerateKey(rng)
+	var seed [32]byte
+	if _, err := io.ReadFull(rng, seed[:]); err != nil {
+		return nil, fmt.Errorf("security: generating S2 keypair: %w", err)
+	}
+	priv, err := ecdh.X25519().NewPrivateKey(seed[:])
 	if err != nil {
 		return nil, fmt.Errorf("security: generating S2 keypair: %w", err)
 	}

@@ -1,5 +1,5 @@
 // Package telemetry is the process-wide observability layer of the ZCover
-// reproduction: a metrics registry (named atomic counters, gauges, and
+// reproduction: a metrics registry (named atomic counters and
 // fixed-bucket histograms), a bounded packet flight recorder, and a
 // JSONL span writer.
 //
@@ -16,7 +16,7 @@
 //   - Determinism. Telemetry must never feed back into simulation results:
 //     nothing here is consulted by the pipeline, and with telemetry enabled
 //     the experiment tables stay byte-identical across worker counts.
-//   - Off the frame path. Counter/gauge/histogram updates are single
+//   - Off the frame path. Counter and histogram updates are single
 //     atomic operations with no locks and no allocation, and handles are
 //     resolved once (package init or construction time), never per event.
 //     Even so, the process-wide registry is shared by every campaign a
@@ -57,18 +57,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
-
-// Gauge is a metric that can move in both directions (queue depths,
-// in-flight counts). All methods are lock-free.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Add adds n, which may be negative.
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // Histogram is a fixed-bucket cumulative histogram. Bucket bounds are
 // immutable after construction; Observe is a binary search over a handful
@@ -127,7 +115,6 @@ func (h *Histogram) BucketCounts() []int64 {
 type Registry struct {
 	mu    sync.Mutex
 	ctrs  map[string]*Counter
-	ggs   map[string]*Gauge
 	hists map[string]*Histogram
 }
 
@@ -135,7 +122,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		ctrs:  map[string]*Counter{},
-		ggs:   map[string]*Gauge{},
 		hists: map[string]*Histogram{},
 	}
 }
@@ -158,18 +144,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.ggs[name]
-	if !ok {
-		g = &Gauge{}
-		r.ggs[name] = g
-	}
-	return g
-}
-
 // Histogram returns the named histogram, creating it with the given bucket
 // upper bounds on first use. Later calls return the existing histogram and
 // ignore the bounds, so every registration site should agree on them.
@@ -185,23 +159,19 @@ func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
 }
 
 // snapshot collects a stable, name-sorted view for the exporters.
-func (r *Registry) snapshot() (at time.Time, ctrs, ggs []namedValue, hists []namedHist) {
+func (r *Registry) snapshot() (at time.Time, ctrs []namedValue, hists []namedHist) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	at = time.Now()
 	for name, c := range r.ctrs {
 		ctrs = append(ctrs, namedValue{name, c.Load()})
 	}
-	for name, g := range r.ggs {
-		ggs = append(ggs, namedValue{name, g.Load()})
-	}
 	for name, h := range r.hists {
 		hists = append(hists, namedHist{name, h})
 	}
 	sort.Slice(ctrs, func(i, j int) bool { return ctrs[i].name < ctrs[j].name })
-	sort.Slice(ggs, func(i, j int) bool { return ggs[i].name < ggs[j].name })
 	sort.Slice(hists, func(i, j int) bool { return hists[i].name < hists[j].name })
-	return at, ctrs, ggs, hists
+	return at, ctrs, hists
 }
 
 type namedValue struct {
@@ -217,14 +187,9 @@ type namedHist struct {
 // WritePrometheus renders the registry in Prometheus text exposition
 // format, instruments sorted by name so output is stable.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	_, ctrs, ggs, hists := r.snapshot()
+	_, ctrs, hists := r.snapshot()
 	for _, c := range ctrs {
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", c.name, c.name, c.v); err != nil {
-			return err
-		}
-	}
-	for _, g := range ggs {
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", g.name, g.name, g.v); err != nil {
 			return err
 		}
 	}
@@ -282,7 +247,6 @@ type jsonHistogram struct {
 type jsonDocument struct {
 	At         time.Time                `json:"at"`
 	Counters   map[string]int64         `json:"counters"`
-	Gauges     map[string]int64         `json:"gauges"`
 	Histograms map[string]jsonHistogram `json:"histograms"`
 }
 
@@ -290,18 +254,14 @@ type jsonDocument struct {
 // with the wall-clock time of the snapshot ("at"); map keys serialise
 // sorted, so output is stable.
 func (r *Registry) WriteJSON(w io.Writer) error {
-	at, ctrs, ggs, hists := r.snapshot()
+	at, ctrs, hists := r.snapshot()
 	doc := jsonDocument{
 		At:         at,
 		Counters:   map[string]int64{},
-		Gauges:     map[string]int64{},
 		Histograms: map[string]jsonHistogram{},
 	}
 	for _, c := range ctrs {
 		doc.Counters[c.name] = c.v
-	}
-	for _, g := range ggs {
-		doc.Gauges[g.name] = g.v
 	}
 	for _, nh := range hists {
 		doc.Histograms[nh.name] = jsonHistogram{

@@ -21,12 +21,6 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if r.Counter("c") != c {
 		t.Fatal("Counter lookup did not return the same handle")
 	}
-	g := r.Gauge("g")
-	g.Add(10)
-	g.Add(-3)
-	if got := g.Load(); got != 7 {
-		t.Fatalf("gauge = %d, want 7", got)
-	}
 }
 
 // TestHistogramBucketBoundaries pins the "le" semantics: a value exactly on
@@ -107,7 +101,6 @@ func TestWritePrometheusStableAndCumulative(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_total").Add(2)
 	r.Counter("a_total").Add(1)
-	r.Gauge("q").Add(-4)
 	h := r.Histogram("lat_ms", 1, 2)
 	h.Observe(0.5)
 	h.Observe(1.5)
@@ -122,7 +115,7 @@ func TestWritePrometheusStableAndCumulative(t *testing.T) {
 		t.Errorf("counters not sorted by name:\n%s", out)
 	}
 	for _, want := range []string{
-		"a_total 1", "b_total 2", "q -4",
+		"a_total 1", "b_total 2",
 		`lat_ms_bucket{le="1"} 1`,
 		`lat_ms_bucket{le="2"} 2`,
 		`lat_ms_bucket{le="+Inf"} 3`,
@@ -145,7 +138,6 @@ func TestWritePrometheusStableAndCumulative(t *testing.T) {
 func TestWriteJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("pkts").Add(7)
-	r.Gauge("running").Add(3)
 	r.Histogram("h", 1).Observe(2)
 
 	var buf bytes.Buffer
@@ -157,7 +149,6 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 	var doc struct {
 		At         time.Time        `json:"at"`
 		Counters   map[string]int64 `json:"counters"`
-		Gauges     map[string]int64 `json:"gauges"`
 		Histograms map[string]struct {
 			Counts []int64 `json:"counts"`
 			Count  int64   `json:"count"`
@@ -169,8 +160,8 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 	if doc.At.Before(before) || doc.At.After(after) {
 		t.Errorf("at = %v, want the wall time of the export (%v..%v)", doc.At, before, after)
 	}
-	if doc.Counters["pkts"] != 7 || doc.Gauges["running"] != 3 {
-		t.Errorf("values = %v / %v", doc.Counters, doc.Gauges)
+	if doc.Counters["pkts"] != 7 {
+		t.Errorf("counters = %v", doc.Counters)
 	}
 	if h := doc.Histograms["h"]; h.Count != 1 || len(h.Counts) != 2 || h.Counts[1] != 1 {
 		t.Errorf("histogram export wrong: %+v", h)

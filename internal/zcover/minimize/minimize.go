@@ -13,6 +13,7 @@ package minimize
 
 import (
 	"fmt"
+	"slices"
 
 	"zcover/internal/oracle"
 	"zcover/internal/testbed"
@@ -42,26 +43,31 @@ func New(device string, seed int64) *Minimizer {
 	return &Minimizer{device: device, seed: seed}
 }
 
-// triggers reports whether the payload fires the signature on a fresh
-// device.
-func (m *Minimizer) triggers(payload []byte, signature string) (bool, error) {
-	tb, err := testbed.New(m.device, m.seed)
+// Probe injects one payload from the attacker node into a fresh instance
+// of the device (the single-packet PoC condition: no fuzzing history,
+// just the one injection) and returns the anomaly signatures the oracle
+// observed, in order.
+func Probe(device string, seed int64, payload []byte) ([]string, error) {
+	tb, err := testbed.New(device, seed)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
 	defer tb.Publish()
-	fired := false
-	tb.Bus.Subscribe(func(ev oracle.Event) {
-		if ev.Signature() == signature {
-			fired = true
-		}
-	})
+	var observed []string
+	tb.Bus.Subscribe(func(ev oracle.Event) { observed = append(observed, ev.Signature()) })
 	d := dongle.New(tb.Medium, tb.Region)
 	if _, err := d.SendAndObserve(tb.Home(), scan.AttackerNodeID, testbed.ControllerID,
 		payload, dongle.DefaultResponseWindow); err != nil {
-		return false, err
+		return nil, err
 	}
-	return fired, nil
+	return observed, nil
+}
+
+// triggers reports whether the payload fires the signature on a fresh
+// device.
+func (m *Minimizer) triggers(payload []byte, signature string) (bool, error) {
+	observed, err := Probe(m.device, m.seed, payload)
+	return slices.Contains(observed, signature), err
 }
 
 // Minimize reduces the payload while preserving the anomaly signature. The

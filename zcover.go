@@ -17,19 +17,22 @@
 //
 // The quickest way in:
 //
-//	tb, err := zcover.NewTestbed("D6", 1)
+//	job := zcover.FleetJob{Device: "D6", Strategy: zcover.StrategyFull, Budget: time.Hour, Seed: 1}
+//	tb, err := job.Build()
 //	if err != nil { ... }
-//	job := zcover.FleetJob{Strategy: zcover.StrategyFull, Budget: time.Hour, Seed: 1}
 //	out, err := zcover.Run(tb, job, zcover.Options{})
 //	for _, f := range out.Campaign.Fuzz.Findings {
 //	    fmt.Println(f.Elapsed, f.Signature)
 //	}
 //
 // The job selects the engine: Baseline runs VFuzz, FuzzMode
-// FuzzModeCoverage the coverage-guided engine. Every table and figure of
-// the paper's evaluation can be regenerated with the experiment drivers
-// (Table3, Table4, Table5, Table6, Fig5, Fig12) or the cmd/experiments
-// binary.
+// FuzzModeCoverage the coverage-guided engine. RunResumable runs a
+// generational job behind a crash-safe checkpoint journal. cmd/zcover is
+// the command-line front end for one campaign; its -buglog-out writes
+// the findings as the bug log cmd/zreplay replays. Every table and figure
+// of the paper's evaluation can be regenerated with the experiment
+// drivers (Table3, Table4, Table5, Table6, Fig5, Fig12) or the
+// cmd/experiments binary.
 package zcover
 
 import (
@@ -102,9 +105,6 @@ type (
 	// Confidence is the oracle's grade for a finding: confirmed, or suspect
 	// when it overlapped an injected channel fault.
 	Confidence = oracle.Confidence
-	// CampaignKey identifies a single-campaign checkpoint journal: every
-	// input that determines the campaign's output.
-	CampaignKey = harness.CampaignKey
 	// CovResult is a coverage-guided campaign summary: the base Result
 	// plus the behavioral coverage map's final state and corpus size.
 	CovResult = fuzz.CovResult
@@ -148,7 +148,8 @@ const FuzzModeCoverage = fleet.ModeCoverage
 
 // NewTestbed assembles the simulated smart home around the controller with
 // the given testbed index ("D1".."D7", per Table II). seed drives pairing
-// entropy deterministically.
+// entropy deterministically. FleetJob.Build assembles the testbed a job
+// describes, fault injector included.
 func NewTestbed(index string, seed int64) (*Testbed, error) {
 	return testbed.New(index, seed)
 }
@@ -167,13 +168,15 @@ func Run(tb *Testbed, job FleetJob, opts Options) (Outcome, error) {
 	return harness.Run(tb, job, opts)
 }
 
-// RunResumable is a ZCover Run behind a crash-safe checkpoint journal in
-// dir: a campaign already journaled for the same key is replayed
-// byte-identically (resumed=true) instead of re-executing, and a fresh run
-// journals its outcome before returning. An existing journal is refused
-// unless resume is set, so a campaign is never double-run by accident.
-func RunResumable(dir string, resume bool, key CampaignKey, tb *Testbed, opts Options) (*Campaign, bool, error) {
-	return harness.RunZCoverResumable(dir, resume, key, tb, opts)
+// RunResumable is Run behind a crash-safe checkpoint journal in dir: a
+// campaign already journaled for the same job is replayed byte-identically
+// (resumed=true) instead of re-executing, and a fresh run journals its
+// outcome before returning. An existing journal is refused unless resume
+// is set, so a campaign is never double-run by accident. The journal
+// covers generational ZCover jobs (device, strategy, budget, seed, chaos);
+// a job that sets Baseline, FuzzMode, Patched or Frames is refused.
+func RunResumable(dir string, resume bool, tb *Testbed, job FleetJob, opts Options) (Outcome, bool, error) {
+	return harness.RunZCoverResumable(dir, resume, tb, job, opts)
 }
 
 // PaperBugs returns the paper's Table III vulnerability catalogue.

@@ -64,14 +64,15 @@ func TestPublicAPICatalog(t *testing.T) {
 // findings.
 func TestPublicAPIResumableCampaign(t *testing.T) {
 	dir := t.TempDir()
-	key := zcover.CampaignKey{
-		Target: "D1", Strategy: zcover.StrategyFull, Duration: 2 * time.Minute, Seed: 41,
+	job := zcover.FleetJob{
+		Device: "D1", Strategy: zcover.StrategyFull, Budget: 2 * time.Minute, Seed: 41,
 	}
 	tb, err := zcover.NewTestbed("D1", 41)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1, resumed, err := zcover.RunResumable(dir, false, key, tb, zcover.Options{})
+	out1, resumed, err := zcover.RunResumable(dir, false, tb, job, zcover.Options{})
+	c1 := out1.Campaign
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,8 @@ func TestPublicAPIResumableCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, resumed, err := zcover.RunResumable(dir, true, key, tb2, zcover.Options{})
+	out2, resumed, err := zcover.RunResumable(dir, true, tb2, job, zcover.Options{})
+	c2 := out2.Campaign
 	if err != nil {
 		t.Fatal(err)
 	}
