@@ -3,13 +3,13 @@ package main
 // The distributed-sweep subcommands:
 //
 //	zcover coordinate -campaign table5 -fuzz 2h -addr :8937 -checkpoint-dir ckpt
-//	zcover work -coordinator http://host:8937 -checkpoint-dir w1
+//	zcover work -coordinator http://host:8937
 //
 // The coordinator turns a campaign's job list into leased work units,
 // journals every uploaded outcome crash-safely, and — once all jobs are
 // in — renders the same table and bug log a single-machine run would
-// have produced, byte for byte. Workers are thin lease loops around the
-// fleet job executor; any number may join or die mid-sweep.
+// have produced, byte for byte. Workers are stateless lease loops around
+// the fleet job executor; any number may join or die mid-sweep.
 
 import (
 	"context"
@@ -29,6 +29,10 @@ import (
 	"zcover/internal/telemetry"
 )
 
+// lingerMargin covers a parked worker's wake-up and round trip on top of
+// the retry-after interval the coordinator keeps serving after completion.
+const lingerMargin = 2 * time.Second
+
 // runCoordinate serves one campaign until every job is journaled, then
 // renders the table and bug log.
 func runCoordinate(args []string) error {
@@ -39,11 +43,10 @@ func runCoordinate(args []string) error {
 	addrFile := fs.String("addr-file", "", "write the bound address to this file once listening (lets scripts discover an ephemeral port)")
 	ckptDir := fs.String("checkpoint-dir", "", "journal uploaded outcomes into this directory (required; the journal is the coordinator's durable state)")
 	resume := fs.Bool("resume", false, "recover an existing journal in -checkpoint-dir instead of refusing to overwrite it")
-	leaseTTL := fs.Duration("lease-ttl", coord.DefaultLeaseTTL, "lease deadline; a worker silent this long has its job re-issued")
+	leaseTTL := fs.Duration("lease-ttl", coord.DefaultLeaseTTL, "lease deadline; a job running longer than this is re-issued and its late upload deduplicated")
 	tableOut := fs.String("table-out", "", "also write the rendered table to this file (exactly the table bytes; CI diffs it against the golden)")
 	buglogOut := fs.String("buglog-out", "", "write the merged findings to this file as bug-log JSON lines")
 	obsAddr := fs.String("obs-addr", "", "serve the observability endpoints plus /coord status on this address")
-	linger := fs.Duration("linger", 3*time.Second, "keep serving this long after completion so late workers hear Done instead of connection-refused")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -140,13 +143,12 @@ func runCoordinate(args []string) error {
 			return err
 		}
 	}
-	// Keep answering Done for a beat: workers that leased nothing (or are
-	// mid-backoff) exit cleanly instead of retrying a vanished server.
-	if *linger > 0 {
-		select {
-		case <-ctx.Done():
-		case <-time.After(*linger):
-		}
+	// Keep answering Done for one retry-after interval: a worker parked on
+	// the hint polls again within it and exits cleanly instead of
+	// retrying a vanished server.
+	select {
+	case <-ctx.Done():
+	case <-time.After(co.RetryAfter() + lingerMargin):
 	}
 	return nil
 }
@@ -156,8 +158,6 @@ func runWork(args []string) error {
 	fs := flag.NewFlagSet("zcover work", flag.ContinueOnError)
 	coordinator := fs.String("coordinator", "", "coordinator base URL, e.g. http://host:8937 (required)")
 	id := fs.String("id", "", "worker ID (default hostname-pid)")
-	ckptDir := fs.String("checkpoint-dir", "", "journal completed jobs locally so a restarted worker re-uploads instead of re-running")
-	resume := fs.Bool("resume", false, "continue an existing local journal in -checkpoint-dir")
 	retryBudget := fs.Duration("retry-budget", time.Minute, "give up after the coordinator has been unreachable this long")
 	verbose := fs.Bool("v", false, "log every lease and upload to stderr")
 	if err := fs.Parse(args); err != nil {
@@ -176,8 +176,7 @@ func runWork(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	cfg := coord.WorkerConfig{
-		Coordinator: *coordinator, ID: *id,
-		Dir: *ckptDir, Resume: *resume, RetryBudget: *retryBudget,
+		Coordinator: *coordinator, ID: *id, RetryBudget: *retryBudget,
 		Runner: harness.LeaseRunner(fleet.Config{}),
 	}
 	if *verbose {
@@ -187,7 +186,7 @@ func runWork(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("worker %s done — %d leased, %d ran, %d from local cache, %d uploaded (%d duplicates, %d retries)\n",
-		*id, stats.Leased, stats.Ran, stats.Cached, stats.Uploaded, stats.Duplicates, stats.Retries)
+	fmt.Printf("worker %s done — %d leased, %d ran, %d uploaded (%d duplicates, %d retries)\n",
+		*id, stats.Leased, stats.Ran, stats.Uploaded, stats.Duplicates, stats.Retries)
 	return nil
 }

@@ -178,8 +178,9 @@ type Journal struct {
 // file exists and resume is set — recovers it: a torn tail is truncated,
 // the manifest is checked against want, and the completed records come
 // back keyed by job index. An existing journal without resume is refused
-// rather than silently overwritten, and so is a record whose index lies
-// outside [0, want.TotalJobs) when the job count is known.
+// rather than silently overwritten (see refuseExisting), and so is a
+// record whose index lies outside [0, want.TotalJobs) when the job count
+// is known.
 func Open(path string, want Manifest, resume bool) (*Journal, map[int]JobRecord, error) {
 	if _, err := os.Stat(path); err != nil {
 		j, err := create(path, want)
@@ -189,7 +190,7 @@ func Open(path string, want Manifest, resume bool) (*Journal, map[int]JobRecord,
 		return j, map[int]JobRecord{}, nil
 	}
 	if !resume {
-		return nil, nil, fmt.Errorf("checkpoint: journal %s already exists; pass -resume to continue it or remove it to start over", path)
+		return nil, nil, refuseExisting(path, want)
 	}
 	j, rep, err := recoverJournal(path)
 	if err != nil {
@@ -204,6 +205,26 @@ func Open(path string, want Manifest, resume bool) (*Journal, map[int]JobRecord,
 		return nil, nil, err
 	}
 	return j, recs, nil
+}
+
+// refuseExisting explains why an existing journal is not overwritten. It
+// suggests -resume only for a journal that resume would accept; one
+// written for another campaign (same name, different seeds or budgets)
+// needs another directory instead.
+func refuseExisting(path string, want Manifest) error {
+	const exists = "checkpoint: journal %s already exists; pass -resume to continue it or remove it to start over"
+	rep, err := Load(path)
+	var recs map[int]JobRecord
+	if err == nil {
+		recs, err = rep.ByIndex()
+	}
+	if err != nil {
+		return fmt.Errorf(exists+" (reading it: %v)", path, err)
+	}
+	if err := checkReplay(path, rep.Manifest, want, recs); err != nil {
+		return fmt.Errorf("%w; use another checkpoint directory for this run, or remove the journal to start over", err)
+	}
+	return fmt.Errorf(exists, path)
 }
 
 // checkReplay names every way a recovered journal disagrees with the run

@@ -296,6 +296,39 @@ func TestOpen(t *testing.T) {
 	}
 }
 
+// TestOpenRefusalNamesTheRemedy: without resume, an existing journal is
+// refused with the advice that would work. Only a journal of this very
+// campaign gets "pass -resume"; one written for different seeds or
+// budgets (the same name) points at another directory, since -resume
+// would be refused too; an unreadable file keeps the plain refusal and
+// says why it could not be read.
+func TestOpenRefusalNamesTheRemedy(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	writeJournal(t, path, 2)
+
+	_, _, err := Open(path, testManifest(), false)
+	if err == nil || !strings.Contains(err.Error(), "pass -resume") {
+		t.Errorf("matching journal: %v, want the -resume advice", err)
+	}
+
+	other := testManifest()
+	other.SpecHash = "fedcba9876543210"
+	_, _, err = Open(path, other, false)
+	if err == nil || strings.Contains(err.Error(), "-resume") ||
+		!strings.Contains(err.Error(), "another campaign") || !strings.Contains(err.Error(), "another checkpoint directory") {
+		t.Errorf("journal of another campaign: %v, want it named as such with another directory suggested", err)
+	}
+
+	garbled := filepath.Join(t.TempDir(), "journal.jsonl")
+	if err := os.WriteFile(garbled, []byte("not a journal\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = Open(garbled, testManifest(), false)
+	if err == nil || !strings.Contains(err.Error(), "pass -resume") || !strings.Contains(err.Error(), "reading it") {
+		t.Errorf("unreadable journal: %v, want the plain refusal plus the read error", err)
+	}
+}
+
 // TestOpenRejectsOutOfRangeIndex: a record whose index the job list
 // cannot hold is refused; an open-ended journal (TotalJobs 0) skips the
 // check.

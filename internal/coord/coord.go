@@ -7,23 +7,26 @@
 // The Coordinator owns the campaign: the full job list, its spec hash
 // (the same CRC-64 fingerprint internal/checkpoint journals carry), and
 // a crash-safe journal of every completed job. It hands out Leases —
-// (job, deadline) pairs — over a small HTTP/JSON protocol, tracks worker
-// heartbeats, re-issues leases whose deadline passed (a crashed or
-// straggling worker), and accepts journal-record uploads.
+// (job, deadline) pairs — over a small HTTP/JSON protocol, re-issues
+// leases whose deadline passed (a crashed or straggling worker), and
+// accepts journal-record uploads.
 //
-// Workers are thin: RunWorker loops lease → execute → upload, sending
-// heartbeats while a job runs and retrying with exponential backoff when
-// the coordinator is unreachable. A worker may keep a local checkpoint
-// journal so a kill-and-restart re-uploads finished work instead of
-// re-executing it.
+// Workers are stateless: RunWorker loops lease → execute → upload,
+// retrying with exponential backoff when the coordinator is unreachable.
+// A worker keeps nothing between jobs. A killed worker, or one whose job
+// outlives its lease, costs a re-issue: the job runs again elsewhere and
+// the straggler's upload, if it lands, is deduplicated byte for byte.
 //
 // # Protocol
 //
-//	GET  /manifest   campaign identity: name, spec hash, job count, TTL
-//	POST /lease      {worker} → a leased job, a retry-after backoff, or done
-//	POST /heartbeat  {worker, lease_id} extends the lease; 410 if expired
-//	POST /result     {job_index, spec_hash, body} journals one outcome
-//	GET  /status     live JSON state (also mounted at /coord on -obs-addr)
+//	GET  /manifest  campaign identity: name, spec hash, job count, TTL
+//	POST /lease     {worker} → a leased job, a retry-after backoff, or done
+//	POST /result    {job_index, spec_hash, body} journals one outcome
+//	GET  /status    live JSON state (also mounted at /coord on -obs-addr)
+//
+// A worker told to retry later sleeps RetryAfter before it polls again,
+// so a coordinator process that exits on completion first keeps serving
+// that long: the parked worker then hears done, not connection-refused.
 //
 // # Determinism
 //
@@ -60,30 +63,26 @@ import (
 	"zcover/internal/telemetry"
 )
 
-// DefaultLeaseTTL is the lease deadline granted to a worker per job and
-// heartbeat. Campaigns are simulated, so wall-clock per job is short;
-// two minutes tolerates slow CI runners without stalling re-issue long.
+// DefaultLeaseTTL is the lease deadline granted to a worker per job.
+// Campaigns are simulated, so wall-clock per job is short; two minutes
+// tolerates slow CI runners without stalling re-issue long.
 const DefaultLeaseTTL = 2 * time.Minute
 
 // Process-wide coordinator and worker metrics.
 var (
 	mLeases     = telemetry.Default().Counter("coord_leases_issued_total")
 	mExpired    = telemetry.Default().Counter("coord_leases_expired_total")
-	mHeartbeats = telemetry.Default().Counter("coord_heartbeats_total")
-	mStale      = telemetry.Default().Counter("coord_heartbeats_stale_total")
 	mResults    = telemetry.Default().Counter("coord_results_total")
 	mDuplicates = telemetry.Default().Counter("coord_results_duplicate_total")
 	mRejected   = telemetry.Default().Counter("coord_results_rejected_total")
 
 	mWorkerLeases  = telemetry.Default().Counter("coord_worker_leases_total")
 	mWorkerUploads = telemetry.Default().Counter("coord_worker_uploads_total")
-	mWorkerCached  = telemetry.Default().Counter("coord_worker_cached_total")
 	mWorkerRetries = telemetry.Default().Counter("coord_worker_retries_total")
 )
 
-// ManifestReply is GET /manifest: the campaign the coordinator serves.
-// Workers stamp it into their local checkpoint journals so a cached
-// outcome can never be replayed into a different campaign.
+// ManifestReply is GET /manifest: the campaign the coordinator serves,
+// for scripts and probes that need its identity before leasing.
 type ManifestReply struct {
 	// Campaign names the experiment ("table5", "smoke", ...).
 	Campaign string `json:"campaign"`
@@ -91,7 +90,8 @@ type ManifestReply struct {
 	SpecHash string `json:"spec_hash"`
 	// TotalJobs is the campaign's job count.
 	TotalJobs int `json:"total_jobs"`
-	// LeaseTTL is the lease deadline workers should heartbeat within.
+	// LeaseTTL is the lease deadline: a job not uploaded within it is
+	// re-issued.
 	LeaseTTL time.Duration `json:"lease_ttl"`
 }
 
@@ -110,23 +110,13 @@ type LeaseReply struct {
 	// RetryAfter, when positive, means every remaining job is currently
 	// leased: poll again after this long.
 	RetryAfter time.Duration `json:"retry_after,omitempty"`
-	// LeaseID names the granted lease for heartbeats.
-	LeaseID string `json:"lease_id,omitempty"`
 	// JobIndex is the job's position in the full job list.
 	JobIndex int `json:"job_index,omitempty"`
 	// Job is the complete job spec to execute.
 	Job *fleet.Job `json:"job,omitempty"`
-	// TTL is the lease deadline; heartbeat sooner than this to keep it.
-	TTL time.Duration `json:"ttl,omitempty"`
 	// SpecHash echoes the manifest so the result upload can prove which
 	// job list the outcome belongs to.
 	SpecHash string `json:"spec_hash,omitempty"`
-}
-
-// HeartbeatRequest is POST /heartbeat: extend a running job's lease.
-type HeartbeatRequest struct {
-	Worker  string `json:"worker"`
-	LeaseID string `json:"lease_id"`
 }
 
 // ResultRequest is POST /result: one completed (or terminally failed)
@@ -134,7 +124,6 @@ type HeartbeatRequest struct {
 // byte-for-byte, exactly as a local checkpoint would store it.
 type ResultRequest struct {
 	Worker   string `json:"worker"`
-	LeaseID  string `json:"lease_id,omitempty"`
 	JobIndex int    `json:"job_index"`
 	// SpecHash must match the manifest: an upload from a drifted job
 	// list is refused, never journaled.
@@ -150,7 +139,7 @@ type ResultRequest struct {
 // ResultReply reports how an upload was handled.
 type ResultReply struct {
 	// Status is "accepted" for a fresh outcome or "duplicate" for a
-	// byte-identical re-upload (late straggler, worker resume).
+	// byte-identical re-upload (a late straggler).
 	Status string `json:"status"`
 }
 

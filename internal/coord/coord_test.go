@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -175,10 +176,10 @@ func TestLeaseExpiryReissueAndStragglerDedup(t *testing.T) {
 	if l := leaseAs(t, srv, "fast"); l.RetryAfter <= 0 {
 		t.Fatalf("pre-expiry lease = %+v", l)
 	}
-	// Past the deadline it is re-issued under a fresh lease ID.
+	// Past the deadline it is re-issued.
 	clock.Advance(2 * time.Second)
 	l2 := leaseAs(t, srv, "fast")
-	if l2.JobIndex != 0 || l2.LeaseID == l1.LeaseID {
+	if l2.JobIndex != 0 {
 		t.Fatalf("re-issued lease = %+v (original %+v)", l2, l1)
 	}
 	if st := c.Status(); st.Expired != 1 {
@@ -204,33 +205,6 @@ func TestLeaseExpiryReissueAndStragglerDedup(t *testing.T) {
 	}
 	if st := c.Status(); st.Rejected != 1 {
 		t.Fatalf("rejected = %d, want 1", st.Rejected)
-	}
-}
-
-func TestHeartbeatExtendsLiveLeaseOnly(t *testing.T) {
-	_, srv, clock := newTestCoord(t, 1, time.Minute)
-	l := leaseAs(t, srv, "w1")
-
-	// A heartbeat inside the TTL extends the deadline: after 59s+59s the
-	// job is still held even though 118s > TTL.
-	clock.Advance(59 * time.Second)
-	if code, body := post(t, srv, "/heartbeat", HeartbeatRequest{Worker: "w1", LeaseID: l.LeaseID}, nil); code != http.StatusOK {
-		t.Fatalf("heartbeat: %d %s", code, body)
-	}
-	clock.Advance(59 * time.Second)
-	if got := leaseAs(t, srv, "w2"); got.RetryAfter <= 0 {
-		t.Fatalf("lease after heartbeat = %+v", got)
-	}
-
-	// Past the extended deadline the heartbeat answers 410 Gone.
-	clock.Advance(2 * time.Second)
-	if code, _ := post(t, srv, "/heartbeat", HeartbeatRequest{Worker: "w1", LeaseID: l.LeaseID}, nil); code != http.StatusGone {
-		t.Fatalf("post-expiry heartbeat: %d, want 410", code)
-	}
-	// So does a heartbeat for a lease that was never issued (the
-	// coordinator-restarted case: in-memory leases are gone).
-	if code, _ := post(t, srv, "/heartbeat", HeartbeatRequest{Worker: "w1", LeaseID: "L99-j0"}, nil); code != http.StatusGone {
-		t.Fatalf("unknown-lease heartbeat: %d, want 410", code)
 	}
 }
 
@@ -429,7 +403,7 @@ func TestWorkerDrainsCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Leased != 3 || stats.Ran != 3 || stats.Uploaded != 3 || stats.Cached != 0 {
+	if stats.Leased != 3 || stats.Ran != 3 || stats.Uploaded != 3 {
 		t.Fatalf("stats = %+v", stats)
 	}
 	recs, err := c.Records()
@@ -455,72 +429,93 @@ func TestWorkerDrainsCampaign(t *testing.T) {
 	}
 }
 
-// TestWorkerLocalCacheSurvivesRestart: a worker keeping a local journal
-// re-uploads finished work after a restart instead of re-executing it —
-// here against a brand-new coordinator that lost everything.
-func TestWorkerLocalCacheSurvivesRestart(t *testing.T) {
-	workerDir := t.TempDir()
+// TestJobOutlivingItsLeaseIsReissued: a job that runs past its lease
+// deadline is re-issued to another worker, both uploads land (the second
+// deduplicated byte for byte), and the journal matches a single-worker
+// run. This is the whole story for long jobs: workers send nothing while
+// a job runs.
+func TestJobOutlivingItsLeaseIsReissued(t *testing.T) {
 	jobs := testJobs(3)
-	ran := 0
-	counting := func(job fleet.Job) (json.RawMessage, int, error) {
-		ran++
-		return fakeRunner(job)
+	solo, err := New(Config{Campaign: "prot", Jobs: jobs, SpecHash: "cafe0123", Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	c1, srv1, _ := newTestCoord(t, 3, time.Minute)
+	defer solo.Close()
+	soloSrv := httptest.NewServer(solo.Handler())
+	defer soloSrv.Close()
 	if _, err := RunWorker(context.Background(), WorkerConfig{
-		Coordinator: srv1.URL, ID: "w1", Runner: counting, Dir: workerDir,
+		Coordinator: soloSrv.URL, ID: "solo", Runner: fakeRunner,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	want, err := c1.Records()
+	want, err := solo.Records()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ran != 3 {
-		t.Fatalf("ran = %d, want 3", ran)
 	}
 
-	// The coordinator is replaced wholesale (fresh dir, empty journal);
-	// the restarted worker serves every job from its cache.
-	c2, err := New(Config{Campaign: "prot", Jobs: jobs, SpecHash: "cafe0123", Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	srv2 := httptest.NewServer(c2.Handler())
-	defer srv2.Close()
-	stats, err := RunWorker(context.Background(), WorkerConfig{
-		Coordinator: srv2.URL, ID: "w1", Runner: counting, Dir: workerDir, Resume: true,
+	c, err := New(Config{
+		Campaign: "prot", Jobs: jobs, SpecHash: "cafe0123",
+		Dir: t.TempDir(), LeaseTTL: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ran != 3 || stats.Cached != 3 || stats.Ran != 0 {
-		t.Fatalf("restarted worker re-executed: ran=%d stats=%+v", ran, stats)
-	}
-	got, err := c2.Records()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if string(got[i].Body) != string(want[i].Body) {
-			t.Fatalf("record %d differs after cache replay", i)
+	defer c.Close()
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+
+	// The slow worker holds job 0 until the fast one has run it too,
+	// which it can only do once the slow lease has expired.
+	holding, rerun := make(chan struct{}), make(chan struct{})
+	slowRunner := func(job fleet.Job) (json.RawMessage, int, error) {
+		close(holding)
+		select {
+		case <-rerun:
+		case <-time.After(10 * time.Second):
+			return nil, 1, fmt.Errorf("job %s was never re-issued", job.Name)
 		}
+		return fakeRunner(job)
+	}
+	var once sync.Once
+	fastRunner := func(job fleet.Job) (json.RawMessage, int, error) {
+		if job.Name == jobs[0].Name {
+			once.Do(func() { close(rerun) })
+		}
+		return fakeRunner(job)
+	}
+	var slow WorkerStats
+	var slowErr error
+	slowDone := make(chan struct{})
+	go func() {
+		defer close(slowDone)
+		slow, slowErr = RunWorker(context.Background(), WorkerConfig{
+			Coordinator: srv.URL, ID: "slow", Runner: slowRunner,
+		})
+	}()
+	<-holding
+	fast, err := RunWorker(context.Background(), WorkerConfig{
+		Coordinator: srv.URL, ID: "fast", Runner: fastRunner,
+	})
+	if err != nil {
+		t.Fatalf("fast worker: %v", err)
+	}
+	<-slowDone
+	if slowErr != nil {
+		t.Fatalf("slow worker: %v", slowErr)
 	}
 
-	// A cache from a different campaign is refused, not replayed.
-	c3, err := New(Config{Campaign: "prot", Jobs: testJobs(2), SpecHash: "0ddba11", Dir: t.TempDir()})
+	if slow.Uploaded != 1 || fast.Uploaded != 3 || slow.Duplicates+fast.Duplicates != 1 {
+		t.Fatalf("uploads: slow %+v, fast %+v; want 1 + 3 landing, one of them a duplicate", slow, fast)
+	}
+	if st := c.Status(); st.Expired < 1 || st.Duplicates < 1 {
+		t.Fatalf("status = %+v, want an expired lease and a duplicate upload", st)
+	}
+	got, err := c.Records()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c3.Close()
-	srv3 := httptest.NewServer(c3.Handler())
-	defer srv3.Close()
-	if _, err := RunWorker(context.Background(), WorkerConfig{
-		Coordinator: srv3.URL, ID: "w1", Runner: counting, Dir: workerDir, Resume: true,
-	}); err == nil {
-		t.Fatal("stale worker cache accepted for a different campaign")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("records after re-issue differ from a single-worker run:\n got %+v\nwant %+v", got, want)
 	}
 }
 

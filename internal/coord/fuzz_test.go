@@ -12,7 +12,7 @@ import (
 
 // fuzzEndpoints are the request bodies a worker sends; the fuzz target's
 // endpoint byte picks one.
-var fuzzEndpoints = []string{"/lease", "/heartbeat", "/result"}
+var fuzzEndpoints = []string{"/lease", "/result"}
 
 // primedCoord builds a 3-job coordinator and drives it through a real
 // lease exchange: w1 leases job 0 and uploads its outcome, then leases job
@@ -48,24 +48,23 @@ func primedCoord(tb testing.TB) (*Coordinator, [][]byte) {
 		return raw
 	}
 	result := func(l LeaseReply) ResultRequest {
-		return ResultRequest{Worker: "w1", LeaseID: l.LeaseID, JobIndex: l.JobIndex,
+		return ResultRequest{Worker: "w1", JobIndex: l.JobIndex,
 			SpecHash: l.SpecHash, Attempts: 1, Body: json.RawMessage(`{"kind":"fuzz","packets":530}`)}
 	}
 	var first, second LeaseReply
 	send("/lease", LeaseRequest{Worker: "w1"}, &first)
 	send("/result", result(first), nil)
 	leaseBody := send("/lease", LeaseRequest{Worker: "w1"}, &second)
-	heartbeatBody := send("/heartbeat", HeartbeatRequest{Worker: "w1", LeaseID: second.LeaseID}, nil)
 	resultBody, err := json.Marshal(result(second))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return c, [][]byte{leaseBody, heartbeatBody, resultBody}
+	return c, [][]byte{leaseBody, resultBody}
 }
 
-// FuzzCoordHandlers sends one arbitrary body to /lease, /heartbeat or
-// /result through Coordinator.Handler(), on a campaign with one job
-// journaled and one leased. No body may panic the coordinator or draw a
+// FuzzCoordHandlers sends one arbitrary body to /lease or /result
+// through Coordinator.Handler(), on a campaign with one job journaled and
+// one leased. No body may panic the coordinator or draw a
 // status outside the protocol's, and a refused /result must leave the
 // journal and the done count as they were.
 func FuzzCoordHandlers(f *testing.F) {

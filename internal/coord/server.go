@@ -34,19 +34,10 @@ type Config struct {
 	Resume bool
 	// LeaseTTL is the lease deadline; zero means DefaultLeaseTTL. When
 	// every remaining job is leased, /lease answers with a retry-after
-	// hint of one tenth of it.
+	// hint of one tenth of it (Coordinator.RetryAfter).
 	LeaseTTL time.Duration
 	// now is the test clock hook; nil means time.Now.
 	now func() time.Time
-}
-
-// lease is one outstanding work assignment. Leases are scheduling state
-// only: they never gate result uploads and are not persisted.
-type lease struct {
-	id       string
-	jobIndex int
-	worker   string
-	deadline time.Time
 }
 
 // jobState tracks one job's lifecycle on the coordinator.
@@ -55,10 +46,11 @@ type jobState struct {
 	done     bool
 	body     json.RawMessage
 	attempts int
-	// lease is the job's current assignment (nil when unassigned). An
-	// expired lease is replaced on the next /lease poll; the old ID
-	// becomes unknown, so its heartbeats answer 410 Gone.
-	lease *lease
+	// deadline ends the job's current lease (zero when never leased). A
+	// lease is scheduling state only: it never gates result uploads and
+	// is not persisted. An expired lease is replaced on the next /lease
+	// poll.
+	deadline time.Time
 }
 
 // Coordinator is the campaign-side half of the protocol. Construct with
@@ -72,7 +64,6 @@ type Coordinator struct {
 	done     int
 	failure  error
 	finished chan struct{}
-	leaseSeq int
 	workers  map[string]*WorkerStatus
 	expired  int64
 	dupes    int64
@@ -130,7 +121,6 @@ func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/manifest", c.handleManifest)
 	mux.HandleFunc("/lease", c.handleLease)
-	mux.HandleFunc("/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("/result", c.handleResult)
 	mux.Handle("/status", c.StatusHandler())
 	return mux
@@ -146,7 +136,9 @@ func (c *Coordinator) StatusHandler() http.Handler {
 
 // Wait blocks until every job has a journaled outcome (nil) or the
 // campaign failed terminally on some worker (that job's error), or ctx
-// ends. Workers polling after completion are told Done so they exit.
+// ends. It returns at once on completion; a process that exits
+// afterwards keeps its server up for RetryAfter first, so workers
+// polling late are told Done.
 func (c *Coordinator) Wait(ctx context.Context) error {
 	select {
 	case <-c.finished:
@@ -158,6 +150,10 @@ func (c *Coordinator) Wait(ctx context.Context) error {
 	defer c.mu.Unlock()
 	return c.failure
 }
+
+// RetryAfter is the backoff /lease hands a worker while every remaining
+// job is leased: one tenth of the lease TTL.
+func (c *Coordinator) RetryAfter() time.Duration { return c.cfg.LeaseTTL / 10 }
 
 // doneCount returns the completed-job count.
 func (c *Coordinator) doneCount() int {
@@ -226,7 +222,7 @@ func (c *Coordinator) Status() Status {
 	}
 	now := c.cfg.now()
 	for i := range c.jobs {
-		if l := c.jobs[i].lease; l != nil && !c.jobs[i].done && now.Before(l.deadline) {
+		if !c.jobs[i].done && now.Before(c.jobs[i].deadline) {
 			s.Leased++
 		}
 	}
@@ -275,67 +271,25 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		if js.done {
 			continue
 		}
-		if l := js.lease; l != nil {
-			if now.Before(l.deadline) {
+		if !js.deadline.IsZero() {
+			if now.Before(js.deadline) {
 				continue
 			}
-			// The holder went quiet past its deadline: re-issue. The job
-			// is idempotent, so if the straggler finishes anyway its
-			// upload is deduplicated against the new holder's.
-			js.lease = nil
+			// No upload by the deadline (the holder died, or its job runs
+			// longer than the TTL): re-issue. The job is idempotent, so
+			// if the straggler finishes anyway its upload is
+			// deduplicated against the new holder's.
 			c.expired++
 			mExpired.Inc()
 		}
-		c.leaseSeq++
-		l := &lease{
-			id:       fmt.Sprintf("L%d-j%d", c.leaseSeq, i),
-			jobIndex: i, worker: req.Worker,
-			deadline: now.Add(c.cfg.LeaseTTL),
-		}
-		js.lease = l
+		js.deadline = now.Add(c.cfg.LeaseTTL)
 		c.touchWorker(req.Worker).Leases++
 		mLeases.Inc()
 		job := c.cfg.Jobs[i]
-		writeJSON(w, http.StatusOK, LeaseReply{
-			LeaseID: l.id, JobIndex: i, Job: &job,
-			TTL: c.cfg.LeaseTTL, SpecHash: c.cfg.SpecHash,
-		})
+		writeJSON(w, http.StatusOK, LeaseReply{JobIndex: i, Job: &job, SpecHash: c.cfg.SpecHash})
 		return
 	}
-	writeJSON(w, http.StatusOK, LeaseReply{RetryAfter: c.cfg.LeaseTTL / 10})
-}
-
-// handleHeartbeat answers POST /heartbeat: extends a live lease, or 410
-// Gone when the lease expired (or was never issued / predates a restart)
-// — the worker's cue that its job may have been re-issued. The worker
-// keeps running regardless: its result stays valid.
-func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req HeartbeatRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.touchWorker(req.Worker)
-	mHeartbeats.Inc()
-	now := c.cfg.now()
-	for i := range c.jobs {
-		l := c.jobs[i].lease
-		if l == nil || l.id != req.LeaseID {
-			continue
-		}
-		if c.jobs[i].done {
-			break
-		}
-		if !now.Before(l.deadline) {
-			break
-		}
-		l.deadline = now.Add(c.cfg.LeaseTTL)
-		w.WriteHeader(http.StatusOK)
-		return
-	}
-	mStale.Inc()
-	http.Error(w, "lease expired or unknown", http.StatusGone)
+	writeJSON(w, http.StatusOK, LeaseReply{RetryAfter: c.RetryAfter()})
 }
 
 // handleResult answers POST /result: the JSON face of Submit.
@@ -368,10 +322,10 @@ func (e *rejection) Error() string { return e.msg }
 
 // Submit validates one job outcome against the manifest, journals it
 // durably, and deduplicates it: leases play no part, so stragglers,
-// resumed workers, restarted coordinators, and an in-process local run
-// all converge on the same byte stream. The record is fsync'd before
-// Submit returns, so a nil error is an acknowledgement that survives a
-// crash. A worker's failure report (req.Error) fails the campaign.
+// restarted coordinators, and an in-process local run all converge on
+// the same byte stream. The record is fsync'd before Submit returns, so
+// a nil error is an acknowledgement that survives a crash. A worker's
+// failure report (req.Error) fails the campaign.
 func (c *Coordinator) Submit(req ResultRequest) (ResultReply, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -424,7 +378,6 @@ func (c *Coordinator) Submit(req ResultRequest) (ResultReply, error) {
 	js.done = true
 	js.body = body
 	js.attempts = req.Attempts
-	js.lease = nil
 	c.done++
 	c.touchWorker(req.Worker).Results++
 	mResults.Inc()

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"time"
 
-	"zcover/internal/checkpoint"
 	"zcover/internal/fleet"
 )
 
@@ -37,14 +36,6 @@ type WorkerConfig struct {
 	ID string
 	// Runner executes leased jobs. Required.
 	Runner Runner
-	// Dir, when non-empty, keeps a local checkpoint journal of completed
-	// jobs: a worker killed after finishing a job but before its upload
-	// landed re-uploads the cached bytes on restart instead of
-	// re-executing. The journal carries the coordinator's manifest, so a
-	// stale cache from a different campaign is refused.
-	Dir string
-	// Resume permits continuing an existing local journal.
-	Resume bool
 	// RetryBudget bounds how long one request keeps retrying. A worker
 	// that cannot reach the coordinator for this long is orphaned — the
 	// coordinator is gone for good, not restarting — and exits with the
@@ -60,14 +51,13 @@ type WorkerConfig struct {
 type WorkerStats struct {
 	// Leased counts jobs granted to this worker.
 	Leased int
-	// Ran counts jobs actually executed (Leased minus cache hits).
+	// Ran counts jobs executed to an outcome.
 	Ran int
-	// Cached counts jobs served from the local checkpoint journal.
-	Cached int
-	// Uploaded counts results the coordinator accepted fresh.
+	// Uploaded counts results the coordinator acknowledged, duplicates
+	// included.
 	Uploaded int
 	// Duplicates counts uploads the coordinator already had (another
-	// worker finished first, or a resumed re-upload).
+	// worker finished the job first).
 	Duplicates int
 	// Retries counts coordinator requests that had to be retried.
 	Retries int
@@ -75,20 +65,17 @@ type WorkerStats struct {
 
 // worker is the per-invocation state of RunWorker.
 type worker struct {
-	cfg      WorkerConfig
-	client   *http.Client
-	manifest ManifestReply
-	journal  *checkpoint.Journal
-	cache    map[int]checkpoint.JobRecord
-	stats    WorkerStats
+	cfg    WorkerConfig
+	client *http.Client
+	stats  WorkerStats
 }
 
 // RunWorker drains leases from the coordinator until the campaign
-// completes: lease → execute (heartbeating) → upload, with exponential
-// backoff whenever the coordinator is unreachable. It returns when the
-// coordinator reports done, the campaign fails, or ctx ends. A ctx
-// cancellation mid-job abandons the job without reporting failure —
-// that is the "killed worker" case the lease deadline exists for.
+// completes: lease → execute → upload, with exponential backoff whenever
+// the coordinator is unreachable. It returns when the coordinator
+// reports done, the campaign fails, or ctx ends. A ctx cancellation
+// mid-job abandons the job without reporting failure — that is the
+// "killed worker" case the lease deadline exists for.
 func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 	if cfg.Coordinator == "" || cfg.ID == "" || cfg.Runner == nil {
 		return WorkerStats{}, fmt.Errorf("coord: worker needs a coordinator URL, an ID, and a runner")
@@ -99,15 +86,6 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 	w := &worker{cfg: cfg, client: cfg.Client}
 	if w.client == nil {
 		w.client = &http.Client{Timeout: 30 * time.Second}
-	}
-	if err := w.post(ctx, "/manifest", LeaseRequest{Worker: cfg.ID}, &w.manifest); err != nil {
-		return w.stats, err
-	}
-	if cfg.Dir != "" {
-		if err := w.openCache(); err != nil {
-			return w.stats, err
-		}
-		defer w.journal.Close()
 	}
 	for {
 		var lease LeaseReply
@@ -129,63 +107,12 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 	}
 }
 
-// openCache creates or recovers the worker's local checkpoint journal,
-// stamped with the coordinator's manifest. The filename carries the
-// worker ID so several workers can share one directory.
-func (w *worker) openCache() error {
-	journal, recs, err := checkpoint.Open(
-		checkpoint.JournalPath(w.cfg.Dir, w.manifest.Campaign+"-worker-"+w.cfg.ID),
-		checkpoint.Manifest{Campaign: w.manifest.Campaign, SpecHash: w.manifest.SpecHash, TotalJobs: w.manifest.TotalJobs},
-		w.cfg.Resume)
-	if err != nil {
-		return err
-	}
-	w.journal, w.cache = journal, recs
-	return nil
-}
-
-// execute runs one leased job (or serves it from the local cache) and
-// uploads the outcome.
+// execute runs one leased job and uploads the outcome.
 func (w *worker) execute(ctx context.Context, lease LeaseReply) error {
 	w.stats.Leased++
 	mWorkerLeases.Inc()
-	if rec, ok := w.cache[lease.JobIndex]; ok {
-		w.logf("job %d (%s): cached locally, re-uploading", lease.JobIndex, lease.Job.Label())
-		w.stats.Cached++
-		mWorkerCached.Inc()
-		return w.upload(ctx, ResultRequest{
-			Worker: w.cfg.ID, LeaseID: lease.LeaseID, JobIndex: lease.JobIndex,
-			SpecHash: lease.SpecHash, Attempts: rec.Attempts, Body: rec.Body,
-		})
-	}
-
-	// Keep the lease alive while the job runs, heartbeating three times
-	// per lease TTL. Stale heartbeats (the coordinator restarted, or the
-	// lease expired under a long pause) are ignored: the result is
-	// idempotent either way.
-	hbCtx, stopHB := context.WithCancel(ctx)
-	hbDone := make(chan struct{})
-	go func() {
-		defer close(hbDone)
-		interval := lease.TTL / 3
-		if interval <= 0 {
-			interval = DefaultLeaseTTL / 3
-		}
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-hbCtx.Done():
-				return
-			case <-t.C:
-				_ = w.postOnce("/heartbeat", HeartbeatRequest{Worker: w.cfg.ID, LeaseID: lease.LeaseID}, nil)
-			}
-		}
-	}()
-	w.logf("job %d (%s): leased %s, running", lease.JobIndex, lease.Job.Label(), lease.LeaseID)
+	w.logf("job %d (%s): leased, running", lease.JobIndex, lease.Job.Label())
 	body, attempts, err := w.cfg.Runner(*lease.Job)
-	stopHB()
-	<-hbDone
 	if err != nil {
 		if ctx.Err() != nil {
 			// Killed mid-job: vanish silently and let the lease expire;
@@ -195,26 +122,14 @@ func (w *worker) execute(ctx context.Context, lease LeaseReply) error {
 		// A terminal job failure (the runner already retried) must reach
 		// the coordinator, or the campaign would re-issue it forever.
 		_ = w.upload(ctx, ResultRequest{
-			Worker: w.cfg.ID, LeaseID: lease.LeaseID, JobIndex: lease.JobIndex,
+			Worker: w.cfg.ID, JobIndex: lease.JobIndex,
 			SpecHash: lease.SpecHash, Error: err.Error(),
 		})
 		return fmt.Errorf("coord: job %s: %w", lease.Job.Label(), err)
 	}
 	w.stats.Ran++
-	rec := checkpoint.JobRecord{
-		Index: lease.JobIndex, Label: lease.Job.Label(), Attempts: attempts, Body: body,
-	}
-	if w.journal != nil {
-		// Local durability before upload, mirroring the fleet's persist
-		// rule: work whose journal append failed is not durable and must
-		// not be acknowledged anywhere.
-		if err := w.journal.Append(rec); err != nil {
-			return err
-		}
-		w.cache[lease.JobIndex] = rec
-	}
 	return w.upload(ctx, ResultRequest{
-		Worker: w.cfg.ID, LeaseID: lease.LeaseID, JobIndex: lease.JobIndex,
+		Worker: w.cfg.ID, JobIndex: lease.JobIndex,
 		SpecHash: lease.SpecHash, Attempts: attempts, Body: body,
 	})
 }
@@ -286,8 +201,7 @@ func (w *worker) post(ctx context.Context, path string, req, reply any) error {
 	}
 }
 
-// postOnce sends one JSON request without retries. GET-shaped endpoints
-// (/manifest) accept POST bodies too, which keeps the client uniform.
+// postOnce sends one JSON request without retries.
 func (w *worker) postOnce(path string, req, reply any) error {
 	raw, err := json.Marshal(req)
 	if err != nil {
